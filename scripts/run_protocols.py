@@ -5,7 +5,8 @@ Usage:
     python scripts/run_protocols.py [--seed N] [--out results.txt]
 
 Each protocol is a few seconds to a minute on a laptop CPU; `transfer` is
-the slowest (it trains the conv net twice).
+the slowest (it trains the conv net once and the MLP twice, and transforms
+every training sample through the conv net).
 """
 
 import argparse

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the transform's step scale and measure the clean-vs-robust tradeoff.
 
-For each gamma, trains a plain baseline and the transform pipeline on the
-same blob split, then reports clean test accuracy and pixel-off accuracy.
+For each gamma, runs the transform pipeline on a blob split and reports
+clean test accuracy and pixel-off accuracy of its plainly trained source
+(the baseline) and of its final model.
 Gentle steps track the baseline on clean data; stronger steps give up a
 little clean accuracy and gain under corruption.
 
@@ -19,8 +20,6 @@ from signreg.evalharness import evaluate, robustness_suite
 from signreg.sign import SignConfig
 from signreg.tensor import Rng
 from signreg.training import sign_pipeline
-from signreg.nn import build_model
-from signreg.training import train
 
 
 def run_one(seed: int, gamma: float) -> dict:
@@ -30,15 +29,11 @@ def run_one(seed: int, gamma: float) -> dict:
     from signreg.datasets import normalize
     split = normalize(raw)
     meta = repro.mlp_meta(split)
-    cfg = repro._base_cfg(seed, epochs=24)
-
-    baseline = build_model(meta, rng=Rng(seed).child("init"))
-    report = train(baseline, split, cfg)
-    baseline.set_params(report.best_params)
-
     cfgs = [SignConfig(k=50, gamma=gamma, normalize="unit-max-abs"),
             SignConfig(k=100, gamma=gamma, normalize="unit-max-abs")]
-    pipe = sign_pipeline(split, meta, cfg, cfgs, repro._base_cfg(seed, 24, "sign"))
+    # the pipeline's source is the plainly trained baseline
+    pipe = sign_pipeline(split, meta, repro._base_cfg(seed, epochs=24), cfgs,
+                         repro._base_cfg(seed, 24, "sign"))
 
     spec = [CorruptionSpec(kind="pixel-off", pixel_count=14)]
 
@@ -48,7 +43,7 @@ def run_one(seed: int, gamma: float) -> dict:
                                rng=Rng(seed).child("rob"), stats=split.stats)
         return clean, rob[0].mean_accuracy
 
-    base_clean, base_rob = measure(baseline)
+    base_clean, base_rob = measure(pipe.source_model)
     sign_clean, sign_rob = measure(pipe.final_model)
     return {"base_clean": base_clean, "base_rob": base_rob,
             "sign_clean": sign_clean, "sign_rob": sign_rob}

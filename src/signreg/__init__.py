@@ -6,14 +6,13 @@ from .nn import (Model, attach_uncertainty_head, build_basic_cnn, build_model,
                  build_small_mlp, load_checkpoint, params_checksum, save_checkpoint)
 from .sign import (NonFiniteDeltaError, SignConfig, SignResult, delta_only_dataset,
                    sign_transform, transform_dataset)
-from .augment import (CorruptionSpec, MixupConfig, classical_augment, corrupt, mixup,
-                      mixup_batch)
+from .augment import CorruptionSpec, MixupConfig, corrupt, mixup
 from .datasets import (DatasetSplit, NormStats, Sample, load_cifar10_binary,
                        load_container, load_ood_directory, make_synthetic_blobs,
                        normalize, save_container)
 from .training import (TrainConfig, TrainReport, aleatoric_loss, cross_entropy,
                        sign_pipeline, train)
-from .evalharness import (EvalReport, evaluate, min_correct_probability, ood_evaluate,
-                          project_features, robustness_suite, transferability_protocol)
+from .evalharness import (EvalReport, evaluate, ood_evaluate, project_features,
+                          robustness_suite, transferability_protocol)
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Baseline augmentations and test-time corruptions.
 
 Classical augmentation (flips, 90-degree rotations, integer shifts with
-zero fill) and mixup operate wherever the training loop hands them
-samples; corruptions operate strictly in the raw 0-255 intensity domain,
+zero fill) and mixup operate on the stacked arrays of a training batch;
+the single-pair ``mixup`` states the interpolation rule on samples.
+Corruptions operate strictly in the raw 0-255 intensity domain,
 before normalization. Labels never change under classical augmentation or
 corruption; mixup blends labels with the same coefficient as images.
 """
@@ -91,19 +92,15 @@ def _draw_classical(rng: Rng, h: int, w: int) -> tuple[bool, bool, int, int, int
 
 
 def classical_augment_array(image: np.ndarray, rng: Rng) -> np.ndarray:
-    if image.ndim != 3:
-        raise ShapeError(f"classical augmentation expects (C, H, W), got {image.shape}")
-    _, h, w = image.shape
-    return apply_classical(image, *_draw_classical(rng, h, w))
-
-
-def classical_augment(sample: Sample, rng: Rng) -> Sample:
-    """Independently sampled flip/rotate/shift combination, label unchanged.
+    """Independently sampled flip/rotate/shift combination of one (C, H, W) image.
 
     Shifts go up to +-10% of each spatial dim. Non-square images skip the
     90/270 rotations (they would change the shape).
     """
-    return replace(sample, image=Tensor._wrap(classical_augment_array(sample.image.data, rng)))
+    if image.ndim != 3:
+        raise ShapeError(f"classical augmentation expects (C, H, W), got {image.shape}")
+    _, h, w = image.shape
+    return apply_classical(image, *_draw_classical(rng, h, w))
 
 
 # -- mixup -------------------------------------------------------------------
@@ -128,20 +125,11 @@ def mixup(p1: Sample, p2: Sample, lam: float, num_classes: int) -> Sample:
     return replace(p1, image=Tensor._wrap(img), soft_label=tuple(float(v) for v in label))
 
 
-def mixup_batch(batch: list[Sample], cfg: MixupConfig, rng: Rng, num_classes: int) -> list[Sample]:
-    """Pair each sample with a random partner (one shared permutation) and
-    blend with a per-pair lambda ~ Beta(alpha, alpha)."""
-    if len(batch) < 2:
-        raise ValueError(f"mixup needs a batch of >= 2 samples, got {len(batch)}")
-    perm = rng.permutation(len(batch))
-    lams = rng.beta(cfg.alpha, cfg.alpha, size=len(batch))
-    return [mixup(batch[i], batch[perm[i]], float(lams[i]), num_classes)
-            for i in range(len(batch))]
-
-
 def mixup_arrays(images: np.ndarray, labels: np.ndarray, cfg: MixupConfig,
                  rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Batched fast path over stacked images (B, ...) and soft labels (B, C)."""
+    """Pair each row with a random partner (one shared permutation) and blend
+    images (B, ...) and soft labels (B, C) with a per-pair lambda ~
+    Beta(alpha, alpha)."""
     if images.shape[0] < 2:
         raise ValueError(f"mixup needs a batch of >= 2 samples, got {images.shape[0]}")
     perm = rng.permutation(images.shape[0])

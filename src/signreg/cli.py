@@ -43,6 +43,17 @@ def _log(cfg: ExperimentConfig, message: str):
         fh.write(message + "\n")
 
 
+def _load_source(path: str, split):
+    """A trained source model whose inputs and classes fit the dataset."""
+    model = load_checkpoint(path)
+    shape = split.train[0].image.shape
+    if model.input_shape != shape or model.num_classes != split.num_classes:
+        raise RuntimeError(f"source_checkpoint {path}: model takes input {model.input_shape} "
+                           f"with {model.num_classes} classes, dataset has {shape} "
+                           f"with {split.num_classes}")
+    return model
+
+
 def cmd_train(config_path: str) -> int:
     cfg = load_experiment_config(config_path)
     _write_run_dir(cfg)
@@ -51,18 +62,23 @@ def cmd_train(config_path: str) -> int:
     out = cfg.output_dir
 
     if cfg.strategy in ("sign", "sign-plus-classical"):
-        pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs or cfg.epochs,
-                                       seed=cfg.source_seed, strategy="none")
+        if cfg.source_checkpoint is not None:
+            source, pretrain = _load_source(cfg.source_checkpoint, split), None
+        else:
+            source = None
+            pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs or cfg.epochs,
+                                           seed=cfg.source_seed, strategy="none")
         result = sign_pipeline(split, meta, pretrain, cfgmod.sign_configs(cfg),
-                               cfgmod.train_config(cfg), threads=cfg.threads)
+                               cfgmod.train_config(cfg), threads=cfg.threads, source=source)
         save_checkpoint(result.source_model, os.path.join(out, "source-checkpoint.bin"))
         save_checkpoint(result.final_model, os.path.join(out, "checkpoint.bin"))
         aug = [s for s in result.augmented_split.train if s.provenance is not None]
         save_container(aug, os.path.join(out, "transformed-train.container"),
                        split.class_names, raw_domain=False, stats=split.stats)
         report = result.final_report
-        _log(cfg, f"pipeline wall time: source {result.source_report.wall_time_s:.1f}s "
-                  f"final {report.wall_time_s:.1f}s")
+        source_time = ("loaded" if result.source_report is None
+                       else f"{result.source_report.wall_time_s:.1f}s")
+        _log(cfg, f"pipeline wall time: source {source_time} final {report.wall_time_s:.1f}s")
     else:
         model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
         report = train(model, split, cfgmod.train_config(cfg))

@@ -11,14 +11,15 @@ section/key. See README for the full schema.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
 from .augment import CorruptionSpec
 from .datasets import DatasetSplit, load_cifar10_binary, load_container, make_synthetic_blobs
-from .sign import SignConfig
+from .sign import EVAL_POINTS, NORMALIZE_MODES, SignConfig
 from .tensor import Rng
-from .training import TrainConfig
+from .training import STRATEGIES, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -111,6 +112,12 @@ class _Section:
     def str(self, key, default=None):
         return self._get(key, default, str)
 
+    def choice(self, key, default, choices):
+        value = self.str(key, default)
+        if value not in choices:
+            raise ConfigError(f"[{self.name}] {key} must be {'|'.join(choices)}, got {value!r}")
+        return value
+
     def int(self, key, default=None):
         return self._get(key, default, int)
 
@@ -179,9 +186,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     ds = _Section(parser, "dataset")
-    kind = ds.str("kind", _REQUIRED)
-    if kind not in ("blobs", "cifar10", "container"):
-        raise ConfigError(f"[dataset] kind must be blobs|cifar10|container, got {kind!r}")
+    kind = ds.choice("kind", _REQUIRED, ("blobs", "cifar10", "container"))
     path_value = ds.str("path")
     if kind in ("cifar10", "container"):
         if path_value is None:
@@ -190,22 +195,34 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"[dataset] path does not exist: {path_value}")
 
     md = _Section(parser, "model")
-    arch = md.str("arch", _REQUIRED)
-    if arch not in ("basic_cnn", "small_mlp"):
-        raise ConfigError(f"[model] arch must be basic_cnn|small_mlp, got {arch!r}")
+    arch = md.choice("arch", _REQUIRED, ("basic_cnn", "small_mlp"))
+    uncertainty_head = md.bool("uncertainty_head", False)
 
     st = _Section(parser, "strategy")
-    strategy = st.str("name", _REQUIRED)
-    if strategy not in ("none", "classical", "mixup", "sign", "sign-plus-classical"):
-        raise ConfigError(f"[strategy] unknown strategy {strategy!r}")
+    strategy = st.choice("name", _REQUIRED, STRATEGIES)
     source_epochs = st.int("source_epochs")
-    source_checkpoint = st.str("source_checkpoint")
-    if strategy in ("sign", "sign-plus-classical"):
+    source_checkpoint = st.str("source_checkpoint") or None
+    is_sign = strategy in ("sign", "sign-plus-classical")
+    if is_sign:
         if source_epochs is None and source_checkpoint is None:
             raise ConfigError("[strategy] sign strategies need source_epochs (train a "
                               "source model) or source_checkpoint (reuse one)")
         if source_checkpoint is not None and not os.path.exists(source_checkpoint):
             raise ConfigError(f"[strategy] source_checkpoint does not exist: {source_checkpoint}")
+    if source_checkpoint is not None:
+        unused = sorted({"source_epochs", "source_seed"} & set(st.raw))
+        if unused:
+            raise ConfigError(f"[strategy] {', '.join(unused)}: no effect with "
+                              "source_checkpoint, which is loaded, not trained")
+    sign_k = st.int_list("sign_k", [50, 100])
+    if not sign_k or min(sign_k) < 1:
+        raise ConfigError(f"[strategy] sign_k needs one or more counts >= 1, got {sign_k}")
+    sign_gamma = st.float("sign_gamma", 1.0)
+    if not (0 < sign_gamma < math.inf):
+        raise ConfigError(f"[strategy] sign_gamma must be finite and > 0, got {sign_gamma}")
+    sign_tap = st.choice("sign_tap", "pre-logits", ("pre-logits", "logits", "sigma"))
+    if sign_tap == "sigma" and is_sign and source_checkpoint is None and not uncertainty_head:
+        raise ConfigError("[strategy] sign_tap = sigma needs [model] uncertainty_head = true")
 
     tr = _Section(parser, "train")
     ev = _Section(parser, "eval")
@@ -239,14 +256,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         init_seed=md.int("init_seed", 0),
         drop_prob=md.float("drop_prob", 0.3),
         hidden_dims=md.int_list("hidden_dims", [64, 32]),
-        uncertainty_head=md.bool("uncertainty_head", False),
+        uncertainty_head=uncertainty_head,
         strategy=strategy,
         mixup_alpha=st.float("mixup_alpha", 0.2),
-        sign_k=st.int_list("sign_k", [50, 100]),
-        sign_gamma=st.float("sign_gamma", 1.0),
-        sign_tap=st.str("sign_tap", "pre-logits"),
-        sign_eval_point=st.str("sign_eval_point", "current-iterate"),
-        sign_normalize=st.str("sign_normalize", "none"),
+        sign_k=sign_k,
+        sign_gamma=sign_gamma,
+        sign_tap=sign_tap,
+        sign_eval_point=st.choice("sign_eval_point", "current-iterate", EVAL_POINTS),
+        sign_normalize=st.choice("sign_normalize", "none", NORMALIZE_MODES),
         source_epochs=source_epochs,
         source_seed=st.int("source_seed", 0),
         source_checkpoint=source_checkpoint,
@@ -373,7 +390,6 @@ def train_config(cfg: ExperimentConfig, epochs: int | None = None,
         mixup_alpha=cfg.mixup_alpha,
         mc_samples=cfg.mc_samples,
         seed=cfg.seed if seed is None else seed,
-        source_checkpoint=cfg.source_checkpoint,
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,17 +181,6 @@ def evaluate(model: Model, samples: list[Sample], mc_samples: int = 20,
     return _aggregate(scores, list(range(model.num_classes)))
 
 
-def min_correct_probability(model: Model, samples: list[Sample], mc_samples: int = 20,
-                            rng: Rng | None = None) -> float | None:
-    """Lowest top-class probability among correctly predicted samples.
-
-    None when nothing is predicted correctly.
-    """
-    scores = score_samples(model, samples, mc_samples, rng)
-    probs = [s.top_probability for s in scores if s.correct]
-    return min(probs) if probs else None
-
-
 def ood_evaluate(model: Model, ood_samples: list[Sample], mc_samples: int = 20,
                  rng: Rng | None = None) -> EvalReport:
     """Same schema as evaluate, restricted to the classes present.
@@ -259,8 +247,6 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     identical seeds, so with no transform configs the two reports match
     bit-exactly.
     """
-    from dataclasses import replace
-
     from .training import sign_pipeline  # local import keeps module load acyclic
 
     pipeline = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs, final_cfg,
@@ -269,9 +255,7 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     control_split = replace_train(
         pipeline.augmented_split, [s for s in pipeline.augmented_split.train
                                    if s.provenance is None])
-    # identical seeds and loop; the checkpoint marker only satisfies the
-    # strategy precondition and has no effect on training dynamics
-    control_report = train(control, control_split, replace(final_cfg, source_checkpoint="<control>"))
+    control_report = train(control, control_split, final_cfg)
     control.set_params(control_report.best_params)
     test = pipeline.augmented_split.test
     return TransferResult(
@@ -303,40 +287,19 @@ class ProjectionExport:
                 writer.writerow([repr(float(x)), repr(float(y)), label, tag])
 
 
-def _power_top2(cov: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000):
-    """Leading two eigenpairs by power iteration with deflation.
+def _top2_axes(cov: np.ndarray):
+    """Leading two eigenpairs of a symmetric matrix, largest first.
 
-    Deterministic start vector; sign fixed so the first nonzero loading is
-    positive.
+    Each axis is signed so its first nonzero loading (above eigh's
+    rounding noise) is positive; variances are clamped at zero.
     """
-    dim = cov.shape[0]
-    comps, variances = [], []
-    work = cov.copy()
-    for _ in range(2):
-        vec = np.ones(dim) / math.sqrt(dim)
-        eig = 0.0
-        for _ in range(max_iter):
-            nxt = work @ vec
-            norm = np.linalg.norm(nxt)
-            if norm < tol:  # degenerate direction: no variance left
-                nxt = vec
-                eig = 0.0
-                break
-            nxt /= norm
-            eig = float(nxt @ work @ nxt)
-            if np.linalg.norm(nxt - vec) < tol or np.linalg.norm(nxt + vec) < tol:
-                vec = nxt
-                break
-            vec = nxt
-        # "first nonzero loading positive", where nonzero means above the
-        # iteration's own convergence noise
-        nz = np.nonzero(np.abs(vec) > 1e-6)[0]
-        if nz.size and vec[nz[0]] < 0:
-            vec = -vec
-        comps.append(vec)
-        variances.append(max(eig, 0.0))
-        work = work - variances[-1] * np.outer(vec, vec)
-    return np.stack(comps, axis=1), (variances[0], variances[1])
+    values, vectors = np.linalg.eigh(cov)
+    comps = vectors[:, [-1, -2]]
+    for j in range(2):
+        nz = np.nonzero(np.abs(comps[:, j]) > 1e-9)[0]
+        if nz.size and comps[nz[0], j] < 0:
+            comps[:, j] = -comps[:, j]
+    return comps, (max(float(values[-1]), 0.0), max(float(values[-2]), 0.0))
 
 
 def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits",
@@ -356,7 +319,7 @@ def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits
     matrix = np.concatenate(feats, axis=0)
     centered = matrix - matrix.mean(axis=0)
     cov = centered.T @ centered / centered.shape[0]
-    comps, variances = _power_top2(cov)
+    comps, variances = _top2_axes(cov)
     coords = centered @ comps
     if not np.all(np.isfinite(coords)):
         raise ArithmeticError("projection produced non-finite coordinates")

@@ -10,12 +10,14 @@ file interface when the binary batches are available.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .augment import CorruptionSpec
 from .datasets import DatasetSplit, make_synthetic_blobs, normalize, normalize_sample
-from .evalharness import (EvalReport, TransferResult, evaluate, min_correct_probability,
-                          ood_evaluate, robustness_suite, transferability_protocol)
+from .evalharness import (EvalReport, TransferResult, evaluate, ood_evaluate,
+                          robustness_suite, transferability_protocol)
 from .nn import build_model
 from .sign import SignConfig, delta_only_dataset
 from .tensor import Rng
@@ -79,34 +81,29 @@ def run_classify(seed: int = 0, separation: float = 1.0, epochs: int = 20,
     split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
                        test_per_class=200, val_per_class=100)
     meta = mlp_meta(split)
-    results: dict[str, EvalReport] = {}
-    for strategy in ("none", "classical", "mixup"):
-        model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, strategy))
-        results[strategy] = evaluate(model, split.test)
+    # the pipeline's source is the plainly trained model: the "none" arm
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
+    results = {"none": evaluate(pipeline.source_model, split.test)}
+    for strategy in ("classical", "mixup"):
+        model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, strategy))
+        results[strategy] = evaluate(model, split.test)
     results["sign"] = evaluate(pipeline.final_model, split.test)
     return results
 
 
 def run_uncertainty(seed: int = 0, separation: float = 1.0,
-                    epochs: int = 20) -> dict[str, dict]:
+                    epochs: int = 20) -> dict[str, EvalReport]:
     """Accuracy, low-confidence bucket, learned noise scale per strategy."""
     split = blob_split(seed, separation=separation, samples_per_class=60,
                        test_per_class=200, val_per_class=100)
     meta = dict(mlp_meta(split), uncertainty_head=True)
-    out: dict[str, dict] = {}
-    for strategy in ("none", "mixup"):
-        model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, strategy))
-        report = evaluate(model, split.test)
-        out[strategy] = {"report": report,
-                         "min_correct_probability": min_correct_probability(model, split.test)}
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    report = evaluate(pipeline.final_model, split.test)
-    out["sign"] = {"report": report,
-                   "min_correct_probability": min_correct_probability(pipeline.final_model, split.test)}
-    return out
+    mixup_model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, "mixup"))
+    return {"none": evaluate(pipeline.source_model, split.test),
+            "mixup": evaluate(mixup_model, split.test),
+            "sign": evaluate(pipeline.final_model, split.test)}
 
 
 def blob_corruptions() -> list[CorruptionSpec]:
@@ -121,7 +118,6 @@ def run_robustness(seed: int = 0, separation: float = 2.0, epochs: int = 16,
     raw_split = blob_split(seed, separation=separation, normalized=False)
     split = normalize(raw_split)
     meta = mlp_meta(split)
-    out: dict[str, dict] = {}
 
     def measure(model) -> dict:
         clean = evaluate(model, split.test)
@@ -129,12 +125,9 @@ def run_robustness(seed: int = 0, separation: float = 2.0, epochs: int = 16,
                                 Rng(seed).child("robustness"), stats=split.stats)
         return {"clean": clean, "corruptions": corr}
 
-    model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs))
-    out["none"] = measure(model)
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    out["sign"] = measure(pipeline.final_model)
-    return out
+    return {"none": measure(pipeline.source_model), "sign": measure(pipeline.final_model)}
 
 
 def run_ood(seed: int = 0, separation: float = 2.0, epochs: int = 16) -> dict[str, EvalReport]:
@@ -147,24 +140,26 @@ def run_ood(seed: int = 0, separation: float = 2.0, epochs: int = 16) -> dict[st
     subset = [s for s in ood_raw.test if s.label < split.num_classes - 1]
     ood_samples = [normalize_sample(s, split.stats) for s in subset]
     meta = mlp_meta(split)
-    out: dict[str, EvalReport] = {}
-    model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs))
-    out["none"] = ood_evaluate(model, ood_samples)
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    out["sign"] = ood_evaluate(pipeline.final_model, ood_samples)
-    return out
+    return {"none": ood_evaluate(pipeline.source_model, ood_samples),
+            "sign": ood_evaluate(pipeline.final_model, ood_samples)}
 
 
 def run_transfer(seed: int = 0, separation: float = 2.0, epochs: int = 10,
                  sign_cfgs: list[SignConfig] | None = None) -> TransferResult:
-    """Transform with a trained conv net, train a fresh MLP on the result."""
+    """Transform with a trained conv net, train a fresh MLP on the result.
+
+    The conv source is pretrained with Adam at lr 1e-3: the MLP recipes'
+    SGD at lr 0.05 diverges on it and leaves it at chance at many seeds.
+    """
     split = blob_split(seed, separation=separation)
     source = cnn_meta(split)
     target = mlp_meta(split)
     cfgs = desk_sign_cfgs((20, 40)) if sign_cfgs is None else sign_cfgs
     return transferability_protocol(source, target, split, cfgs,
-                                    _base_cfg(seed, epochs),
+                                    replace(_base_cfg(seed, epochs), optimizer="adam",
+                                            learning_rate=1e-3),
                                     _base_cfg(seed, epochs, "sign"))
 
 
@@ -184,13 +179,11 @@ def run_sign_benefit(seed: int = 0, separation: float = 0.8, noise_sigma: float 
     split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
                        noise_sigma=noise_sigma, test_per_class=400, val_per_class=200)
     meta = mlp_meta(split)
-    none_model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs))
-    none_acc = evaluate(none_model, split.test).mean_accuracy
     cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs), cfgs,
                              _base_cfg(seed, epochs, "sign"))
-    sign_acc = evaluate(pipeline.final_model, split.test).mean_accuracy
-    return {"none": none_acc, "sign": sign_acc}
+    return {"none": evaluate(pipeline.source_model, split.test).mean_accuracy,
+            "sign": evaluate(pipeline.final_model, split.test).mean_accuracy}
 
 
 def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
@@ -206,14 +199,10 @@ def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
     split = normalize(split)
     meta = cnn_meta(split)
     cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.01, seed=seed)
-    none_model, _ = _train_fresh(meta, split, cfg)
-    none_acc = evaluate(none_model, split.test).mean_accuracy
     cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
-    pipeline = sign_pipeline(split, meta, cfg, cfgs,
-                             TrainConfig(epochs=epochs, batch_size=128,
-                                         learning_rate=0.01, seed=seed, strategy="sign"))
-    sign_acc = evaluate(pipeline.final_model, split.test).mean_accuracy
-    return {"none": none_acc, "sign": sign_acc}
+    pipeline = sign_pipeline(split, meta, cfg, cfgs, replace(cfg, strategy="sign"))
+    return {"none": evaluate(pipeline.source_model, split.test).mean_accuracy,
+            "sign": evaluate(pipeline.final_model, split.test).mean_accuracy}
 
 
 def run_mixup_confidence(seed: int = 0, separation: float = 6.0, noise_sigma: float = 10.0,
@@ -235,7 +224,7 @@ def run_mixup_confidence(seed: int = 0, separation: float = 6.0, noise_sigma: fl
         cfg = TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.05,
                           strategy=strategy, seed=seed, mixup_alpha=mixup_alpha)
         model, _ = _train_fresh(meta, split, cfg)
-        floors[strategy] = min_correct_probability(model, split.test)
+        floors[strategy] = evaluate(model, split.test).min_correct_probability
     return floors
 
 
@@ -283,15 +272,14 @@ def print_classify(results: dict[str, EvalReport], out=print):
         out("  ".join(cells))
 
 
-def print_uncertainty(results: dict[str, dict], out=print):
+def print_uncertainty(results: dict[str, EvalReport], out=print):
     out(f"{'method':>10}  {'accuracy':>9} {'p<=0.5 n':>9} {'bucket p':>9} "
         f"{'uncert':>8} {'min corr p':>10}")
-    for method, entry in results.items():
-        report: EvalReport = entry["report"]
+    for method, report in results.items():
         bucket = report.bucket
         out(f"{method:>10}  {report.mean_accuracy:>9.4f} {bucket.count:>9d} "
             f"{_fmt(bucket.mean_probability):>9} {_fmt(bucket.mean_uncertainty):>8} "
-            f"{_fmt(entry['min_correct_probability']):>10}")
+            f"{_fmt(report.min_correct_probability):>10}")
 
 
 def print_robustness(results: dict[str, dict], out=print):

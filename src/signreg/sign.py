@@ -76,8 +76,9 @@ def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig) -> tuple[
 
     Returns (transformed, final_delta, per-iteration norms of shape (K, B)).
     """
-    if cfg.tap not in model.taps and cfg.tap != "sigma":
-        raise ValueError(f"model has no tap {cfg.tap!r}; available: {sorted(model.taps)}")
+    taps = sorted(model.taps) + (["sigma"] if model.has_uncertainty_head else [])
+    if cfg.tap not in taps:
+        raise ValueError(f"model has no tap {cfg.tap!r}; available: {taps}")
     original = batch
     current = batch
     norms = np.zeros((cfg.k, batch.shape[0]))
@@ -134,13 +135,12 @@ def _map_batches(model: Model, samples: list, cfg: SignConfig, batch_size: int, 
 
 
 def transform_dataset(model: Model, samples: list, cfgs: list[SignConfig],
-                      rng=None, batch_size: int = 64, threads: int = 1) -> list:
+                      batch_size: int = 64, threads: int = 1) -> list:
     """Originals plus one transformed copy per config, labels unchanged.
 
     Output order: all originals, then for each config the transformed
     copies in sample order. Deterministic given (model params, samples,
-    configs); ``rng`` is accepted only so callers can treat all dataset
-    producers uniformly; the transform draws nothing from it.
+    configs).
     """
     out = list(samples)
     checksum = params_checksum(model.params)

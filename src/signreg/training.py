@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class TrainConfig:
     mc_samples: int = 20
     seed: int = 0
     selection: str = "best-val-accuracy"
-    source_checkpoint: str | None = None  # provenance for sign-strategy runs
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -247,11 +246,6 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     """
     if not split.train or not split.val:
         raise ValueError("train() needs non-empty train and val splits")
-    if cfg.strategy in ("sign", "sign-plus-classical"):
-        preaugmented = any(s.provenance is not None for s in split.train)
-        if not preaugmented and cfg.source_checkpoint is None:
-            raise ValueError("sign strategy needs a pre-trained source model "
-                             "(offline-transformed data or source_checkpoint)")
     started = time.perf_counter()
     rng = Rng(cfg.seed)
     ncls = split.num_classes
@@ -303,37 +297,38 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
 @dataclass
 class PipelineResult:
     source_model: Model
-    source_report: TrainReport
+    source_report: TrainReport | None  # None when the source was given
     augmented_split: DatasetSplit
     final_model: Model
     final_report: TrainReport
 
 
-def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainConfig,
+def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainConfig | None,
                   sign_cfgs: list[SignConfig], final_cfg: TrainConfig,
-                  final_meta: dict | None = None, threads: int = 1) -> PipelineResult:
+                  final_meta: dict | None = None, threads: int = 1,
+                  source: Model | None = None) -> PipelineResult:
     """Train a source model, transform the train split with it, train fresh.
 
-    Stage 1 trains the source normally; stage 2 adds one transformed copy
-    of every training sample per config (offline, from the frozen best
-    checkpoint); stage 3 trains a fresh model (possibly a
-    different architecture) on original plus transformed samples. With an empty
+    Stage 1 trains the source normally, unless a trained ``source`` is
+    given (then ``pretrain_cfg`` is unused); stage 2 adds one transformed
+    copy of every training sample per config (offline, from the frozen
+    source); stage 3 trains a fresh model (``final_meta``, by default
+    ``source_meta``) on original plus transformed samples. With an empty
     config list stage 3 degenerates to a plain retrain.
     """
     if not split.normalized:
         split = normalize(split)
-    source = build_model(source_meta, rng=Rng(pretrain_cfg.seed).child("init"))
-    source_report = train(source, split, pretrain_cfg)
-    source.set_params(source_report.best_params)
+    source_report = None
+    if source is None:
+        source = build_model(source_meta, rng=Rng(pretrain_cfg.seed).child("init"))
+        source_report = train(source, split, pretrain_cfg)
+        source.set_params(source_report.best_params)
 
     aug_train = transform_dataset(source, split.train, sign_cfgs, threads=threads)
     aug_split = DatasetSplit(train=aug_train, val=split.val, test=split.test,
                              class_names=split.class_names, stats=split.stats,
                              normalized=True)
 
-    final_cfg = replace(final_cfg, strategy=final_cfg.strategy
-                        if final_cfg.strategy in ("sign", "sign-plus-classical") else "sign",
-                        source_checkpoint="<pipeline>")
     final = build_model(final_meta if final_meta is not None else source_meta,
                         rng=Rng(final_cfg.seed).child("init"))
     final_report = train(final, aug_split, final_cfg)

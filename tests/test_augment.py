@@ -1,5 +1,7 @@
 """Augmentation identities, index oracles, and distributional checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from signreg.augment import (CorruptionSpec, MixupConfig, apply_classical,
-                             classical_augment, corrupt, mixup, mixup_batch)
+                             classical_augment_array, corrupt, mixup, mixup_arrays)
 from signreg.datasets import Sample
 from signreg.tensor import Rng, Tensor
 
@@ -47,16 +49,17 @@ class TestClassical:
         assert sorted(out.reshape(-1).tolist()) == sorted(img.reshape(-1).tolist())
 
     def test_label_unchanged_and_deterministic(self):
+        # the training loop augments stacked images and leaves the labels as
+        # they are; the augmented sample keeps its label
         sample = image_sample(Rng(5).normal((3, 10, 10)), label=7)
-        a = classical_augment(sample, Rng(6))
-        b = classical_augment(sample, Rng(6))
+        a = replace(sample, image=Tensor(classical_augment_array(sample.image.data, Rng(6))))
+        b = classical_augment_array(sample.image.data, Rng(6))
         assert a.label == 7
-        assert np.array_equal(a.image.data, b.image.data)
+        assert np.array_equal(a.image.data, b)
 
     def test_tiny_image_degenerates_to_identity_shift(self):
-        sample = image_sample(np.ones((1, 1, 1)))
-        out = classical_augment(sample, Rng(7))
-        assert out.image.shape == (1, 1, 1)
+        out = classical_augment_array(np.ones((1, 1, 1)), Rng(7))
+        assert out.shape == (1, 1, 1)
 
 
 class TestMixup:
@@ -96,25 +99,24 @@ class TestMixup:
 
 class TestMixupBatch:
     def make_batch(self, n):
-        return [image_sample(Rng(10).child(i).normal((1, 4, 4)), label=i % 3)
-                for i in range(n)]
+        images = np.stack([Rng(10).child(i).normal((1, 4, 4)) for i in range(n)])
+        return images, np.eye(3)[[i % 3 for i in range(n)]]
 
     def test_small_batch_rejected(self):
         with pytest.raises(ValueError):
-            mixup_batch(self.make_batch(1), MixupConfig(), Rng(0), 3)
+            mixup_arrays(*self.make_batch(1), MixupConfig(), Rng(0))
 
     def test_reproducible(self):
         batch = self.make_batch(6)
-        a = mixup_batch(batch, MixupConfig(), Rng(11), 3)
-        b = mixup_batch(batch, MixupConfig(), Rng(11), 3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.image.data, y.image.data)
-            assert x.soft_label == y.soft_label
+        images_a, labels_a = mixup_arrays(*batch, MixupConfig(), Rng(11))
+        images_b, labels_b = mixup_arrays(*batch, MixupConfig(), Rng(11))
+        assert np.array_equal(images_a, images_b)
+        assert np.array_equal(labels_a, labels_b)
 
     def test_soft_labels_sum_to_one(self):
-        out = mixup_batch(self.make_batch(8), MixupConfig(), Rng(12), 3)
-        for s in out:
-            assert sum(s.soft_label) == pytest.approx(1.0, abs=1e-12)
+        _, labels = mixup_arrays(*self.make_batch(8), MixupConfig(), Rng(12))
+        for row in labels:
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_histogram_matches_beta_deciles(self):
         # empirical CDF at the Beta(0.2, 0.2) decile points, 1e5 draws

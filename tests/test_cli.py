@@ -1,15 +1,17 @@
 """Exit codes, run-directory artifacts, and container round trips via the CLI."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from signreg import training
 from signreg.cli import main
 from signreg.config import ConfigError, load_experiment_config, parse_corruption
 from signreg.datasets import Sample, load_container, save_container
-from signreg.nn import build_small_mlp, save_checkpoint
+from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
 from signreg.tensor import Rng, Tensor
 
 
@@ -72,6 +74,80 @@ class TestCmdTrain:
         assert len(lines) == 1 + 4  # header + (train,val) x 2 epochs
         resolved = (out / "resolved-config.ini").read_text()
         assert "epochs = 2" in resolved and "strategy" in resolved
+
+
+class TestSourceCheckpoint:
+    def test_given_checkpoint_is_the_source(self, tmp_path, monkeypatch):
+        run_a = tmp_path / "a"
+        assert main(["train", "-c", write_config(tmp_path / "a.ini", epochs=2,
+                                                 out_dir=run_a)]) == 0
+        given = run_a / "checkpoint.bin"
+        calls = []
+        real_train = training.train
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: calls.append(1) or real_train(*a, **k))
+        run_b = tmp_path / "b"
+        cfg = write_config(tmp_path / "b.ini", epochs=1, strategy="sign", out_dir=run_b,
+                           extra_strategy=f"source_checkpoint = {given}\nsign_k = 2\n"
+                                          "sign_gamma = 0.01\nsign_normalize = unit-max-abs")
+        assert main(["train", "-c", cfg]) == 0
+        assert len(calls) == 1  # the final model only
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert sha256(run_b / "source-checkpoint.bin") == sha256(given)
+        checksum = params_checksum(load_checkpoint(str(given)).params)
+        samples, _ = load_container(str(run_b / "transformed-train.container"))
+        assert samples and all(s.provenance["source_model"] == checksum for s in samples)
+
+
+def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
+    path = str(tmp_path / name)
+    save_checkpoint(build_small_mlp(input_dim, [4], num_classes, rng=Rng(1),
+                                    input_shape=input_shape), path)
+    return path
+
+
+# (strategy lines, expected exit code, text the one-line message must name);
+# {fits}, {shape}, {classes} and {junk} are checkpoint files made by the test
+TRAINED = "source_epochs = 1"
+ERROR_CASES = {
+    "normalize": ([TRAINED, "sign_normalize = bogus"], 1, "sign_normalize"),
+    "eval-point": ([TRAINED, "sign_eval_point = midway"], 1, "sign_eval_point"),
+    "k-zero": ([TRAINED, "sign_k = 5,0"], 1, "sign_k"),
+    "k-empty": ([TRAINED, "sign_k ="], 1, "sign_k"),
+    "gamma-negative": ([TRAINED, "sign_gamma = -0.1"], 1, "sign_gamma"),
+    "gamma-nan": ([TRAINED, "sign_gamma = nan"], 1, "sign_gamma"),
+    "tap-unknown": ([TRAINED, "sign_tap = bottleneck"], 1, "sign_tap"),
+    "tap-sigma-no-head": ([TRAINED, "sign_tap = sigma"], 1, "uncertainty_head"),
+    "checkpoint-and-epochs": (["source_checkpoint = {fits}", "source_epochs = 2"], 1,
+                              "source_epochs"),
+    "checkpoint-and-seed": (["source_checkpoint = {fits}", "source_seed = 4"], 1,
+                            "source_seed"),
+    "checkpoint-shape": (["source_checkpoint = {shape}"], 2, "{shape}"),
+    "checkpoint-classes": (["source_checkpoint = {classes}"], 2, "{classes}"),
+    "checkpoint-not-a-checkpoint": (["source_checkpoint = {junk}"], 2, "{junk}"),
+    "checkpoint-sigma-no-head": (["source_checkpoint = {fits}", "sign_tap = sigma"], 2,
+                                 "sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_sign_config_errors(tmp_path, capsys, case):
+    files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
+             "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
+             "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
+             "junk": str(tmp_path / "junk.bin")}
+    (tmp_path / "junk.bin").write_bytes(b"junk")
+    lines, code, named = ERROR_CASES[case]
+    cfg = write_config(tmp_path / "c.ini", epochs=1, strategy="sign", out_dir=tmp_path / "run",
+                       extra_strategy="\n".join(lines).format(**files))
+    assert main(["train", "-c", cfg]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    assert named.format(**files) in err
 
 
 class TestCmdTransform:

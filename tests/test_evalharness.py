@@ -6,10 +6,9 @@ import pytest
 
 from signreg.augment import CorruptionSpec
 from signreg.datasets import Sample, make_synthetic_blobs, normalize
-from signreg.evalharness import (evaluate, min_correct_probability, ood_evaluate,
-                                 project_features, recompute_report, robustness_suite,
-                                 score_samples, transferability_protocol,
-                                 write_scores_csv)
+from signreg.evalharness import (evaluate, ood_evaluate, project_features,
+                                 recompute_report, robustness_suite, score_samples,
+                                 transferability_protocol, write_scores_csv)
 from signreg.nn import Dense, Model, build_model, load_checkpoint, save_checkpoint
 from signreg.tensor import Rng, Tensor
 from signreg.training import TrainConfig
@@ -123,12 +122,12 @@ class TestEvaluate:
 class TestMinCorrectProbability:
     def test_confident_perfect_model(self):
         model = logit_passthrough_model(5)
-        got = min_correct_probability(model, one_per_class_samples(5, scale=50.0))
+        got = evaluate(model, one_per_class_samples(5, scale=50.0)).min_correct_probability
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_model_is_one_over_c(self):
         model = uniform_model(10)
-        got = min_correct_probability(model, one_per_class_samples(10))
+        got = evaluate(model, one_per_class_samples(10)).min_correct_probability
         assert got == pytest.approx(0.1, abs=1e-12)
 
     def test_matches_brute_force_scan(self):
@@ -138,13 +137,13 @@ class TestMinCorrectProbability:
                    for i in range(30)]
         scores = score_samples(model, samples)
         brute = min(s.top_probability for s in scores if s.correct)
-        assert min_correct_probability(model, samples) == brute
+        assert evaluate(model, samples).min_correct_probability == brute
 
     def test_none_when_nothing_correct(self):
         model = logit_passthrough_model(3)
         samples = [Sample(image=Tensor(10.0 * np.eye(3)[(c + 1) % 3]), label=c, raw=False)
                    for c in range(3)]
-        assert min_correct_probability(model, samples) is None
+        assert evaluate(model, samples).min_correct_probability is None
 
 
 class TestRobustnessSuite:
@@ -279,6 +278,23 @@ class TestProjectFeatures:
         eigs = jacobi_eigenvalues(cov)
         assert abs(export.explained_variance[0] - eigs[0]) < 1e-6
         assert abs(export.explained_variance[1] - eigs[1]) < 1e-6
+
+    def test_start_vector_orthogonal_to_leading_axis(self):
+        # covariance [[2, -1], [-1, 2]]: eigenvalues 3 along (1, -1) and 1
+        # along (1, 1), so an all-ones start vector misses the leading axis
+        u1 = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        u2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        points = [np.sqrt(6.0) * u1, -np.sqrt(6.0) * u1, np.sqrt(2.0) * u2, -np.sqrt(2.0) * u2]
+        samples = [Sample(image=Tensor(p), label=0, raw=False) for p in points]
+        export = project_features(self.passthrough_2d(), samples, tap="pre-logits")
+        cov = np.stack(points).T @ np.stack(points) / len(points)
+        np.testing.assert_allclose(cov, [[2.0, -1.0], [-1.0, 2.0]], atol=1e-12)
+        eigs = jacobi_eigenvalues(cov)
+        assert abs(export.explained_variance[0] - eigs[0]) < 1e-9
+        assert abs(export.explained_variance[1] - eigs[1]) < 1e-9
+        assert export.explained_variance == pytest.approx((3.0, 1.0), abs=1e-12)
+        # first nonzero loading positive: the first point lies on +x
+        np.testing.assert_allclose(export.coordinates[0], [np.sqrt(6.0), 0.0], atol=1e-12)
 
     def test_too_few_samples(self):
         samples = one_per_class_samples(2)

@@ -185,12 +185,6 @@ class TestTrainLoop:
                                                  learning_rate=0.02, seed=6, mc_samples=5))
         assert len(report.rows) == 3 and np.isfinite(report.rows[-1].train_loss)
 
-    def test_sign_strategy_needs_source(self):
-        split = small_split(spc=10)
-        model, _ = fresh_mlp(split)
-        with pytest.raises(ValueError, match="source"):
-            train(model, split, TrainConfig(epochs=1, strategy="sign", seed=0))
-
     def test_empty_split_rejected(self):
         split = small_split(spc=10)
         empty = DatasetSplit(train=[], val=split.val, test=split.test,
@@ -255,3 +249,17 @@ class TestSignPipeline:
                                [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")],
                                cfg, final_meta=target_meta)
         assert result.final_model.meta["hidden_dims"] == [8]
+
+    def test_given_source_skips_stage_one(self):
+        split = small_split(spc=10)
+        _, meta = fresh_mlp(split)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=11)
+        cfgs = [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")]
+        trained = sign_pipeline(split, meta, cfg, cfgs, cfg)
+        given = sign_pipeline(split, meta, None, cfgs, cfg, source=trained.source_model)
+        assert given.source_report is None and given.source_model is trained.source_model
+        for a, b in zip(trained.augmented_split.train, given.augmented_split.train):
+            assert a.image.data.tobytes() == b.image.data.tobytes()
+        for name in trained.final_model.params:
+            assert trained.final_report.best_params[name].data.tobytes() == \
+                given.final_report.best_params[name].data.tobytes()
