@@ -23,7 +23,7 @@ from . import repro
 from .config import ConfigError, ExperimentConfig, load_experiment_config
 from .datasets import (NormStats, load_container, load_ood_directory, normalize,
                        normalize_sample, save_container)
-from .evalharness import (evaluate, ood_evaluate, project_features, robustness_suite,
+from .evalharness import (aggregate, ood_evaluate, project_features, robustness_suite,
                           score_samples, write_scores_csv)
 from .nn import build_model, load_checkpoint, params_checksum, save_checkpoint
 from .sign import transform_dataset
@@ -66,7 +66,7 @@ def cmd_train(config_path: str) -> int:
             source, pretrain = _load_source(cfg.source_checkpoint, split), None
         else:
             source = None
-            pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs or cfg.epochs,
+            pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs,
                                            seed=cfg.source_seed, strategy="none")
         result = sign_pipeline(split, meta, pretrain, cfgmod.sign_configs(cfg),
                                cfgmod.train_config(cfg), threads=cfg.threads, source=source)
@@ -134,7 +134,7 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
 
     scores = score_samples(model, split.test, cfg.mc_samples)
     write_scores_csv(scores, os.path.join(out, "per-sample.csv"))
-    report = evaluate(model, split.test, cfg.mc_samples)
+    report = aggregate(scores, list(range(model.num_classes)))
 
     if cfg.corruptions:
         report.corruptions = robustness_suite(

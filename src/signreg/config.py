@@ -1,11 +1,12 @@
 """Experiment configuration: a flat sectioned key-value file.
 
 One file describes one experiment end to end (dataset, model, strategy,
-training, evaluation, output), and a resolved copy of it is written into
-every run directory, so a run can be reproduced from its own artifacts.
-
-Unknown keys are rejected, and every error names the offending
-section/key. See README for the full schema.
+training, evaluation, output). A resolved copy written into every run
+directory loads back to the same config, so a run can be reproduced from
+its own artifacts. Each ``ExperimentConfig`` field declares one key (its
+section, name, checking parser and default); that one list drives loading,
+the rejection of unknown keys and the snapshot. Every error names the
+offending section/key. See README for the full schema.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .augment import CorruptionSpec
 from .datasets import DatasetSplit, load_cifar10_binary, load_container, make_synthetic_blobs
@@ -26,126 +27,69 @@ class ConfigError(ValueError):
     """User-facing configuration problem (exit code 1 territory)."""
 
 
-_KNOWN_KEYS = {
-    "dataset": {"kind", "path", "classes", "samples_per_class", "image_shape",
-                "separation", "noise_sigma", "split_seed", "val_count"},
-    "model": {"arch", "init_seed", "drop_prob", "hidden_dims", "uncertainty_head"},
-    "strategy": {"name", "mixup_alpha", "sign_k", "sign_gamma", "sign_tap",
-                 "sign_eval_point", "sign_normalize", "source_epochs", "source_seed",
-                 "source_checkpoint"},
-    "train": {"epochs", "batch_size", "optimizer", "learning_rate", "momentum",
-              "mc_samples", "seed", "threads"},
-    "eval": {"corruptions", "repeats", "ood_path", "ood_class_map", "projection",
-             "projection_tap"},
-    "output": {"dir"},
-}
-
-
-@dataclass
-class ExperimentConfig:
-    dataset_kind: str
-    dataset_path: str | None
-    blob_classes: int
-    blob_samples_per_class: int
-    blob_image_shape: tuple[int, int, int]
-    blob_separation: float
-    blob_noise_sigma: float
-    split_seed: int
-    val_count: int
-
-    arch: str
-    init_seed: int
-    drop_prob: float
-    hidden_dims: list[int]
-    uncertainty_head: bool
-
-    strategy: str
-    mixup_alpha: float
-    sign_k: list[int]
-    sign_gamma: float
-    sign_tap: str
-    sign_eval_point: str
-    sign_normalize: str
-    source_epochs: int | None
-    source_seed: int
-    source_checkpoint: str | None
-
-    epochs: int
-    batch_size: int
-    optimizer: str
-    learning_rate: float
-    momentum: float
-    mc_samples: int
-    seed: int
-    threads: int
-
-    corruptions: list[CorruptionSpec]
-    eval_repeats: int
-    ood_path: str | None
-    ood_class_map: dict[str, int] = field(default_factory=dict)
-    projection: bool = False
-    projection_tap: str = "pre-logits"
-
-    output_dir: str = "runs/out"
-
-
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-        unknown = set(self.raw) - _KNOWN_KEYS[name]
-        if unknown:
-            raise ConfigError(f"[{name}] unknown key(s): {', '.join(sorted(unknown))}")
-
-    def _get(self, key, default, convert):
-        if key not in self.raw:
-            if default is _REQUIRED:
-                raise ConfigError(f"[{self.name}] missing required key: {key}")
-            return default
-        try:
-            return convert(self.raw[key])
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"[{self.name}] {key}: {exc}") from exc
-
-    def str(self, key, default=None):
-        return self._get(key, default, str)
-
-    def choice(self, key, default, choices):
-        value = self.str(key, default)
-        if value not in choices:
-            raise ConfigError(f"[{self.name}] {key} must be {'|'.join(choices)}, got {value!r}")
-        return value
-
-    def int(self, key, default=None):
-        return self._get(key, default, int)
-
-    def float(self, key, default=None):
-        return self._get(key, default, float)
-
-    def bool(self, key, default=False):
-        def conv(v):
-            v = v.strip().lower()
-            if v in ("true", "yes", "1", "on"):
-                return True
-            if v in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {v!r}")
-        return self._get(key, default, conv)
-
-    def int_list(self, key, default=None):
-        return self._get(key, default,
-                         lambda v: [int(x) for x in v.replace(",", " ").split()])
-
-
 _REQUIRED = object()
 
 
-def _parse_shape(value: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in value.lower().replace("x", " ").replace(",", " ").split()]
+def _key(section: str, key: str, parse=str, default=_REQUIRED, fmt=str):
+    """Declare one config key. ``parse`` turns INI text into the value and
+    raises ValueError for a bad one; ``default`` is the INI text used when
+    the key is absent, or None for a key that stays unset (for those keys
+    only, an empty value also means unset); ``fmt`` writes the value back."""
+    return field(metadata={"section": section, "key": key, "parse": parse,
+                           "default": default, "fmt": fmt})
+
+
+# -- value parsers: INI text -> checked value ----------------------------------
+
+
+def _at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be finite and > 0, got {value}")
+    return value
+
+
+def _choice(*options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"must be {'|'.join(options)}, got {text!r}")
+        return text
+    return parse
+
+
+def _bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("true", "yes", "1", "on"):
+        return True
+    if value in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.replace(",", " ").split()]
+
+
+def _counts(text: str) -> list[int]:
+    counts = _int_list(text)
+    if not counts or min(counts) < 1:
+        raise ValueError(f"needs one or more counts >= 1, got {counts}")
+    return counts
+
+
+def _shape(text: str) -> tuple[int, int, int]:
+    parts = [int(x) for x in text.lower().replace("x", " ").replace(",", " ").split()]
     if len(parts) != 3:
-        raise ValueError(f"image_shape needs 3 extents, got {value!r}")
+        raise ValueError(f"needs 3 extents, got {text!r}")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -163,14 +107,90 @@ def parse_corruption(token: str) -> CorruptionSpec:
     raise ValueError(f"unknown corruption {kind!r}")
 
 
-def _parse_class_map(value: str) -> dict[str, int]:
+def _corruptions_text(specs: list[CorruptionSpec]) -> str:
+    return " ".join(f"pixel-off:{s.pixel_count}" if s.kind == "pixel-off"
+                    else f"gaussian:{s.mu!r}:{s.sigma!r}" for s in specs)
+
+
+def _class_map(text: str) -> dict[str, int]:
     out = {}
-    for pair in value.replace(",", " ").split():
+    for pair in text.replace(",", " ").split():
         folder, _, idx = pair.partition("=")
         if not idx:
             raise ValueError(f"class map entry {pair!r} needs folder=index")
         out[folder] = int(idx)
     return out
+
+
+def _joined(sep: str):
+    return lambda values: sep.join(str(v) for v in values)
+
+
+_TAPS = ("pre-logits", "logits", "sigma")
+
+
+@dataclass
+class ExperimentConfig:
+    dataset_kind: str = _key("dataset", "kind", _choice("blobs", "cifar10", "container"))
+    dataset_path: str | None = _key("dataset", "path", default=None)
+    blob_classes: int = _key("dataset", "classes", int, "3")
+    blob_samples_per_class: int = _key("dataset", "samples_per_class", int, "200")
+    blob_image_shape: tuple[int, int, int] = _key("dataset", "image_shape", _shape, "1x12x12",
+                                                  _joined("x"))
+    blob_separation: float = _key("dataset", "separation", float, "2.0")
+    blob_noise_sigma: float = _key("dataset", "noise_sigma", float, "12.0")
+    split_seed: int = _key("dataset", "split_seed", int, "0")
+    val_count: int = _key("dataset", "val_count", int, "5000")
+
+    arch: str = _key("model", "arch", _choice("basic_cnn", "small_mlp"))
+    init_seed: int = _key("model", "init_seed", int, "0")
+    drop_prob: float = _key("model", "drop_prob", float, "0.3")
+    hidden_dims: list[int] = _key("model", "hidden_dims", _int_list, "64,32", _joined(","))
+    uncertainty_head: bool = _key("model", "uncertainty_head", _bool, "false")
+
+    strategy: str = _key("strategy", "name", _choice(*STRATEGIES))
+    mixup_alpha: float = _key("strategy", "mixup_alpha", _positive, "0.2")
+    sign_k: list[int] = _key("strategy", "sign_k", _counts, "50,100", _joined(","))
+    sign_gamma: float = _key("strategy", "sign_gamma", _positive, "1.0")
+    sign_tap: str = _key("strategy", "sign_tap", _choice(*_TAPS), "pre-logits")
+    sign_eval_point: str = _key("strategy", "sign_eval_point", _choice(*EVAL_POINTS),
+                                "current-iterate")
+    sign_normalize: str = _key("strategy", "sign_normalize", _choice(*NORMALIZE_MODES), "none")
+    source_epochs: int | None = _key("strategy", "source_epochs", _at_least(1), None)
+    source_seed: int | None = _key("strategy", "source_seed", int, None)
+    source_checkpoint: str | None = _key("strategy", "source_checkpoint", default=None)
+
+    epochs: int = _key("train", "epochs", _at_least(0))
+    batch_size: int = _key("train", "batch_size", _at_least(1), "128")
+    optimizer: str = _key("train", "optimizer", _choice("sgd-momentum", "adam"), "sgd-momentum")
+    learning_rate: float = _key("train", "learning_rate", float, "0.01")
+    momentum: float = _key("train", "momentum", float, "0.9")
+    mc_samples: int = _key("train", "mc_samples", _at_least(1), "20")
+    seed: int = _key("train", "seed", int, "0")
+    threads: int = _key("train", "threads", _at_least(1), "1")
+
+    corruptions: list[CorruptionSpec] = _key(
+        "eval", "corruptions", lambda text: [parse_corruption(t) for t in text.split()], "",
+        _corruptions_text)
+    eval_repeats: int = _key("eval", "repeats", _at_least(1), "5")
+    ood_path: str | None = _key("eval", "ood_path", default=None)
+    ood_class_map: dict[str, int] = _key(
+        "eval", "ood_class_map", _class_map, "",
+        lambda mapping: ",".join(f"{folder}={idx}" for folder, idx in mapping.items()))
+    projection: bool = _key("eval", "projection", _bool, "false")
+    projection_tap: str = _key("eval", "projection_tap", _choice(*_TAPS), "pre-logits")
+
+    output_dir: str = _key("output", "dir")
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _parse(parse, text: str, where: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
@@ -181,162 +201,72 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    known = {(f.metadata["section"], f.metadata["key"]) for f in _FIELDS.values()}
+    sections = {section for section, _ in known}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(key for key in parser[section] if (section, key) not in known)
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
 
-    ds = _Section(parser, "dataset")
-    kind = ds.choice("kind", _REQUIRED, ("blobs", "cifar10", "container"))
-    path_value = ds.str("path")
-    if kind in ("cifar10", "container"):
-        if path_value is None:
+    values = {}
+    for name, f in _FIELDS.items():
+        section, key, default = f.metadata["section"], f.metadata["key"], f.metadata["default"]
+        text = parser[section].get(key) if parser.has_section(section) else None
+        if text is None or (text == "" and default is None):
+            if default is _REQUIRED:
+                raise ConfigError(f"[{section}] missing required key: {key}")
+            text = default
+        values[name] = None if text is None else _parse(f.metadata["parse"], text,
+                                                        f"[{section}] {key}")
+    cfg = ExperimentConfig(**values)
+    _check_across_keys(cfg)
+    return cfg
+
+
+def _check_across_keys(cfg: ExperimentConfig):
+    """Rules that span keys, and the SIGNREG_THREADS override of ``threads``."""
+    if cfg.dataset_kind in ("cifar10", "container"):
+        if cfg.dataset_path is None:
             raise ConfigError("[dataset] missing required key: path")
-        if not os.path.exists(path_value):
-            raise ConfigError(f"[dataset] path does not exist: {path_value}")
+        if not os.path.exists(cfg.dataset_path):
+            raise ConfigError(f"[dataset] path does not exist: {cfg.dataset_path}")
 
-    md = _Section(parser, "model")
-    arch = md.choice("arch", _REQUIRED, ("basic_cnn", "small_mlp"))
-    uncertainty_head = md.bool("uncertainty_head", False)
-
-    st = _Section(parser, "strategy")
-    strategy = st.choice("name", _REQUIRED, STRATEGIES)
-    source_epochs = st.int("source_epochs")
-    source_checkpoint = st.str("source_checkpoint") or None
-    is_sign = strategy in ("sign", "sign-plus-classical")
-    if is_sign:
-        if source_epochs is None and source_checkpoint is None:
+    is_sign = cfg.strategy in ("sign", "sign-plus-classical")
+    if cfg.source_checkpoint is None:
+        if is_sign and cfg.source_epochs is None:
             raise ConfigError("[strategy] sign strategies need source_epochs (train a "
                               "source model) or source_checkpoint (reuse one)")
-        if source_checkpoint is not None and not os.path.exists(source_checkpoint):
-            raise ConfigError(f"[strategy] source_checkpoint does not exist: {source_checkpoint}")
-    if source_checkpoint is not None:
-        unused = sorted({"source_epochs", "source_seed"} & set(st.raw))
+        if is_sign and cfg.sign_tap == "sigma" and not cfg.uncertainty_head:
+            raise ConfigError("[strategy] sign_tap = sigma needs [model] uncertainty_head = true")
+        if cfg.source_seed is None:
+            cfg.source_seed = 0
+    else:
+        if is_sign and not os.path.exists(cfg.source_checkpoint):
+            raise ConfigError(f"[strategy] source_checkpoint does not exist: {cfg.source_checkpoint}")
+        unused = [k for k in ("source_epochs", "source_seed") if getattr(cfg, k) is not None]
         if unused:
             raise ConfigError(f"[strategy] {', '.join(unused)}: no effect with "
                               "source_checkpoint, which is loaded, not trained")
-    sign_k = st.int_list("sign_k", [50, 100])
-    if not sign_k or min(sign_k) < 1:
-        raise ConfigError(f"[strategy] sign_k needs one or more counts >= 1, got {sign_k}")
-    sign_gamma = st.float("sign_gamma", 1.0)
-    if not (0 < sign_gamma < math.inf):
-        raise ConfigError(f"[strategy] sign_gamma must be finite and > 0, got {sign_gamma}")
-    sign_tap = st.choice("sign_tap", "pre-logits", ("pre-logits", "logits", "sigma"))
-    if sign_tap == "sigma" and is_sign and source_checkpoint is None and not uncertainty_head:
-        raise ConfigError("[strategy] sign_tap = sigma needs [model] uncertainty_head = true")
-
-    tr = _Section(parser, "train")
-    ev = _Section(parser, "eval")
-    ood_path = ev.str("ood_path")
-    if ood_path is not None and not os.path.isdir(ood_path):
-        raise ConfigError(f"[eval] ood_path is not a directory: {ood_path}")
-
-    out = _Section(parser, "output")
-
-    threads = tr.int("threads", 1)
+    if cfg.ood_path is not None and not os.path.isdir(cfg.ood_path):
+        raise ConfigError(f"[eval] ood_path is not a directory: {cfg.ood_path}")
     env_threads = os.environ.get("SIGNREG_THREADS")
     if env_threads:
-        try:
-            threads = int(env_threads)
-        except ValueError as exc:
-            raise ConfigError(f"SIGNREG_THREADS must be an integer, got {env_threads!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-
-    return ExperimentConfig(
-        dataset_kind=kind,
-        dataset_path=path_value,
-        blob_classes=ds.int("classes", 3),
-        blob_samples_per_class=ds.int("samples_per_class", 200),
-        blob_image_shape=ds._get("image_shape", (1, 12, 12), _parse_shape),
-        blob_separation=ds.float("separation", 2.0),
-        blob_noise_sigma=ds.float("noise_sigma", 12.0),
-        split_seed=ds.int("split_seed", 0),
-        val_count=ds.int("val_count", 5000),
-        arch=arch,
-        init_seed=md.int("init_seed", 0),
-        drop_prob=md.float("drop_prob", 0.3),
-        hidden_dims=md.int_list("hidden_dims", [64, 32]),
-        uncertainty_head=uncertainty_head,
-        strategy=strategy,
-        mixup_alpha=st.float("mixup_alpha", 0.2),
-        sign_k=sign_k,
-        sign_gamma=sign_gamma,
-        sign_tap=sign_tap,
-        sign_eval_point=st.choice("sign_eval_point", "current-iterate", EVAL_POINTS),
-        sign_normalize=st.choice("sign_normalize", "none", NORMALIZE_MODES),
-        source_epochs=source_epochs,
-        source_seed=st.int("source_seed", 0),
-        source_checkpoint=source_checkpoint,
-        epochs=tr.int("epochs", _REQUIRED),
-        batch_size=tr.int("batch_size", 128),
-        optimizer=tr.str("optimizer", "sgd-momentum"),
-        learning_rate=tr.float("learning_rate", 0.01),
-        momentum=tr.float("momentum", 0.9),
-        mc_samples=tr.int("mc_samples", 20),
-        seed=tr.int("seed", 0),
-        threads=threads,
-        corruptions=ev._get("corruptions", [],
-                            lambda v: [parse_corruption(tok) for tok in v.split()]),
-        eval_repeats=ev.int("repeats", 5),
-        ood_path=ood_path,
-        ood_class_map=ev._get("ood_class_map", {}, _parse_class_map),
-        projection=ev.bool("projection", False),
-        projection_tap=ev.str("projection_tap", "pre-logits"),
-        output_dir=out.str("dir", _REQUIRED),
-    )
+        cfg.threads = _parse(_FIELDS["threads"].metadata["parse"], env_threads,
+                             "SIGNREG_THREADS")
 
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
-    """Flat, fully-resolved key-value snapshot, stable ordering."""
-    shape = "x".join(str(s) for s in cfg.blob_image_shape)
-    sections = {
-        "dataset": {
-            "kind": cfg.dataset_kind, "path": cfg.dataset_path or "",
-            "classes": cfg.blob_classes, "samples_per_class": cfg.blob_samples_per_class,
-            "image_shape": shape, "separation": cfg.blob_separation,
-            "noise_sigma": cfg.blob_noise_sigma, "split_seed": cfg.split_seed,
-            "val_count": cfg.val_count,
-        },
-        "model": {
-            "arch": cfg.arch, "init_seed": cfg.init_seed, "drop_prob": cfg.drop_prob,
-            "hidden_dims": ",".join(str(d) for d in cfg.hidden_dims),
-            "uncertainty_head": cfg.uncertainty_head,
-        },
-        "strategy": {
-            "name": cfg.strategy, "mixup_alpha": cfg.mixup_alpha,
-            "sign_k": ",".join(str(k) for k in cfg.sign_k), "sign_gamma": cfg.sign_gamma,
-            "sign_tap": cfg.sign_tap, "sign_eval_point": cfg.sign_eval_point,
-            "sign_normalize": cfg.sign_normalize,
-            "source_epochs": "" if cfg.source_epochs is None else cfg.source_epochs,
-            "source_seed": cfg.source_seed,
-            "source_checkpoint": cfg.source_checkpoint or "",
-        },
-        "train": {
-            "epochs": cfg.epochs, "batch_size": cfg.batch_size, "optimizer": cfg.optimizer,
-            "learning_rate": cfg.learning_rate, "momentum": cfg.momentum,
-            "mc_samples": cfg.mc_samples, "seed": cfg.seed, "threads": cfg.threads,
-        },
-        "eval": {
-            "corruptions": " ".join(_corruption_token(c) for c in cfg.corruptions),
-            "repeats": cfg.eval_repeats, "ood_path": cfg.ood_path or "",
-            "ood_class_map": ",".join(f"{k}={v}" for k, v in sorted(cfg.ood_class_map.items())),
-            "projection": cfg.projection, "projection_tap": cfg.projection_tap,
-        },
-        "output": {"dir": cfg.output_dir},
-    }
-    lines = []
-    for name, keys in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _corruption_token(spec: CorruptionSpec) -> str:
-    if spec.kind == "pixel-off":
-        return f"pixel-off:{spec.pixel_count}"
-    return f"gaussian:{spec.mu:g}:{spec.sigma:g}"
+    """Every set key at its resolved value, in declaration order; unset keys
+    are left out, so the text loads back to an equal config."""
+    blocks: dict[str, list[str]] = {}
+    for name, f in _FIELDS.items():
+        section, value = f.metadata["section"], getattr(cfg, name)
+        lines = blocks.setdefault(section, [f"[{section}]"])
+        if value is not None:
+            lines.append(f"{f.metadata['key']} = {f.metadata['fmt'](value)}".rstrip())
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 # -- config -> library objects ---------------------------------------------------

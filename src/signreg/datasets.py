@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, read_array, read_framed, require_fields
 
 CIFAR_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
                  "dog", "frog", "horse", "ship", "truck")
@@ -362,22 +362,17 @@ def save_container(samples: list[Sample], path: str, class_names: tuple[str, ...
 
 def load_container(path: str) -> tuple[list[Sample], dict]:
     """Returns (samples, manifest). The manifest keeps the global fields."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise ValueError(f"not a sample container: {path}")
-    (mlen,) = struct.unpack("<Q", blob[:8])
-    manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
-    if manifest.get("version") != CONTAINER_VERSION:
-        raise ValueError(f"unsupported container version: {manifest.get('version')!r}")
-    payload = blob[8 + mlen:]
+    manifest, payload = read_framed(path, CONTAINER_VERSION,
+                                    {"raw_domain": bool, "class_names": list, "samples": list})
+    if manifest.get("stats") is not None:
+        require_fields(manifest["stats"], ("mean", "std"), path, "header field stats")
     raw_domain = bool(manifest["raw_domain"])
     samples = []
-    for rec in manifest["samples"]:
-        arr = np.frombuffer(payload[rec["offset"]:rec["offset"] + rec["nbytes"]],
-                            dtype=np.float64).reshape(tuple(rec["shape"]))
+    for i, rec in enumerate(manifest["samples"]):
+        require_fields(rec, ("label",), path, f"sample {i}")
+        arr = read_array(payload, rec, path, f"sample {i}")
         soft = tuple(rec["soft_label"]) if rec.get("soft_label") else None
-        samples.append(Sample(image=Tensor._wrap(arr.copy()), label=int(rec["label"]),
+        samples.append(Sample(image=Tensor._wrap(arr), label=int(rec["label"]),
                               raw=raw_domain, soft_label=soft,
                               provenance=rec.get("provenance")))
     return samples, manifest

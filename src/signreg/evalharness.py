@@ -158,7 +158,8 @@ def _bucket_of(scores: list[SampleScore]) -> Bucket:
                   mean_uncertainty=_mean(uncert))
 
 
-def _aggregate(scores: list[SampleScore], labels: list[int]) -> EvalReport:
+def aggregate(scores: list[SampleScore], labels: list[int]) -> EvalReport:
+    """The report over ``labels`` from per-sample scores already computed."""
     per_class = []
     for label in labels:
         rows = [s for s in scores if s.true_label == label]
@@ -178,7 +179,7 @@ def evaluate(model: Model, samples: list[Sample], mc_samples: int = 20,
              rng: Rng | None = None) -> EvalReport:
     """Accuracy per class and mean, plus the low-confidence bucket."""
     scores = score_samples(model, samples, mc_samples, rng)
-    return _aggregate(scores, list(range(model.num_classes)))
+    return aggregate(scores, list(range(model.num_classes)))
 
 
 def ood_evaluate(model: Model, ood_samples: list[Sample], mc_samples: int = 20,
@@ -189,7 +190,7 @@ def ood_evaluate(model: Model, ood_samples: list[Sample], mc_samples: int = 20,
     """
     scores = score_samples(model, ood_samples, mc_samples, rng)
     present = sorted({s.label for s in ood_samples})
-    return _aggregate(scores, present)
+    return aggregate(scores, present)
 
 
 # -- corruption robustness -------------------------------------------------------
@@ -353,4 +354,4 @@ def read_scores_csv(path: str) -> list[SampleScore]:
 
 def recompute_report(csv_path: str, num_classes: int) -> EvalReport:
     """Rebuild the full report from the per-sample CSV alone."""
-    return _aggregate(read_scores_csv(csv_path), list(range(num_classes)))
+    return aggregate(read_scores_csv(csv_path), list(range(num_classes)))

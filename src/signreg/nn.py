@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .autodiff import Node, Tape
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import Rng, ShapeError, Tensor, read_array, read_framed
 
 CHECKPOINT_VERSION = "signreg-ckpt-1"
 
@@ -313,25 +313,17 @@ def save_checkpoint(model: Model, path: str):
 
 
 def load_checkpoint(path: str) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise ValueError(f"not a checkpoint file: {path}")
-    (hlen,) = struct.unpack("<Q", blob[:8])
-    if len(blob) < 8 + hlen:
-        raise ValueError(f"truncated checkpoint header: {path}")
-    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {header.get('version')!r}")
-    payload = blob[8 + hlen:]
-    model = build_model(header["meta"])
-    params = {}
-    for name, rec in header["tensors"].items():
-        shape = tuple(rec["shape"])
-        start, nbytes = rec["offset"], rec["nbytes"]
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=np.float64).reshape(shape)
-        params[name] = Tensor._wrap(arr.copy())
-    model.set_params(params)
+    header, payload = read_framed(path, CHECKPOINT_VERSION, {"meta": dict, "tensors": dict})
+    try:
+        model = build_model(header["meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: header field meta does not describe a model: {exc!r}") from exc
+    params = {name: Tensor._wrap(read_array(payload, rec, path, f"tensor {name}"))
+              for name, rec in header["tensors"].items()}
+    try:
+        model.set_params(params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: header field tensors: {exc}") from exc
     return model
 
 

@@ -7,11 +7,18 @@ mutate their inputs.
 
 Numerics are 64-bit throughout: the test suite leans on tight
 finite-difference tolerances and desk-scale memory is cheap.
+
+Checkpoints and sample containers share one framing, read here: an 8-byte
+little-endian header length, a JSON header, then raw float64 arrays that
+header records locate by shape, byte offset and byte count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import struct
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -204,3 +211,55 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={self.path})"
+
+
+# -- framed files -----------------------------------------------------------------
+
+
+def require_fields(record, names: Sequence[str], path: str, where: str):
+    """Reject a file whose ``where`` record lacks one of ``names``."""
+    missing = [n for n in names if not isinstance(record, dict) or n not in record]
+    if missing:
+        raise ValueError(f"{path}: {where} lacks field {', '.join(missing)}")
+
+
+def read_framed(path: str, version: str, kinds: dict[str, type]) -> tuple[dict, bytes]:
+    """(header, payload) of a framed file whose header has ``version`` and
+    a field of each name and JSON type in ``kinds``; a ValueError names the
+    file and what is wrong."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < 8:
+        raise ValueError(f"{path}: {len(blob)} bytes, too short for the header length")
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    if len(blob) < 8 + hlen:
+        raise ValueError(f"{path}: header truncated, {len(blob) - 8} of {hlen} bytes")
+    try:
+        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON: {exc}") from exc
+    require_fields(header, ("version",), path, "header")
+    if header["version"] != version:
+        raise ValueError(f"{path}: unsupported version {header['version']!r}, "
+                         f"expected {version!r}")
+    require_fields(header, kinds, path, "header")
+    for name, kind in kinds.items():
+        if not isinstance(header[name], kind):
+            raise ValueError(f"{path}: header field {name} is not a JSON {kind.__name__}")
+    return header, blob[8 + hlen:]
+
+
+def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarray:
+    """A copy of the float64 array that ``record`` locates in ``payload``."""
+    require_fields(record, ("shape", "offset", "nbytes"), path, where)
+    try:
+        shape = tuple(int(s) for s in record["shape"])
+        start, nbytes = int(record["offset"]), int(record["nbytes"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {where} has a malformed shape, offset or nbytes") from exc
+    if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
+        raise ValueError(f"{path}: {where} nbytes {nbytes} does not fit shape {list(shape)}")
+    if not 0 <= start <= len(payload) - nbytes:
+        raise ValueError(f"{path}: {where} payload truncated: needs bytes {start} to "
+                         f"{start + nbytes}, the payload has {len(payload)}")
+    return np.frombuffer(payload, np.float64, count=nbytes // 8, offset=start).reshape(shape).copy()

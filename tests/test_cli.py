@@ -1,22 +1,27 @@
 """Exit codes, run-directory artifacts, and container round trips via the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from signreg import training
+from signreg import cli, evalharness, training
 from signreg.cli import main
-from signreg.config import ConfigError, load_experiment_config, parse_corruption
+from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
+                            parse_corruption, resolved_config_text)
 from signreg.datasets import Sample, load_container, save_container
 from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
 from signreg.tensor import Rng, Tensor
 
 
 def write_config(path, *, epochs=0, strategy="none", out_dir, extra_strategy="",
-                 extra_eval="", arch="small_mlp", dataset_lines=None):
+                 extra_eval="", arch="small_mlp", dataset_lines=None, batch_size=16,
+                 extra_train=""):
     dataset = dataset_lines or [
         "kind = blobs", "classes = 3", "samples_per_class = 10",
         "image_shape = 1x8x8", "separation = 5.0", "split_seed = 1",
@@ -25,8 +30,8 @@ def write_config(path, *, epochs=0, strategy="none", out_dir, extra_strategy="",
         "[dataset]", *dataset,
         "[model]", f"arch = {arch}", "hidden_dims = 12", "init_seed = 0",
         "[strategy]", f"name = {strategy}", extra_strategy,
-        "[train]", f"epochs = {epochs}", "batch_size = 16", "seed = 3",
-        "learning_rate = 0.05",
+        "[train]", f"epochs = {epochs}", f"batch_size = {batch_size}", "seed = 3",
+        "learning_rate = 0.05", extra_train,
         "[eval]", extra_eval,
         "[output]", f"dir = {out_dir}",
     ])
@@ -109,6 +114,45 @@ def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
     return path
 
 
+def _broken_container(path, breaks):
+    """A one-sample container whose manifest ``breaks`` edits in place."""
+    save_container([Sample(image=Tensor(np.zeros((1, 8, 8))), label=0, raw=False)], path,
+                   ("a", "b", "c"), raw_domain=False)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (length,) = struct.unpack("<Q", blob[:8])
+    manifest = json.loads(blob[8:8 + length])
+    breaks(manifest)
+    doc = json.dumps(manifest).encode()
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(doc)) + doc + blob[8 + length:])
+    return path
+
+
+def _error_files(tmp_path):
+    """The files the error tables name by key."""
+    files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
+             "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
+             "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
+             "junk": str(tmp_path / "junk.bin"),
+             "truncated": str(tmp_path / "truncated.bin"),
+             "noshape": _broken_container(str(tmp_path / "noshape.container"),
+                                          lambda m: m["samples"][0].pop("shape")),
+             "nostats": _broken_container(str(tmp_path / "nostats.container"),
+                                          lambda m: m.update(stats={})),
+             "out": str(tmp_path / "out.container")}
+    (tmp_path / "junk.bin").write_bytes(b"junk")
+    (tmp_path / "truncated.bin").write_bytes((tmp_path / "fits.bin").read_bytes()[:-3])
+    return files
+
+
+def _assert_one_line_error(err, named):
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+    for text in named:
+        assert text in err
+
+
 # (strategy lines, expected exit code, text the one-line message must name);
 # {fits}, {shape}, {classes} and {junk} are checkpoint files made by the test
 TRAINED = "source_epochs = 1"
@@ -121,6 +165,7 @@ ERROR_CASES = {
     "gamma-nan": ([TRAINED, "sign_gamma = nan"], 1, "sign_gamma"),
     "tap-unknown": ([TRAINED, "sign_tap = bottleneck"], 1, "sign_tap"),
     "tap-sigma-no-head": ([TRAINED, "sign_tap = sigma"], 1, "uncertainty_head"),
+    "source-epochs-zero": (["source_epochs = 0"], 1, "[strategy] source_epochs"),
     "checkpoint-and-epochs": (["source_checkpoint = {fits}", "source_epochs = 2"], 1,
                               "source_epochs"),
     "checkpoint-and-seed": (["source_checkpoint = {fits}", "source_seed = 4"], 1,
@@ -135,19 +180,49 @@ ERROR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_sign_config_errors(tmp_path, capsys, case):
-    files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
-             "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
-             "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
-             "junk": str(tmp_path / "junk.bin")}
-    (tmp_path / "junk.bin").write_bytes(b"junk")
+    files = _error_files(tmp_path)
     lines, code, named = ERROR_CASES[case]
     cfg = write_config(tmp_path / "c.ini", epochs=1, strategy="sign", out_dir=tmp_path / "run",
                        extra_strategy="\n".join(lines).format(**files))
     assert main(["train", "-c", cfg]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1, err
-    assert named.format(**files) in err
+    _assert_one_line_error(capsys.readouterr().err, [named.format(**files)])
+
+
+# (write_config keywords, command line after "signreg" without -c, expected
+# exit code, texts the one-line message must name); {...} are _error_files
+RUN_ERROR_CASES = {
+    "optimizer": ({"extra_train": "optimizer = rmsprop"}, "train", 1, ["[train] optimizer"]),
+    "batch-size-zero": ({"batch_size": 0}, "train", 1, ["[train] batch_size"]),
+    "mc-samples-zero": ({"extra_train": "mc_samples = 0"}, "train", 1, ["[train] mc_samples"]),
+    "mixup-alpha-zero": ({"strategy": "mixup", "extra_strategy": "mixup_alpha = 0"}, "train", 1,
+                         ["[strategy] mixup_alpha"]),
+    "repeats-zero": ({"extra_eval": "corruptions = gaussian\nrepeats = 0"},
+                     "eval --checkpoint {fits}", 1, ["[eval] repeats"]),
+    "projection-tap": ({"extra_eval": "projection = true\nprojection_tap = bottleneck"},
+                       "eval --checkpoint {fits}", 1, ["[eval] projection_tap"]),
+    "checkpoint-truncated": ({}, "eval --checkpoint {truncated}", 2,
+                             ["{truncated}", "payload truncated"]),
+    "container-no-shape": ({}, "transform --checkpoint {fits} --in {noshape} --out {out}", 2,
+                           ["{noshape}", "shape"]),
+    "container-stats-no-mean": ({}, "transform --checkpoint {fits} --in {nostats} --out {out}",
+                                2, ["{nostats}", "mean"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_ERROR_CASES))
+def test_run_errors(tmp_path, capsys, monkeypatch, case):
+    files = _error_files(tmp_path)
+
+    def started(*args, **kwargs):
+        raise AssertionError("training, scoring or transforming started before the error")
+
+    for name in ("train", "sign_pipeline", "score_samples", "transform_dataset"):
+        monkeypatch.setattr(cli, name, started)
+    settings, command, code, named = RUN_ERROR_CASES[case]
+    cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run", **settings)
+    words = command.format(**files).split()
+    assert main([words[0], "-c", cfg, *words[1:]]) == code
+    _assert_one_line_error(capsys.readouterr().err, [text.format(**files) for text in named])
 
 
 class TestCmdTransform:
@@ -238,6 +313,21 @@ class TestCmdEval:
         cfg, _, _ = self.trained_checkpoint(tmp_path)
         assert main(["eval", "-c", cfg, "--checkpoint", str(tmp_path / "ghost.bin")]) == 1
 
+    def test_clean_test_set_scored_once(self, tmp_path, monkeypatch):
+        cfg, ckpt, out = self.trained_checkpoint(tmp_path)
+        scored = []
+        real_score = evalharness.score_samples
+
+        def counting(model, samples, *args, **kwargs):
+            scored.append(len(samples))
+            return real_score(model, samples, *args, **kwargs)
+
+        monkeypatch.setattr(evalharness, "score_samples", counting)
+        monkeypatch.setattr(cli, "score_samples", counting)
+        assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 0
+        report = json.loads((out / "eval-report.json").read_text())
+        assert scored == [sum(row["total"] for row in report["per_class"])]
+
     def test_ood_directory_evaluated(self, tmp_path):
         ood_root = tmp_path / "ood"
         for folder, count in (("zero", 2), ("one", 3)):
@@ -281,6 +371,71 @@ class TestThreadsOverride:
         monkeypatch.setenv("SIGNREG_THREADS", "zero")
         with pytest.raises(ConfigError):
             load_experiment_config(cfg)
+
+
+SIGN_LINES = "sign_k = 2\nsign_gamma = 0.01\nsign_normalize = unit-max-abs"
+# write_config keywords; {fits} is a checkpoint, {ood} a directory
+SNAPSHOT_CASES = {
+    "plain": {},
+    "sign-trained": {"strategy": "sign", "extra_strategy": "source_epochs = 1\n" + SIGN_LINES},
+    "sign-checkpoint": {"strategy": "sign",
+                        "extra_strategy": "source_checkpoint = {fits}\n" + SIGN_LINES},
+    "eval-block": {"extra_eval": "corruptions = gaussian:0:10.1234567 pixel-off:7\n"
+                                 "repeats = 2\nood_path = {ood}\nood_class_map = zero=0,one=1"},
+}
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+    def test_snapshot_loads_back(self, tmp_path, monkeypatch, case):
+        monkeypatch.delenv("SIGNREG_THREADS", raising=False)
+        if case == "eval-block":
+            monkeypatch.setenv("SIGNREG_THREADS", "3")
+        files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
+                 "ood": str(tmp_path)}
+        settings = {k: v.format(**files) for k, v in SNAPSHOT_CASES[case].items()}
+        cfg = load_experiment_config(write_config(tmp_path / "c.ini", epochs=1,
+                                                  out_dir=tmp_path / "run", **settings))
+        text = resolved_config_text(cfg)
+        (tmp_path / "resolved.ini").write_text(text)
+        again = load_experiment_config(str(tmp_path / "resolved.ini"))
+        assert again == cfg
+        assert resolved_config_text(again) == text
+        if case == "eval-block":
+            assert again.threads == 3 and again.corruptions[0].sigma == 10.1234567
+        if case == "sign-checkpoint":
+            assert again.source_seed is None and "source_seed" not in text
+
+    @pytest.mark.parametrize("case", ["plain", "sign-trained"])
+    def test_rerun_rewrites_artifacts_byte_for_byte(self, tmp_path, case):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", epochs=2, out_dir=out, **SNAPSHOT_CASES[case])
+        assert main(["train", "-c", cfg]) == 0
+        names = ["report.json", "report.csv", "checkpoint.bin"]
+        if case == "sign-trained":
+            names += ["source-checkpoint.bin", "transformed-train.container"]
+        first = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
+        assert main(["train", "-c", str(out / "resolved-config.ini")]) == 0
+        assert {name: (out / name).read_bytes() for name in names} == first
+
+
+def test_readme_config_block_lists_every_key():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("## Config file", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    listed, section = set(), None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+        elif "=" in line:
+            listed.add((section, line.split("=", 1)[0].strip()))
+    schema = {(f.metadata["section"], f.metadata["key"])
+              for f in dataclasses.fields(ExperimentConfig)}
+    assert listed == schema
 
 
 class TestCorruptionTokens:
