@@ -239,10 +239,9 @@ class Tape:
         if z.ndim != 2 or labels.shape != z.shape:
             raise ShapeError(f"cross_entropy: logits {z.shape} vs labels {labels.shape}")
         bsz = z.shape[0]
-        shifted = z - z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + z.max(axis=1, keepdims=True)
-        value = -(labels * (z - lse)).sum(axis=1).mean()
-        probs = np.exp(z - lse)
+        logp = log_softmax(z, axis=1)
+        value = -(labels * logp).sum(axis=1).mean()
+        probs = np.exp(logp)
 
         def vjp(g, needed):
             return (g[0] * (probs - labels) / bsz,)
@@ -274,12 +273,8 @@ class Tape:
             raise ValueError("aleatoric_nll: sigma must be strictly positive")
 
         xhat = fd[None, :, :] + sd[None, :, :] * eps  # (T, B, C)
-        xmax = xhat.max(axis=2, keepdims=True)
-        lse = np.log(np.exp(xhat - xmax).sum(axis=2, keepdims=True)) + xmax
-        logp = xhat - lse  # (T, B, C): per-draw log-softmax
-        # L[i, c] = logmeanexp_t logp[t, i, c], computed stably.
-        m = logp.max(axis=0)
-        ll = m + np.log(np.exp(logp - m).mean(axis=0))  # (B, C)
+        logp = log_softmax(xhat, axis=2)  # per-draw log-softmax
+        ll = log_mean_exp(logp, axis=0)  # (B, C): L[i, c]
         value = -(labels * ll).sum(axis=1).mean()
 
         softmax = np.exp(logp)  # (T, B, C)
@@ -298,6 +293,22 @@ class Tape:
             return (df, dsigma)
 
         return self._record("aleatoric-nll", np.array([value]), (f, sigma), vjp)
+
+
+# -- stable log-space reductions ---------------------------------------------
+
+
+def log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """``z - logsumexp(z)`` along ``axis``, shifted by the max: finite for
+    any finite ``z``, however large the gaps between its entries."""
+    zmax = z.max(axis=axis, keepdims=True)
+    return z - (np.log(np.exp(z - zmax).sum(axis=axis, keepdims=True)) + zmax)
+
+
+def log_mean_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(mean(exp(a)))`` along ``axis``, shifted by the max."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(a - m).mean(axis=axis))
 
 
 # -- differentiation -------------------------------------------------------

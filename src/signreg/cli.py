@@ -61,6 +61,7 @@ def cmd_train(config_path: str) -> int:
     meta = cfgmod.model_meta(cfg, split)
     out = cfg.output_dir
 
+    model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
     if cfg.strategy in ("sign", "sign-plus-classical"):
         if cfg.source_checkpoint is not None:
             source, pretrain = _load_source(cfg.source_checkpoint, split), None
@@ -69,9 +70,9 @@ def cmd_train(config_path: str) -> int:
             pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs,
                                            seed=cfg.source_seed, strategy="none")
         result = sign_pipeline(split, meta, pretrain, cfgmod.sign_configs(cfg),
-                               cfgmod.train_config(cfg), threads=cfg.threads, source=source)
+                               cfgmod.train_config(cfg), final=model, threads=cfg.threads,
+                               source=source)
         save_checkpoint(result.source_model, os.path.join(out, "source-checkpoint.bin"))
-        save_checkpoint(result.final_model, os.path.join(out, "checkpoint.bin"))
         aug = [s for s in result.augmented_split.train if s.provenance is not None]
         save_container(aug, os.path.join(out, "transformed-train.container"),
                        split.class_names, raw_domain=False, stats=split.stats)
@@ -80,12 +81,11 @@ def cmd_train(config_path: str) -> int:
                        else f"{result.source_report.wall_time_s:.1f}s")
         _log(cfg, f"pipeline wall time: source {source_time} final {report.wall_time_s:.1f}s")
     else:
-        model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
         report = train(model, split, cfgmod.train_config(cfg))
         model.set_params(report.best_params)
-        save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
         _log(cfg, f"train wall time: {report.wall_time_s:.1f}s")
 
+    save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
     report.to_csv(os.path.join(out, "report.csv"))
     report.to_json(os.path.join(out, "report.json"))
     if report.rows:

@@ -8,23 +8,20 @@ transform and mixup apply here). The ``raw`` flag tracks which.
 On-disk formats:
   * CIFAR-10 binary batches: 3073-byte records, 1 label byte then 3072
     pixel bytes in R, G, B planes of 32x32 row-major.
-  * Sample container: 8-byte little-endian manifest length, JSON manifest,
-    raw float64 blobs. Carries labels, optional soft labels, optional
-    per-sample provenance.
+  * Sample container: a framed file (see tensor.py) whose JSON manifest
+    carries labels, optional soft labels, optional per-sample provenance.
   * PPM (P6) images for the out-of-distribution loader; PNG accepted too
     when Pillow is importable.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import Rng, Tensor, read_array, read_framed, require_fields
+from .tensor import Rng, Tensor, read_array, read_framed, require_fields, write_framed
 
 CIFAR_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
                  "dog", "frog", "horse", "ship", "truck")
@@ -329,21 +326,9 @@ def load_ood_directory(dir_path: str, class_map: dict[str, int],
 def save_container(samples: list[Sample], path: str, class_names: tuple[str, ...],
                    raw_domain: bool, stats: NormStats | None = None,
                    provenance: dict | None = None):
-    records = []
-    blobs = []
-    offset = 0
-    for s in samples:
-        raw = s.image.data.tobytes()
-        records.append({
-            "label": s.label,
-            "soft_label": list(s.soft_label) if s.soft_label is not None else None,
-            "shape": list(s.image.shape),
-            "offset": offset,
-            "nbytes": len(raw),
-            "provenance": s.provenance,
-        })
-        blobs.append(raw)
-        offset += len(raw)
+    records = [{"label": s.label,
+                "soft_label": list(s.soft_label) if s.soft_label is not None else None,
+                "provenance": s.provenance} for s in samples]
     manifest = {
         "version": CONTAINER_VERSION,
         "raw_domain": bool(raw_domain),
@@ -352,12 +337,7 @@ def save_container(samples: list[Sample], path: str, class_names: tuple[str, ...
         "provenance": provenance,
         "samples": records,
     }
-    mjson = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(mjson)))
-        fh.write(mjson)
-        for raw in blobs:
-            fh.write(raw)
+    write_framed(path, manifest, [(rec, s.image.data) for rec, s in zip(records, samples)])
 
 
 def load_container(path: str) -> tuple[list[Sample], dict]:
@@ -367,12 +347,19 @@ def load_container(path: str) -> tuple[list[Sample], dict]:
     if manifest.get("stats") is not None:
         require_fields(manifest["stats"], ("mean", "std"), path, "header field stats")
     raw_domain = bool(manifest["raw_domain"])
+    ncls = len(manifest["class_names"])
     samples = []
     for i, rec in enumerate(manifest["samples"]):
         require_fields(rec, ("label",), path, f"sample {i}")
         arr = read_array(payload, rec, path, f"sample {i}")
-        soft = tuple(rec["soft_label"]) if rec.get("soft_label") else None
-        samples.append(Sample(image=Tensor._wrap(arr), label=int(rec["label"]),
-                              raw=raw_domain, soft_label=soft,
+        label, soft = rec["label"], rec.get("soft_label")
+        if type(label) is not int or not 0 <= label < ncls:
+            raise ValueError(f"{path}: sample {i} field label {label!r} is not a class "
+                             f"index in [0, {ncls})")
+        if soft is not None and (not isinstance(soft, list) or len(soft) != ncls):
+            raise ValueError(f"{path}: sample {i} field soft_label is not a list of "
+                             f"{ncls} probabilities")
+        samples.append(Sample(image=Tensor._wrap(arr), label=label, raw=raw_domain,
+                              soft_label=tuple(soft) if soft is not None else None,
                               provenance=rec.get("provenance")))
     return samples, manifest

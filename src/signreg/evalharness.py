@@ -19,7 +19,7 @@ import numpy as np
 
 from .augment import CorruptionSpec, corrupt
 from .datasets import DatasetSplit, NormStats, Sample, normalize_sample
-from .nn import Model, build_model
+from .nn import Model, build_model, predict
 from .sign import SignConfig
 from .tensor import Rng, Tensor
 from .training import TrainConfig, train
@@ -105,45 +105,20 @@ def _bucket_doc(bucket: Bucket) -> dict:
 # -- scoring -------------------------------------------------------------------
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def score_samples(model: Model, samples: list[Sample], mc_samples: int = 20,
-                  rng: Rng | None = None, batch_size: int = 256) -> list[SampleScore]:
-    """Per-sample predictions and probabilities, deterministic by default.
-
-    For uncertainty-head models the probability is the mean softmax over
-    ``mc_samples`` noise draws and the uncertainty the mean learned sigma.
+                  rng: Rng | None = None) -> list[SampleScore]:
+    """Per-sample predictions of the model's predictive (``nn.predict``),
+    deterministic by default: the most probable class, its probability,
+    and for uncertainty-head models the mean learned sigma.
     """
-    if not samples:
-        raise ValueError("empty sample list")
-    rng = rng if rng is not None else Rng(_EVAL_SEED)
-    scores: list[SampleScore] = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        xb = np.stack([s.image.data for s in chunk])
-        tape = model.forward(Tensor._wrap(xb), train=False)
-        logits = tape.output.value.data
-        if model.has_uncertainty_head:
-            sigma = tape.taps["sigma"].value.data
-            eps = rng.child("eps", start).normal((mc_samples,) + logits.shape)
-            probs = _softmax((logits[None] + sigma[None] * eps)
-                             .reshape(-1, logits.shape[1]))
-            probs = probs.reshape(mc_samples, *logits.shape).mean(axis=0)
-            uncert = sigma.mean(axis=1)
-        else:
-            probs = _softmax(logits)
-            uncert = None
-        preds = probs.argmax(axis=1)
-        for j, s in enumerate(chunk):
-            scores.append(SampleScore(
-                index=start + j, true_label=s.label, predicted=int(preds[j]),
-                top_probability=float(probs[j, preds[j]]),
-                uncertainty=float(uncert[j]) if uncert is not None else None))
-    return scores
+    logp, uncert = predict(model, [s.image.data for s in samples], mc_samples,
+                           rng if rng is not None else Rng(_EVAL_SEED))
+    preds = logp.argmax(axis=1)
+    top = np.exp(logp.max(axis=1))
+    return [SampleScore(index=i, true_label=s.label, predicted=int(preds[i]),
+                        top_probability=float(top[i]),
+                        uncertainty=float(uncert[i]) if uncert is not None else None)
+            for i, s in enumerate(samples)]
 
 
 def _mean(values: list[float]) -> float | None:
@@ -250,9 +225,10 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     """
     from .training import sign_pipeline  # local import keeps module load acyclic
 
+    init = Rng(final_cfg.seed).child("init")
     pipeline = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs, final_cfg,
-                             final_meta=target_meta)
-    control = build_model(target_meta, rng=Rng(final_cfg.seed).child("init"))
+                             final=build_model(target_meta, rng=init))
+    control = build_model(target_meta, rng=init)
     control_split = replace_train(
         pipeline.augmented_split, [s for s in pipeline.augmented_split.train
                                    if s.provenance is None])

@@ -1,4 +1,4 @@
-"""Layer primitives, concrete model architectures, and checkpoint files.
+"""Layer primitives, concrete model architectures, prediction, and checkpoint files.
 
 A :class:`Model` is an ordered list of layers over a named parameter
 store, with named taps into the forward graph. Every model exposes at
@@ -12,13 +12,11 @@ fully seeded. Parameters are immutable tensors; training replaces them.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 
 import numpy as np
 
-from .autodiff import Node, Tape
-from .tensor import Rng, ShapeError, Tensor, read_array, read_framed
+from .autodiff import Node, Tape, log_mean_exp, log_softmax
+from .tensor import Rng, ShapeError, Tensor, read_array, read_framed, write_framed
 
 CHECKPOINT_VERSION = "signreg-ckpt-1"
 
@@ -181,9 +179,6 @@ class Model:
         tape.output = node
         return tape
 
-    def logits(self, x: Tensor) -> Tensor:
-        return self.forward(x).output.value
-
     def set_params(self, params: dict[str, Tensor]):
         if set(params) != set(self.params):
             raise ValueError("parameter name mismatch")
@@ -285,31 +280,48 @@ def build_model(meta: dict, rng: Rng | None = None) -> Model:
     return model
 
 
+# -- prediction -----------------------------------------------------------------
+
+PREDICT_BATCH = 256
+
+
+def predict(model: Model, images, mc_samples: int,
+            rng: Rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log predictive probabilities (N, C) with dropout off, and for
+    uncertainty-head models the mean sigma per sample (else None).
+
+    ``images`` holds N input arrays (a list, or one stacked array); they
+    are stacked one batch at a time. A head model's predictive is its
+    softmax averaged over ``mc_samples`` logit-noise draws from
+    ``rng.child("eps", batch_start)``, the distribution its aleatoric loss
+    trains; other models ignore ``rng``.
+    """
+    if len(images) == 0:
+        raise ValueError("empty sample list")
+    logps, sigmas = [], []
+    for start in range(0, len(images), PREDICT_BATCH):
+        tape = model.forward(Tensor._wrap(np.stack(images[start:start + PREDICT_BATCH])))
+        f = tape.output.value.data
+        if model.has_uncertainty_head:
+            sigma = tape.taps["sigma"].value.data
+            eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
+            logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))
+            sigmas.append(sigma.mean(axis=1))
+        else:
+            logps.append(log_softmax(f, axis=1))
+    return np.concatenate(logps), (np.concatenate(sigmas) if sigmas else None)
+
+
 # -- checkpoint files -------------------------------------------------------
 #
-# Layout: 8-byte little-endian header length, JSON header, then the raw
-# float64 payload. The header records the version string, the model meta,
-# and for every named tensor its shape and byte offset into the payload.
+# A framed file (see tensor.py) whose header records the version string,
+# the model meta, and for every named tensor where it lies in the payload.
 
 
 def save_checkpoint(model: Model, path: str):
-    names = sorted(model.params)
-    tensors = {}
-    offset = 0
-    blobs = []
-    for name in names:
-        t = model.params[name]
-        raw = t.data.tobytes()
-        tensors[name] = {"shape": list(t.shape), "offset": offset, "nbytes": len(raw)}
-        blobs.append(raw)
-        offset += len(raw)
-    header = {"version": CHECKPOINT_VERSION, "meta": model.meta, "tensors": tensors}
-    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(hjson)))
-        fh.write(hjson)
-        for raw in blobs:
-            fh.write(raw)
+    tensors = {name: {} for name in sorted(model.params)}
+    write_framed(path, {"version": CHECKPOINT_VERSION, "meta": model.meta, "tensors": tensors},
+                 [(rec, model.params[name].data) for name, rec in tensors.items()])
 
 
 def load_checkpoint(path: str) -> Model:

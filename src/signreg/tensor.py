@@ -8,9 +8,10 @@ mutate their inputs.
 Numerics are 64-bit throughout: the test suite leans on tight
 finite-difference tolerances and desk-scale memory is cheap.
 
-Checkpoints and sample containers share one framing, read here: an 8-byte
-little-endian header length, a JSON header, then raw float64 arrays that
-header records locate by shape, byte offset and byte count.
+Checkpoints and sample containers share one framing, written and read
+here: an 8-byte little-endian header length, a JSON header, then raw
+float64 arrays that header records locate by shape, byte offset and byte
+count.
 """
 
 from __future__ import annotations
@@ -214,6 +215,22 @@ class Rng:
 
 
 # -- framed files -----------------------------------------------------------------
+
+
+def write_framed(path: str, header: dict, arrays: list[tuple[dict, np.ndarray]]):
+    """Write ``header`` and then each array's bytes in order. Each
+    (record, array) pair names a record inside ``header``; it gets the
+    array's shape, offset and nbytes before the header is written."""
+    offset = 0
+    for record, arr in arrays:
+        record.update(shape=list(arr.shape), offset=offset, nbytes=arr.nbytes)
+        offset += arr.nbytes
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(hjson)))
+        fh.write(hjson)
+        for _, arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def require_fields(record, names: Sequence[str], path: str, where: str):

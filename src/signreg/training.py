@@ -23,7 +23,7 @@ from . import autodiff
 from .augment import MixupConfig, classical_augment_array, mixup_arrays
 from .autodiff import Tape
 from .datasets import DatasetSplit, Sample, normalize
-from .nn import Model, build_model
+from .nn import Model, build_model, predict
 from .sign import SignConfig, transform_dataset
 from .tensor import Rng, ShapeError, Tensor
 
@@ -111,11 +111,11 @@ class Adam:
         return out
 
 
-def make_optimizer(kind: str, momentum: float, betas: tuple[float, float]):
+def make_optimizer(kind: str, momentum: float):
     if kind == "sgd-momentum":
         return SgdMomentum(momentum)
     if kind == "adam":
-        return Adam(betas[0], betas[1])
+        return Adam()
     raise ValueError(f"unknown optimizer {kind!r}")
 
 
@@ -129,12 +129,10 @@ class TrainConfig:
     optimizer: str = "sgd-momentum"
     learning_rate: float = 0.01
     momentum: float = 0.9
-    adam_betas: tuple[float, float] = (0.9, 0.999)
     strategy: str = "none"
     mixup_alpha: float = 0.2
     mc_samples: int = 20
     seed: int = 0
-    selection: str = "best-val-accuracy"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -209,28 +207,14 @@ def stack_samples(samples: list[Sample], num_classes: int) -> tuple[np.ndarray, 
     return images, soft, hard
 
 
-def _loss_node(model: Model, tape: Tape, soft_labels: np.ndarray,
-               mc_samples: int, eps_rng: Rng):
-    if model.has_uncertainty_head:
-        eps = eps_rng.normal((mc_samples,) + tape.output.shape)
-        return tape.aleatoric_nll(tape.output, tape.taps["sigma"], soft_labels, eps)
-    return tape.cross_entropy(tape.output, soft_labels)
-
-
 def evaluate_arrays(model: Model, images: np.ndarray, soft: np.ndarray,
-                    mc_samples: int, rng: Rng, batch_size: int = 256) -> tuple[float, float]:
-    """Mean loss and accuracy with dropout off; MC noise for head models."""
-    total_loss, correct = 0.0, 0
-    n = images.shape[0]
-    for start in range(0, n, batch_size):
-        xb = images[start:start + batch_size]
-        yb = soft[start:start + batch_size]
-        tape = model.forward(Tensor._wrap(xb), train=False)
-        loss = _loss_node(model, tape, yb, mc_samples, rng.child("eval", start))
-        total_loss += loss.value.item() * xb.shape[0]
-        preds = tape.output.value.data.argmax(axis=1)
-        correct += int((preds == yb.argmax(axis=1)).sum())
-    return total_loss / n, correct / n
+                    mc_samples: int, rng: Rng) -> tuple[float, float]:
+    """Loss and accuracy of the model's predictive (``nn.predict``): the
+    mean negative log-likelihood of the soft labels, and the share of
+    samples whose most probable class is the label's."""
+    logp, _ = predict(model, images, mc_samples, rng)
+    correct = int((logp.argmax(axis=1) == soft.argmax(axis=1)).sum())
+    return float(-(soft * logp).sum(axis=1).mean()), correct / len(soft)
 
 
 # -- the loop ------------------------------------------------------------------
@@ -251,7 +235,7 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     ncls = split.num_classes
     images, soft, _ = stack_samples(split.train, ncls)
     val_images, val_soft, _ = stack_samples(split.val, ncls)
-    optimizer = make_optimizer(cfg.optimizer, cfg.momentum, cfg.adam_betas)
+    optimizer = make_optimizer(cfg.optimizer, cfg.momentum)
     mix_cfg = MixupConfig(cfg.mixup_alpha)
     classical = cfg.strategy in ("classical", "sign-plus-classical")
 
@@ -272,7 +256,11 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
                 xb, yb = mixup_arrays(xb, yb, mix_cfg, rng.child("mixup", epoch, bi))
             tape = model.forward(Tensor._wrap(xb), train=True,
                                  rng=rng.child("dropout", epoch, bi))
-            loss = _loss_node(model, tape, yb, cfg.mc_samples, rng.child("mc", epoch, bi))
+            if model.has_uncertainty_head:
+                eps = rng.child("mc", epoch, bi).normal((cfg.mc_samples,) + tape.output.shape)
+                loss = tape.aleatoric_nll(tape.output, tape.taps["sigma"], yb, eps)
+            else:
+                loss = tape.cross_entropy(tape.output, yb)
             grads = autodiff.param_gradients(tape, loss)
             model.set_params(optimizer.step(model.params, grads, lr))
             epoch_loss += loss.value.item() * xb.shape[0]
@@ -305,16 +293,17 @@ class PipelineResult:
 
 def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainConfig | None,
                   sign_cfgs: list[SignConfig], final_cfg: TrainConfig,
-                  final_meta: dict | None = None, threads: int = 1,
+                  final: Model | None = None, threads: int = 1,
                   source: Model | None = None) -> PipelineResult:
     """Train a source model, transform the train split with it, train fresh.
 
     Stage 1 trains the source normally, unless a trained ``source`` is
     given (then ``pretrain_cfg`` is unused); stage 2 adds one transformed
     copy of every training sample per config (offline, from the frozen
-    source); stage 3 trains a fresh model (``final_meta``, by default
-    ``source_meta``) on original plus transformed samples. With an empty
-    config list stage 3 degenerates to a plain retrain.
+    source); stage 3 trains the untrained ``final`` model (by default one
+    built from ``source_meta``, initialized from ``final_cfg.seed``) on
+    original plus transformed samples. With an empty config list stage 3
+    degenerates to a plain retrain.
     """
     if not split.normalized:
         split = normalize(split)
@@ -329,8 +318,8 @@ def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainCon
                              class_names=split.class_names, stats=split.stats,
                              normalized=True)
 
-    final = build_model(final_meta if final_meta is not None else source_meta,
-                        rng=Rng(final_cfg.seed).child("init"))
+    if final is None:
+        final = build_model(source_meta, rng=Rng(final_cfg.seed).child("init"))
     final_report = train(final, aug_split, final_cfg)
     final.set_params(final_report.best_params)
     return PipelineResult(source, source_report, aug_split, final, final_report)

@@ -107,6 +107,20 @@ class TestSourceCheckpoint:
         assert samples and all(s.provenance["source_model"] == checksum for s in samples)
 
 
+def test_sign_run_initializes_final_model_from_init_seed(tmp_path):
+    written = {}
+    for init_seed in (0, 7):
+        path, out = tmp_path / f"c{init_seed}.ini", tmp_path / f"run{init_seed}"
+        write_config(path, epochs=1, strategy="sign", out_dir=out,
+                     extra_strategy="source_epochs = 1\n" + SIGN_LINES)
+        path.write_text(path.read_text().replace("init_seed = 0", f"init_seed = {init_seed}"))
+        assert main(["train", "-c", str(path)]) == 0
+        written[init_seed] = {name: (out / name).read_bytes()
+                              for name in ("checkpoint.bin", "source-checkpoint.bin")}
+    assert written[0]["source-checkpoint.bin"] == written[7]["source-checkpoint.bin"]
+    assert written[0]["checkpoint.bin"] != written[7]["checkpoint.bin"]
+
+
 def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
     path = str(tmp_path / name)
     save_checkpoint(build_small_mlp(input_dim, [4], num_classes, rng=Rng(1),
@@ -140,6 +154,12 @@ def _error_files(tmp_path):
                                           lambda m: m["samples"][0].pop("shape")),
              "nostats": _broken_container(str(tmp_path / "nostats.container"),
                                           lambda m: m.update(stats={})),
+             "label5": _broken_container(str(tmp_path / "label5.container"),
+                                         lambda m: m["samples"][0].update(label=5)),
+             "negative": _broken_container(str(tmp_path / "negative.container"),
+                                           lambda m: m["samples"][0].update(label=-1)),
+             "softlen": _broken_container(str(tmp_path / "softlen.container"),
+                                          lambda m: m["samples"][0].update(soft_label=[0.5, 0.5])),
              "out": str(tmp_path / "out.container")}
     (tmp_path / "junk.bin").write_bytes(b"junk")
     (tmp_path / "truncated.bin").write_bytes((tmp_path / "fits.bin").read_bytes()[:-3])
@@ -206,6 +226,12 @@ RUN_ERROR_CASES = {
                            ["{noshape}", "shape"]),
     "container-stats-no-mean": ({}, "transform --checkpoint {fits} --in {nostats} --out {out}",
                                 2, ["{nostats}", "mean"]),
+    "container-label-too-large": ({}, "transform --checkpoint {fits} --in {label5} --out {out}",
+                                  2, ["{label5}", "sample 0", "label"]),
+    "container-label-negative": ({}, "transform --checkpoint {fits} --in {negative} --out {out}",
+                                 2, ["{negative}", "sample 0", "label"]),
+    "container-soft-label-length": ({}, "transform --checkpoint {fits} --in {softlen} "
+                                        "--out {out}", 2, ["{softlen}", "sample 0", "soft_label"]),
 }
 
 
@@ -252,7 +278,7 @@ class TestCmdTransform:
         out1, out2 = str(tmp_path / "o1.bin"), str(tmp_path / "o2.bin")
         main(["transform", "-c", cfg, "--checkpoint", ckpt, "--in", container, "--out", out1])
         main(["transform", "-c", cfg, "--checkpoint", ckpt, "--in", container, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert (tmp_path / "o1.bin").read_bytes() == (tmp_path / "o2.bin").read_bytes()
 
     def test_provenance_roundtrips_config(self, tmp_path):
         cfg, ckpt, container = self.setup_inputs(tmp_path)

@@ -271,7 +271,7 @@ class TestContainer:
         p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_container(samples, p1, ("a", "b"), raw_domain=False)
         save_container(samples, p2, ("a", "b"), raw_domain=False)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_bad_version(self, tmp_path):
         import json

@@ -9,9 +9,10 @@ from signreg.datasets import Sample, make_synthetic_blobs, normalize
 from signreg.evalharness import (evaluate, ood_evaluate, project_features,
                                  recompute_report, robustness_suite, score_samples,
                                  transferability_protocol, write_scores_csv)
-from signreg.nn import Dense, Model, build_model, load_checkpoint, save_checkpoint
+from signreg.nn import (Dense, Model, attach_uncertainty_head, build_model, build_small_mlp,
+                        load_checkpoint, save_checkpoint)
 from signreg.tensor import Rng, Tensor
-from signreg.training import TrainConfig
+from signreg.training import TrainConfig, evaluate_arrays
 
 
 def logit_passthrough_model(ncls: int) -> Model:
@@ -117,6 +118,53 @@ class TestEvaluate:
         assert a.per_class_accuracy == b.per_class_accuracy
         assert a.mean_accuracy == b.mean_accuracy
         assert a.min_correct_probability == b.min_correct_probability
+
+
+def constant_head_model(f_bias, sigma) -> Model:
+    """An uncertainty-head model whose f and sigma ignore the 2-d input."""
+    ncls = len(f_bias)
+    model = attach_uncertainty_head(build_small_mlp(2, [3], ncls, rng=Rng(0)))
+    params = dict(model.params)
+    params["head.f.w"] = params["head.s.w"] = Tensor(np.zeros((3, ncls)))
+    params["head.f.b"] = Tensor(f_bias)
+    params["head.s.b"] = Tensor(np.log(np.expm1(sigma)))  # softplus inverse
+    model.set_params(params)
+    return model
+
+
+def constant_plain_model(bias) -> Model:
+    model = uniform_model(len(bias))
+    model.set_params({"out.w": model.params["out.w"], "out.b": Tensor(bias)})
+    return model
+
+
+def labeled_inputs(ncls: int, dim: int, label: int, count: int = 40):
+    samples = [Sample(image=Tensor(Rng(4).child(i).normal((dim,))), label=label, raw=False)
+               for i in range(count)]
+    return samples, np.stack([s.image.data for s in samples]), np.eye(ncls)[[label] * count]
+
+
+class TestOnePredictive:
+    def test_selection_accuracy_is_evaluated_accuracy(self):
+        # f ranks class 0 first for every input, but class 1's noise is so
+        # wide that the MC-averaged softmax mostly ranks class 1 first
+        model = constant_head_model([1.0, 0.0, 0.9], [0.01, 50.0, 0.01])
+        samples, images, soft = labeled_inputs(3, 2, label=1)
+        rng = Rng(5)
+        _, val_acc = evaluate_arrays(model, images, soft, 20, rng)
+        scores = score_samples(model, samples, 20, rng)
+        assert 0.0 < val_acc == sum(s.correct for s in scores) / len(scores)
+
+    @pytest.mark.parametrize("kind", ["plain", "head"])
+    def test_finite_when_a_wrong_class_leads_by_800(self, kind):
+        bias = [0.0, 900.0, 0.0]
+        model = (constant_head_model(bias, [0.5] * 3) if kind == "head"
+                 else constant_plain_model(bias))
+        samples, images, soft = labeled_inputs(3, model.input_shape[0], label=0)
+        val_loss, val_acc = evaluate_arrays(model, images, soft, 20, Rng(5))
+        assert np.isfinite(val_loss) and val_loss > 800 and val_acc == 0.0
+        scores = score_samples(model, samples, 20, Rng(5))
+        assert all(s.predicted == 1 and np.isfinite(s.top_probability) for s in scores)
 
 
 class TestMinCorrectProbability:
@@ -315,6 +363,6 @@ class TestProjectFeatures:
                                   split_tag="val")
         path = str(tmp_path / "proj.csv")
         export.to_csv(path)
-        lines = open(path).read().strip().splitlines()
+        lines = (tmp_path / "proj.csv").read_text().strip().splitlines()
         assert lines[0] == "x,y,class,split"
         assert len(lines) == 7 and lines[1].endswith("val")

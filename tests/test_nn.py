@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from signreg.autodiff import forward
-from signreg.nn import (CHECKPOINT_VERSION, Dense, attach_uncertainty_head,
+from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, attach_uncertainty_head,
                         build_basic_cnn, build_model, build_small_mlp,
-                        load_checkpoint, params_checksum, save_checkpoint)
+                        load_checkpoint, params_checksum, predict, save_checkpoint)
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
@@ -149,6 +149,28 @@ class TestUncertaintyHead:
         model.taps.pop("pre-logits")
         with pytest.raises(ValueError):
             attach_uncertainty_head(model)
+
+
+class TestPredict:
+    def test_head_matches_mean_softmax_oracle(self):
+        # two batches, so each batch's draws must come from its own stream
+        model = attach_uncertainty_head(build_small_mlp(5, [7], 4, rng=Rng(0)), rng=Rng(1))
+        params = dict(model.params)
+        params["head.s.b"] = Tensor(np.full(4, 1.5))  # noise wide enough to matter
+        model.set_params(params)
+        x = Rng(2).normal((PREDICT_BATCH + 44, 5))
+        rng = Rng(3)
+        logp, mean_sigma = predict(model, list(x), 9, rng)
+        tape = model.forward(Tensor(x))
+        f, sigma = tape.output.value.data, tape.taps["sigma"].value.data
+        expected = []
+        for start in (0, PREDICT_BATCH):
+            rows = slice(start, start + PREDICT_BATCH)
+            eps = rng.child("eps", start).normal((9,) + f[rows].shape)
+            e = np.exp(f[rows] + sigma[rows] * eps)
+            expected.append((e / e.sum(axis=2, keepdims=True)).mean(axis=0))
+        assert np.abs(np.exp(logp) - np.concatenate(expected)).max() <= 1e-12
+        assert np.abs(mean_sigma - sigma.mean(axis=1)).max() <= 1e-12
 
 
 class TestCheckpoint:

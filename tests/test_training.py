@@ -200,11 +200,11 @@ class TestTrainLoop:
         csv_path, json_path = str(tmp_path / "r.csv"), str(tmp_path / "r.json")
         report.to_csv(csv_path)
         report.to_json(json_path)
-        lines = open(csv_path).read().strip().splitlines()
+        lines = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,split,loss,accuracy"
         assert len(lines) == 1 + 2 * 2  # train + val row per epoch
         import json
-        doc = json.loads(open(json_path).read())
+        doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["epochs"] == 2 and "wall_time" not in "".join(doc)
 
     def test_lr_schedule_milestones(self):
@@ -246,8 +246,8 @@ class TestSignPipeline:
         target_meta = dict(source_meta, hidden_dims=[8])
         cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
         result = sign_pipeline(split, source_meta, cfg,
-                               [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")],
-                               cfg, final_meta=target_meta)
+                               [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")], cfg,
+                               final=build_model(target_meta, rng=Rng(cfg.seed).child("init")))
         assert result.final_model.meta["hidden_dims"] == [8]
 
     def test_given_source_skips_stage_one(self):
