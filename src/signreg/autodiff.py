@@ -192,28 +192,21 @@ class Tape:
         oc, ic, kh, kw = wd.shape
         if ic != c or kh != kw or kh % 2 == 0:
             raise ShapeError(f"conv2d: kernel {w.shape} incompatible with input {x.shape}")
-        k, p = kh, kh // 2
-        xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
-        # im2col: (B, H*W, C*k*k)
-        cols = (sliding_window_view(xp, (k, k), axis=(2, 3))
-                .transpose(0, 2, 3, 1, 4, 5).reshape(b, h * wdt, c * k * k))
-        wmat = wd.reshape(oc, c * k * k)
-        out = (cols @ wmat.T).transpose(0, 2, 1).reshape(b, oc, h, wdt)
+        k = kh
+        cols = _columns(xd, k)
+        out = (wd.reshape(oc, c * k * k) @ cols).reshape(b, oc, h, wdt)
 
         def vjp(g, needed):
-            g2 = g.reshape(b, oc, h * wdt).transpose(0, 2, 1)  # (B, H*W, OC)
-            dx_ = None
+            dx = dw = None
             if needed[0]:
-                dcols = (g2 @ wmat).reshape(b, h, wdt, c, k, k)
-                dxp = np.zeros_like(xp)
-                for dy in range(k):
-                    for dx in range(k):
-                        dxp[:, :, dy:dy + h, dx:dx + wdt] += dcols[:, :, :, :, dy, dx].transpose(0, 3, 1, 2)
-                dx_ = dxp[:, :, p:p + h, p:p + wdt]
-            dw = None
+                # the input-VJP of a stride-1 'same' convolution is the same
+                # correlation with the kernel flipped and in/out swapped
+                wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, oc * k * k)
+                dx = (wflip @ _columns(g, k)).reshape(b, c, h, wdt)
             if needed[1]:
-                dw = (g2.reshape(-1, oc).T @ cols.reshape(-1, c * k * k)).reshape(oc, c, k, k)
-            return (dx_, dw)
+                dw = (g.reshape(b, oc, h * wdt) @ cols.transpose(0, 2, 1)).sum(axis=0)
+                dw = dw.reshape(oc, c, k, k)
+            return (dx, dw)
 
         return self._record("conv2d", out, (x, w), vjp)
 
@@ -293,6 +286,20 @@ class Tape:
             return (df, dsigma)
 
         return self._record("aleatoric-nll", np.array([value]), (f, sigma), vjp)
+
+
+def _columns(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-padded 'same' patches of (B, C, H, W) ``x`` as (B, C*k*k, H*W).
+
+    Rows run over (channel, dy, dx), the order of ``w.reshape(O, -1)`` for
+    an (O, C, k, k) kernel, so ``w.reshape(O, -1) @ _columns(x, k)`` is the
+    stride-1 correlation.
+    """
+    b, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    return (sliding_window_view(xp, (k, k), axis=(2, 3))
+            .transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w))
 
 
 # -- stable log-space reductions ---------------------------------------------

@@ -16,6 +16,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,7 @@ CIFAR_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
 _RECORD_BYTES = 3073
 CONTAINER_VERSION = "signreg-data-1"
 STD_FLOOR = 1e-6
+SOFT_LABEL_TOLERANCE = 1e-9  # largest accepted |row sum - 1| of a soft label
 
 
 @dataclass(frozen=True)
@@ -340,6 +342,16 @@ def save_container(samples: list[Sample], path: str, class_names: tuple[str, ...
     write_framed(path, manifest, [(rec, s.image.data) for rec, s in zip(records, samples)])
 
 
+def _is_distribution(soft, ncls: int) -> bool:
+    """``soft`` is a list of ``ncls`` numbers (not bools) summing to 1. Each
+    entry of such a list lies in [0, 1 + tolerance], which also rules out
+    NaN, infinities and integers too large for a float."""
+    return (isinstance(soft, list) and len(soft) == ncls
+            and all(type(v) in (int, float) and 0 <= v <= 1 + SOFT_LABEL_TOLERANCE
+                    for v in soft)
+            and abs(math.fsum(soft) - 1.0) <= SOFT_LABEL_TOLERANCE)
+
+
 def load_container(path: str) -> tuple[list[Sample], dict]:
     """Returns (samples, manifest). The manifest keeps the global fields."""
     manifest, payload = read_framed(path, CONTAINER_VERSION,
@@ -356,9 +368,9 @@ def load_container(path: str) -> tuple[list[Sample], dict]:
         if type(label) is not int or not 0 <= label < ncls:
             raise ValueError(f"{path}: sample {i} field label {label!r} is not a class "
                              f"index in [0, {ncls})")
-        if soft is not None and (not isinstance(soft, list) or len(soft) != ncls):
+        if soft is not None and not _is_distribution(soft, ncls):
             raise ValueError(f"{path}: sample {i} field soft_label is not a list of "
-                             f"{ncls} probabilities")
+                             f"{ncls} non-negative numbers summing to 1")
         samples.append(Sample(image=Tensor._wrap(arr), label=label, raw=raw_domain,
                               soft_label=tuple(soft) if soft is not None else None,
                               provenance=rec.get("provenance")))

@@ -71,34 +71,41 @@ class SignResult:
     delta_norms: tuple[float, ...]  # l2 norm of each per-iteration delta
 
 
-def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
+                     stops: tuple[int, ...]) -> tuple[list, np.ndarray]:
     """Transform a batch (samples evolve independently under the ones-VJP).
 
-    Returns (transformed, final_delta, per-iteration norms of shape (K, B)).
+    Runs ``cfg.k`` iterations and returns the (transformed, final_delta)
+    pair reached after each iteration count in ``stops`` (none may exceed
+    ``cfg.k``), and the per-iteration norms of shape (K, B). At the original point every step is the same, so its
+    delta is computed once and added K times.
     """
     taps = sorted(model.taps) + (["sigma"] if model.has_uncertainty_head else [])
     if cfg.tap not in taps:
         raise ValueError(f"model has no tap {cfg.tap!r}; available: {taps}")
-    original = batch
     current = batch
     norms = np.zeros((cfg.k, batch.shape[0]))
     total = np.zeros_like(batch)
+    reached = {}
+    step = None
     for k in range(cfg.k):
-        point = current if cfg.eval_point == "current-iterate" else original
-        tape = model.forward(Tensor._wrap(point), train=False)
-        node = tape.taps[cfg.tap]
-        delta = autodiff.summed_jacobian(tape, node).data
-        if not np.all(np.isfinite(delta)):
-            raise NonFiniteDeltaError(f"non-finite delta at iteration {k}")
-        if cfg.normalize == "unit-max-abs":
-            peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
-            scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
-            delta = delta / scale
-        norms[k] = np.sqrt((delta ** 2).reshape(delta.shape[0], -1).sum(axis=1))
-        step = cfg.gamma * delta
+        if step is None or cfg.eval_point == "current-iterate":
+            tape = model.forward(Tensor._wrap(current), train=False)
+            delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap]).data
+            if not np.all(np.isfinite(delta)):
+                raise NonFiniteDeltaError(f"non-finite delta at iteration {k}")
+            if cfg.normalize == "unit-max-abs":
+                peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
+                scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
+                delta = delta / scale
+            norm = np.sqrt((delta ** 2).reshape(delta.shape[0], -1).sum(axis=1))
+            step = cfg.gamma * delta
+        norms[k] = norm
         current = current + step
         total = total + step
-    return current, total, norms
+        if k + 1 in stops:
+            reached[k + 1] = (current, total)
+    return [reached[s] for s in stops], norms
 
 
 def sign_transform(model: Model, input: Tensor, cfg: SignConfig) -> SignResult:
@@ -106,14 +113,16 @@ def sign_transform(model: Model, input: Tensor, cfg: SignConfig) -> SignResult:
     if input.shape != model.input_shape:
         raise ShapeError(f"input shape {input.shape} != model input {model.input_shape}")
     batch = input.data[None, ...]
-    transformed, total, norms = _transform_batch(model, batch, cfg)
+    [(transformed, total)], norms = _transform_batch(model, batch, cfg, (cfg.k,))
     return SignResult(transformed=Tensor._wrap(transformed[0]),
                       final_delta=Tensor._wrap(total[0]),
                       delta_norms=tuple(float(n) for n in norms[:, 0]))
 
 
-def _map_batches(model: Model, samples: list, cfg: SignConfig, batch_size: int, threads: int):
-    """Yield (transformed, final_delta) arrays per input batch, in order."""
+def _map_batches(model: Model, samples: list, cfg: SignConfig, stops: tuple[int, ...],
+                 batch_size: int, threads: int):
+    """Yield, per input batch in order, the (transformed, final_delta)
+    arrays after each iteration count in ``stops``."""
     chunks = [samples[i:i + batch_size] for i in range(0, len(samples), batch_size)]
 
     def run(chunk_index: int):
@@ -121,10 +130,10 @@ def _map_batches(model: Model, samples: list, cfg: SignConfig, batch_size: int, 
         batch = np.stack([s.image.data for s in chunk])
         start = chunk_index * batch_size
         try:
-            transformed, total, _ = _transform_batch(model, batch, cfg)
+            reached, _ = _transform_batch(model, batch, cfg, stops)
         except (NonFiniteDeltaError, ShapeError, ValueError) as exc:
             raise type(exc)(f"samples [{start}, {start + len(chunk)}): {exc}") from exc
-        return transformed, total
+        return reached
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -140,18 +149,28 @@ def transform_dataset(model: Model, samples: list, cfgs: list[SignConfig],
 
     Output order: all originals, then for each config the transformed
     copies in sample order. Deterministic given (model params, samples,
-    configs).
+    configs). Configs that differ only in ``k`` share one trajectory, run
+    to their largest ``k``: the iterate after k steps does not depend on
+    how many steps follow, so the copies are bit-identical to separate runs.
     """
+    groups: dict[SignConfig, set[int]] = {}
+    for cfg in cfgs:
+        groups.setdefault(replace(cfg, k=1), set()).add(cfg.k)
+    transformed: dict[SignConfig, list] = {}  # config -> batches, in sample order
+    for shared, ks in groups.items():
+        stops = tuple(sorted(ks))
+        copies = [transformed.setdefault(replace(shared, k=k), []) for k in stops]
+        for reached in _map_batches(model, samples, replace(shared, k=stops[-1]), stops,
+                                    batch_size, threads):
+            for batches, (batch, _) in zip(copies, reached):
+                batches.append(batch)
     out = list(samples)
     checksum = params_checksum(model.params)
     for cfg in cfgs:
         prov = cfg.provenance(checksum)
-        i = 0
-        for transformed, _ in _map_batches(model, samples, cfg, batch_size, threads):
-            for row in transformed:
-                src = samples[i]
-                out.append(replace(src, image=Tensor._wrap(row), provenance=prov))
-                i += 1
+        rows = (row for batch in transformed[cfg] for row in batch)
+        out.extend(replace(src, image=Tensor._wrap(row), provenance=prov)
+                   for src, row in zip(samples, rows))
     return out
 
 
@@ -160,11 +179,7 @@ def delta_only_dataset(model: Model, samples: list, cfg: SignConfig,
     """The accumulated deltas themselves, carrying the original labels."""
     checksum = params_checksum(model.params)
     prov = dict(cfg.provenance(checksum), method="sign-delta-only")
-    out = []
-    i = 0
-    for _, total in _map_batches(model, samples, cfg, batch_size, threads):
-        for row in total:
-            src = samples[i]
-            out.append(replace(src, image=Tensor._wrap(row), provenance=prov))
-            i += 1
-    return out
+    batches = _map_batches(model, samples, cfg, (cfg.k,), batch_size, threads)
+    rows = (row for reached in batches for row in reached[0][1])
+    return [replace(src, image=Tensor._wrap(row), provenance=prov)
+            for src, row in zip(samples, rows)]

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff
 from .augment import MixupConfig, classical_augment_array, mixup_arrays
 from .autodiff import Tape
-from .datasets import DatasetSplit, Sample, normalize
+from .datasets import SOFT_LABEL_TOLERANCE, DatasetSplit, Sample, normalize
 from .nn import Model, build_model, predict
 from .sign import SignConfig, transform_dataset
 from .tensor import Rng, ShapeError, Tensor
@@ -35,7 +35,7 @@ STRATEGIES = ("none", "classical", "mixup", "sign", "sign-plus-classical")
 
 def _check_soft_labels(labels: np.ndarray):
     sums = labels.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if np.any(np.abs(sums - 1.0) > SOFT_LABEL_TOLERANCE):
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValueError(f"label row {bad} sums to {sums[bad]!r}, expected 1")
 

@@ -268,6 +268,9 @@ class TestPrimitiveGradients:
         w = rng.child("w").normal((3, 2, 3, 3))
         check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), x)
         check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w)
+        w5 = rng.child("w5").normal((2, 2, 5, 5))
+        check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w5))), x)
+        check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w5)
 
     def test_dropout_fixed_mask(self):
         rng = Rng(58)

@@ -143,6 +143,14 @@ def _broken_container(path, breaks):
     return path
 
 
+def _two_class_soft_label(soft):
+    """Breaks: two classes, and sample 0 carries the soft label ``soft``."""
+    def breaks(manifest):
+        manifest["class_names"] = ["a", "b"]
+        manifest["samples"][0]["soft_label"] = soft
+    return breaks
+
+
 def _error_files(tmp_path):
     """The files the error tables name by key."""
     files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
@@ -160,6 +168,12 @@ def _error_files(tmp_path):
                                            lambda m: m["samples"][0].update(label=-1)),
              "softlen": _broken_container(str(tmp_path / "softlen.container"),
                                           lambda m: m["samples"][0].update(soft_label=[0.5, 0.5])),
+             "softsum": _broken_container(str(tmp_path / "softsum.container"),
+                                          _two_class_soft_label([0.9, 0.9])),
+             "softneg": _broken_container(str(tmp_path / "softneg.container"),
+                                          _two_class_soft_label([1.5, -0.5])),
+             "softtext": _broken_container(str(tmp_path / "softtext.container"),
+                                           _two_class_soft_label(["a", 1])),
              "out": str(tmp_path / "out.container")}
     (tmp_path / "junk.bin").write_bytes(b"junk")
     (tmp_path / "truncated.bin").write_bytes((tmp_path / "fits.bin").read_bytes()[:-3])
@@ -232,6 +246,12 @@ RUN_ERROR_CASES = {
                                  2, ["{negative}", "sample 0", "label"]),
     "container-soft-label-length": ({}, "transform --checkpoint {fits} --in {softlen} "
                                         "--out {out}", 2, ["{softlen}", "sample 0", "soft_label"]),
+    "container-soft-label-sum": ({}, "transform --checkpoint {fits} --in {softsum} --out {out}",
+                                 2, ["{softsum}", "sample 0", "soft_label"]),
+    "container-soft-label-negative": ({}, "transform --checkpoint {fits} --in {softneg} "
+                                          "--out {out}", 2, ["{softneg}", "sample 0", "soft_label"]),
+    "container-soft-label-text": ({}, "transform --checkpoint {fits} --in {softtext} "
+                                      "--out {out}", 2, ["{softtext}", "sample 0", "soft_label"]),
 }
 
 

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from signreg.augment import mixup
 from signreg.datasets import (CIFAR_CLASSES, DatasetSplit, Sample, bilinear_resize,
                               decode_ppm, load_cifar10_binary, load_container,
                               load_ood_directory, make_synthetic_blobs, normalize,
@@ -265,6 +266,17 @@ class TestContainer:
             assert orig.soft_label == got.soft_label
             assert orig.provenance == got.provenance
             assert not got.raw
+
+    def test_mixup_soft_labels_load(self, tmp_path):
+        rng = Rng(8)
+        parts = [Sample(image=Tensor(rng.child(i).normal((1, 3, 3))), label=label, raw=False)
+                 for i, label in enumerate((0, 2, 2))]
+        samples = [mixup(parts[0], parts[1], 0.3, 3), mixup(parts[1], parts[2], 0.7, 3),
+                   mixup(mixup(parts[0], parts[1], 0.1, 3), parts[2], 0.6, 3)]
+        path = str(tmp_path / "mixup.container")
+        save_container(samples, path, ("a", "b", "c"), raw_domain=False)
+        loaded, _ = load_container(path)
+        assert [s.soft_label for s in loaded] == [s.soft_label for s in samples]
 
     def test_write_is_deterministic(self, tmp_path):
         samples = self.make_samples()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from signreg.autodiff import forward
+from signreg.autodiff import forward, vjp
 from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, attach_uncertainty_head,
                         build_basic_cnn, build_model, build_small_mlp,
                         load_checkpoint, params_checksum, predict, save_checkpoint)
@@ -74,6 +74,24 @@ class TestBasicCnn:
         assert not np.array_equal(eval_out, train_out)
 
 
+def naive_vjp(fn, at: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The VJP of a linear map ``fn`` at cotangent ``g``, one basis vector
+    at a time: element i is <fn(e_i), g>."""
+    out = np.zeros(at.shape)
+    for i in range(at.size):
+        basis = np.zeros(at.size)
+        basis[i] = 1.0
+        out.flat[i] = (fn(basis.reshape(at.shape)) * g).sum()
+    return out
+
+
+# (B, C, O, H, W, k): k = 1, 3, 5; C < O and C > O; H != W; an image
+# smaller than the kernel; B > 1
+CONV_CASES = [(2, 3, 2, 3, 4, 1), (2, 1, 3, 4, 5, 3), (2, 3, 2, 5, 3, 3),
+              (2, 2, 2, 3, 5, 5), (3, 1, 2, 1, 2, 5)]
+CONV_TOL = 1e-10
+
+
 class TestConvKernel:
     def test_against_six_loop_oracle(self):
         rng = Rng(9)
@@ -83,6 +101,27 @@ class TestConvKernel:
             _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
             np.testing.assert_allclose(tape.output.value.data, naive_conv2d_same(x, w),
                                        atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "B{}-C{}-O{}-{}x{}-k{}".format(*c))
+    def test_forward_and_vjps_against_six_loop_oracle(self, case):
+        b, c, o, h, wd, k = case
+        rng = Rng(10).child(*case)
+        x = rng.child("x").normal((b, c, h, wd))
+        w = rng.child("w").normal((o, c, k, k))
+        g = rng.child("g").normal((b, o, h, wd))
+        out, x_tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+        _, w_tape = forward(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), Tensor(w))
+        dx = vjp(x_tape, x_tape.output, Tensor(g)).data
+        dw = vjp(w_tape, w_tape.output, Tensor(g)).data
+        np.testing.assert_allclose(out.data, naive_conv2d_same(x, w), atol=CONV_TOL, rtol=0)
+        np.testing.assert_allclose(dx, naive_vjp(lambda e: naive_conv2d_same(e, w), x, g),
+                                   atol=CONV_TOL, rtol=0)
+        np.testing.assert_allclose(dw, naive_vjp(lambda e: naive_conv2d_same(x, e), w, g),
+                                   atol=CONV_TOL, rtol=0)
+        # adjoint identity: <conv(x, w), g> = <x, vjp_x(g)> = <w, vjp_w(g)>
+        pairing = (out.data * g).sum()
+        assert abs((x * dx).sum() - pairing) <= CONV_TOL
+        assert abs((w * dw).sum() - pairing) <= CONV_TOL
 
 
 class TestSmallMlp:

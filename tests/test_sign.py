@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from signreg import autodiff
 from signreg.autodiff import summed_jacobian, vjp
 from signreg.datasets import Sample
-from signreg.nn import Dense, Flatten, Model, build_small_mlp
+from signreg.nn import Dense, Flatten, Model, build_basic_cnn, build_small_mlp
 from signreg.sign import (NonFiniteDeltaError, SignConfig, delta_only_dataset,
                           sign_transform, transform_dataset)
 from signreg.tensor import Rng, ShapeError, Tensor
@@ -222,6 +223,76 @@ class TestTransformDataset:
         seq = transform_dataset(model, samples, cfgs, batch_size=2, threads=1)
         par = transform_dataset(model, samples, cfgs, batch_size=2, threads=3)
         assert all(np.array_equal(x.image.data, y.image.data) for x, y in zip(seq, par))
+
+
+class TestSharedTrajectories:
+    """Configs that differ only in k share one trajectory; the original
+    point's delta is computed once. Guarded by counting Jacobian calls,
+    which, unlike timings, do not vary with the machine's load."""
+
+    def make_samples(self, n=5, dim=6):
+        rng = Rng(24)
+        return samples_of([rng.child(i).normal((dim,)) for i in range(n)], [0, 1, 2, 0, 1][:n])
+
+    @pytest.mark.parametrize("cfgs, per_batch", [
+        ([SignConfig(k=2), SignConfig(k=4)], 4),
+        ([SignConfig(k=3), SignConfig(k=3)], 3),
+        ([SignConfig(k=2, tap="pre-logits"), SignConfig(k=2, tap="logits")], 4),
+        ([SignConfig(k=5, eval_point="original-point")], 1),
+    ], ids=["k-2-4", "k-3-3", "two-taps", "original-point"])
+    def test_jacobian_calls_per_batch(self, monkeypatch, cfgs, per_batch):
+        calls = []
+
+        def counting(tape, node):
+            calls.append(node)
+            return summed_jacobian(tape, node)
+
+        monkeypatch.setattr(autodiff, "summed_jacobian", counting)
+        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        out = transform_dataset(model, self.make_samples(n=5), cfgs, batch_size=3)
+        assert len(out) == 5 * (1 + len(cfgs))
+        assert len(calls) == 2 * per_batch  # two batches: 3 + 2 samples
+
+    def test_shared_matches_separate_runs_bitwise(self):
+        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        samples = self.make_samples()
+        cfgs = [SignConfig(k=4, gamma=0.3), SignConfig(k=2, gamma=0.3, tap="logits"),
+                SignConfig(k=1, gamma=0.3), SignConfig(k=4, gamma=0.3),
+                SignConfig(k=3, gamma=0.3, tap="logits"), SignConfig(k=2, gamma=0.5)]
+        shared = transform_dataset(model, samples, cfgs, batch_size=2)
+        separate = list(samples)
+        for cfg in cfgs:
+            separate += transform_dataset(model, samples, [cfg], batch_size=2)[len(samples):]
+        assert len(shared) == len(separate)
+        for a, b in zip(shared, separate):
+            assert np.array_equal(a.image.data, b.image.data)
+            assert a.provenance == b.provenance and a.label == b.label
+
+    def test_original_point_matches_per_step_jacobians_bitwise(self):
+        rng = Rng(25)
+        model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
+        p = rng.child("p").normal((6,))
+        cfg = SignConfig(k=4, gamma=0.3, eval_point="original-point", normalize="unit-max-abs")
+        res = sign_transform(model, Tensor(p), cfg)
+        cur, total, norms = p[None], np.zeros((1, 6)), []
+        for _ in range(cfg.k):
+            tape = model.forward(Tensor(p[None]))
+            delta = summed_jacobian(tape, tape.taps["pre-logits"]).data
+            delta = delta / np.abs(delta).max()
+            norms.append(float(np.sqrt((delta ** 2).sum())))
+            cur, total = cur + cfg.gamma * delta, total + cfg.gamma * delta
+        assert np.array_equal(res.transformed.data, cur[0])
+        assert np.array_equal(res.final_delta.data, total[0])
+        assert res.delta_norms == tuple(norms)
+
+    def test_basic_cnn_threads_byte_identical(self):
+        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(0))
+        rng = Rng(26)
+        samples = samples_of([rng.child(i).normal((1, 8, 8)) for i in range(5)], [0, 1, 2, 0, 1])
+        cfgs = [SignConfig(k=1, gamma=0.2), SignConfig(k=2, gamma=0.2)]
+        seq = transform_dataset(model, samples, cfgs, batch_size=2, threads=1)
+        par = transform_dataset(model, samples, cfgs, batch_size=2, threads=2)
+        assert [s.image.data.tobytes() for s in seq] == [s.image.data.tobytes() for s in par]
 
 
 class TestDeltaOnly:
