@@ -10,8 +10,17 @@ parameters can run concurrently.
 Derivative conventions, chosen for determinism:
   * relu'(0) == 0 exactly;
   * maxpool ties resolve to the first element in row-major window order
-    (the lowest flat index of the original array);
+    (the lowest flat index of the original array), and a window holding
+    NaN outputs NaN and sends its gradient to its first NaN;
   * dropout is recorded with its mask, so train-time gradients are exact.
+
+conv2d is one im2col correlation (``_columns``). Its input-VJP takes the
+layout with fewer rows, which depends only on the layer's channel counts:
+with fewer input than output channels (C < O) it folds ``W^T g``, C*k*k
+rows, back through ``_fold``, the adjoint of ``_columns``; otherwise it
+correlates the cotangent's O*k*k-row columns with the flipped kernel.
+The two layouts sum in different orders, so they agree to rounding, and
+each is deterministic.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor
+
+# the (row, column) offsets of a 2x2 pooling window, in row-major order
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class Node:
@@ -171,15 +183,22 @@ class Tape:
         b, c, h, w = xd.shape
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-        h2, w2 = h // 2, w // 2
-        win = xd.reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2, 4)
-        arg = win.argmax(axis=-1)  # first max wins: lowest flat index
-        out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+        # np.maximum returns its second argument on ties (so -0.0 vs 0.0 keeps
+        # the earlier one's sign) and propagates NaN; folding from the last
+        # view back gives the first maximum's value, as argmax would
+        views = [xd[:, :, i::2, j::2] for i, j in _WINDOW]
+        out = np.maximum(np.maximum(np.maximum(views[3], views[2]), views[1]), views[0])
 
         def vjp(g, needed):
-            gw = np.zeros((b, c, h2, w2, 4))
-            np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
-            return (gw.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w),)
+            gx = np.empty((b, c, h, w))
+            free = np.ones(out.shape, dtype=bool)  # windows whose g is not yet placed
+            for (i, j), view in zip(_WINDOW[:-1], views):
+                hit = free & ((view == out) | np.isnan(view))
+                gx[:, :, i::2, j::2] = np.where(hit, g, 0.0)
+                free ^= hit
+            # every window holds its maximum or a NaN, so the last view takes the rest
+            gx[:, :, 1::2, 1::2] = np.where(free, g, 0.0)
+            return (gx,)
 
         return self._record("maxpool", out, (x,), vjp)
 
@@ -198,7 +217,10 @@ class Tape:
 
         def vjp(g, needed):
             dx = dw = None
-            if needed[0]:
+            if needed[0] and c < oc:
+                # fold W^T g: C*k*k rows, fewer than the flipped layout's O*k*k
+                dx = _fold(wd.reshape(oc, c * k * k).T @ g.reshape(b, oc, h * wdt), k, h, wdt)
+            elif needed[0]:
                 # the input-VJP of a stride-1 'same' convolution is the same
                 # correlation with the kernel flipped and in/out swapped
                 wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, oc * k * k)
@@ -293,13 +315,30 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
 
     Rows run over (channel, dy, dx), the order of ``w.reshape(O, -1)`` for
     an (O, C, k, k) kernel, so ``w.reshape(O, -1) @ _columns(x, k)`` is the
-    stride-1 correlation.
+    stride-1 correlation. conv2d's forward and weight-VJP take the columns
+    of its input. Its input-VJP takes the columns of the cotangent when
+    C >= O, and otherwise folds ``W^T g`` through the adjoint, ``_fold``.
     """
     b, c, h, w = x.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = x
     return (sliding_window_view(xp, (k, k), axis=(2, 3))
             .transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w))
+
+
+def _fold(cols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """The adjoint of ``_columns``: (B, C*k*k, H*W) patches summed back
+    into (B, C, H, W), one slice-add per kernel offset into the zero-padded
+    buffer ``_columns`` reads, then cropped."""
+    b, ckk, _ = cols.shape
+    c, p = ckk // (k * k), k // 2
+    cols = cols.reshape(b, c, k, k, h, w)
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    for dy in range(k):
+        for dx in range(k):
+            xp[:, :, dy:dy + h, dx:dx + w] += cols[:, :, dy, dx]
+    return xp[:, :, p:p + h, p:p + w]
 
 
 # -- stable log-space reductions ---------------------------------------------

@@ -43,12 +43,12 @@ def _log(cfg: ExperimentConfig, message: str):
         fh.write(message + "\n")
 
 
-def _load_source(path: str, split):
-    """A trained source model whose inputs and classes fit the dataset."""
+def _load_fitting(path: str, split):
+    """The checkpoint's model, if its inputs and classes fit the dataset."""
     model = load_checkpoint(path)
     shape = split.train[0].image.shape
     if model.input_shape != shape or model.num_classes != split.num_classes:
-        raise RuntimeError(f"source_checkpoint {path}: model takes input {model.input_shape} "
+        raise RuntimeError(f"checkpoint {path}: model takes input {model.input_shape} "
                            f"with {model.num_classes} classes, dataset has {shape} "
                            f"with {split.num_classes}")
     return model
@@ -64,7 +64,7 @@ def cmd_train(config_path: str) -> int:
     model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
     if cfg.strategy in ("sign", "sign-plus-classical"):
         if cfg.source_checkpoint is not None:
-            source, pretrain = _load_source(cfg.source_checkpoint, split), None
+            source, pretrain = _load_fitting(cfg.source_checkpoint, split), None
         else:
             source = None
             pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs,
@@ -127,9 +127,18 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     if not os.path.exists(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     _write_run_dir(cfg)
-    model = load_checkpoint(checkpoint)
     raw_split = cfgmod.build_dataset(cfg)
     split = normalize(raw_split)
+    model = _load_fitting(checkpoint, split)
+    ood_samples = None
+    if cfg.ood_path:
+        ood_raw = load_ood_directory(cfg.ood_path, cfg.ood_class_map,
+                                     size=model.input_shape[1:])
+        if ood_raw and ood_raw[0].image.shape != model.input_shape:
+            raise RuntimeError(f"ood_path {cfg.ood_path}: images load as "
+                               f"{ood_raw[0].image.shape}, the checkpoint takes "
+                               f"{model.input_shape}")
+        ood_samples = [normalize_sample(s, split.stats) for s in ood_raw]
     out = cfg.output_dir
 
     scores = score_samples(model, split.test, cfg.mc_samples)
@@ -144,10 +153,7 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     report.to_json(os.path.join(out, "eval-report.json"))
     print(f"mean accuracy: {report.mean_accuracy:.4f}", file=sys.stderr)
 
-    if cfg.ood_path:
-        ood_raw = load_ood_directory(cfg.ood_path, cfg.ood_class_map,
-                                     size=model.input_shape[1:])
-        ood_samples = [normalize_sample(s, split.stats) for s in ood_raw]
+    if ood_samples is not None:
         ood_report = ood_evaluate(model, ood_samples, cfg.mc_samples)
         ood_report.to_json(os.path.join(out, "ood-report.json"))
     if cfg.projection:

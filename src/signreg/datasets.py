@@ -252,10 +252,18 @@ def decode_ppm(blob: bytes) -> np.ndarray:
             raise ValueError("truncated PPM header")
         return blob[start:pos]
 
+    def number(field: str) -> int:
+        token = next_token()
+        if not token.isdigit():
+            raise ValueError(f"PPM {field} {token!r} is not a non-negative integer")
+        return int(token)
+
     magic = next_token()
     if magic != b"P6":
         raise ValueError(f"not a binary PPM (P6) file: magic {magic!r}")
-    width, height, maxval = (int(next_token()) for _ in range(3))
+    width, height, maxval = number("width"), number("height"), number("maxval")
+    if width < 1 or height < 1:
+        raise ValueError(f"PPM width {width} and height {height} must both be at least 1")
     if maxval != 255:
         raise ValueError(f"only 8-bit PPM supported, maxval {maxval}")
     pos += 1  # single whitespace after maxval
@@ -270,7 +278,11 @@ def decode_ppm(blob: bytes) -> np.ndarray:
 def _decode_image(path: str) -> np.ndarray:
     if path.lower().endswith(".ppm"):
         with open(path, "rb") as fh:
-            return decode_ppm(fh.read())
+            blob = fh.read()
+        try:
+            return decode_ppm(blob)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if path.lower().endswith(".png"):
         try:
             from PIL import Image
@@ -364,6 +376,11 @@ def load_container(path: str) -> tuple[list[Sample], dict]:
     for i, rec in enumerate(manifest["samples"]):
         require_fields(rec, ("label",), path, f"sample {i}")
         arr = read_array(payload, rec, path, f"sample {i}")
+        if samples and arr.shape != samples[0].image.shape:
+            raise ValueError(f"{path}: sample {i} field shape {list(arr.shape)} differs from "
+                             f"sample 0's {list(samples[0].image.shape)}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: sample {i} image holds a non-finite value")
         label, soft = rec["label"], rec.get("soft_label")
         if type(label) is not int or not 0 <= label < ncls:
             raise ValueError(f"{path}: sample {i} field label {label!r} is not a class "

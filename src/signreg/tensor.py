@@ -176,6 +176,9 @@ class Rng:
     path, never on how many draws the parent has made. That keeps
     augmentation, initialization, and corruption streams reproducible
     regardless of call interleaving.
+
+    The generator is built on the first draw: many streams only derive
+    children, and a stream's draws depend on (seed, path) alone.
     """
 
     __slots__ = ("seed", "path", "_gen")
@@ -186,8 +189,13 @@ class Rng:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self.path = tuple(_tag_to_int(t) for t in path)
-        ss = np.random.SeedSequence((self.seed, *self.path))
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            ss = np.random.SeedSequence((self.seed, *self.path))
+            self._gen = np.random.Generator(np.random.Philox(ss))
+        return self._gen
 
     def child(self, *tags) -> "Rng":
         """Independent stream derived from this stream's identity plus tags."""
@@ -196,19 +204,19 @@ class Rng:
     def normal(self, shape: Sequence[int], mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         if sigma < 0:
             raise ValueError(f"negative sigma: {sigma}")
-        return self._gen.normal(loc=mu, scale=sigma, size=_check_shape(shape))
+        return self._generator().normal(loc=mu, scale=sigma, size=_check_shape(shape))
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
+        return self._generator().uniform(low, high, size=size)
 
     def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+        return self._generator().integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)
 
     def beta(self, a: float, b: float, size=None):
-        return self._gen.beta(a, b, size=size)
+        return self._generator().beta(a, b, size=size)
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, path={self.path})"

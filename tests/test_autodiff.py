@@ -10,6 +10,20 @@ from signreg.nn import build_small_mlp
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
+def argmax_maxpool2(x: np.ndarray, g: np.ndarray):
+    """Reference 2x2 max pooling through ``argmax`` over each window laid
+    out in row-major order: (output, input gradient for cotangent ``g``).
+    argmax takes the first maximum, and the first NaN over any number."""
+    b, c, h, w = x.shape
+    win = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(b, c, h // 2, w // 2, 4)
+    arg = win.argmax(axis=-1)[..., None]
+    gw = np.zeros(win.shape)
+    np.put_along_axis(gw, arg, g[..., None], axis=-1)
+    grad = gw.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return np.take_along_axis(win, arg, axis=-1)[..., 0], grad
+
+
 class TestForward:
     def test_identity_single_node(self):
         x = Tensor([1.0, -2.0, 3.0])
@@ -262,6 +276,21 @@ class TestPrimitiveGradients:
         g = vjp(tape, tape.output, Tensor(np.ones((1, 1, 1, 1)))).data
         assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
 
+    def test_maxpool_matches_argmax_oracle_bitwise(self):
+        # rounding to 0.1 makes many ties, ties of -0.0 and 0.0 among them
+        rng = Rng(62)
+        for trial, shape in enumerate([(2, 3, 4, 6), (3, 2, 8, 8), (1, 1, 2, 2)]):
+            x = np.round(rng.child(trial, "x").normal(shape, sigma=0.1), 1)
+            planted = rng.child(trial, "at").uniform(size=shape)
+            x[planted < 0.1] = np.nan
+            x[planted > 0.9] = -np.inf
+            g = rng.child(trial, "g").normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+            _, tape = forward(lambda t, n: t.maxpool2(n), Tensor(x))
+            grad = vjp(tape, tape.output, Tensor(g)).data
+            want_out, want_grad = argmax_maxpool2(x, g)
+            assert tape.output.value.data.tobytes() == want_out.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
     def test_conv2d_both_args(self):
         rng = Rng(57)
         x = rng.child("x").normal((2, 2, 5, 5))
@@ -271,6 +300,11 @@ class TestPrimitiveGradients:
         w5 = rng.child("w5").normal((2, 2, 5, 5))
         check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w5))), x)
         check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w5)
+        # with the two above, C = 2 > O, C == O and C < O at each k = 1, 3, 5
+        for k, o in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (5, 1), (5, 3)]:
+            wk = rng.child("w", k, o).normal((o, 2, k, k))
+            check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(wk))), x)
+            check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), wk)
 
     def test_dropout_fixed_mask(self):
         rng = Rng(58)

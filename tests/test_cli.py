@@ -151,11 +151,34 @@ def _two_class_soft_label(soft):
     return breaks
 
 
+def _container(path, images):
+    """A container of one label-0 sample per image."""
+    save_container([Sample(image=Tensor(img), label=0, raw=False) for img in images], path,
+                   ("a", "b", "c"), raw_domain=False)
+    return path
+
+
+def _ood_dir(root, blob):
+    """An OOD directory whose one folder, ``zero``, holds one PPM file ``blob``."""
+    os.makedirs(root / "zero")
+    (root / "zero" / "0.ppm").write_bytes(blob)
+    return str(root)
+
+
 def _error_files(tmp_path):
     """The files the error tables name by key."""
+    nan_image = np.zeros((1, 8, 8))
+    nan_image[0, 3, 4] = np.nan
     files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
              "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
              "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
+             "wide": _checkpoint(tmp_path, "wide.bin", 64, 4, (1, 8, 8)),
+             "nan": _container(str(tmp_path / "nan.container"), [np.zeros((1, 8, 8)), nan_image]),
+             "ragged": _container(str(tmp_path / "ragged.container"),
+                                  [np.zeros((1, 8, 8)), np.zeros((1, 4, 4))]),
+             "ppmzero": _ood_dir(tmp_path / "ppmzero", b"P6 0 0 255\n"),
+             "ppmtext": _ood_dir(tmp_path / "ppmtext", b"P6 x 2 255\n" + bytes(12)),
+             "ppmrgb": _ood_dir(tmp_path / "ppmrgb", b"P6 2 2 255\n" + bytes(12)),
              "junk": str(tmp_path / "junk.bin"),
              "truncated": str(tmp_path / "truncated.bin"),
              "noshape": _broken_container(str(tmp_path / "noshape.container"),
@@ -252,6 +275,21 @@ RUN_ERROR_CASES = {
                                           "--out {out}", 2, ["{softneg}", "sample 0", "soft_label"]),
     "container-soft-label-text": ({}, "transform --checkpoint {fits} --in {softtext} "
                                       "--out {out}", 2, ["{softtext}", "sample 0", "soft_label"]),
+    "container-non-finite": ({}, "transform --checkpoint {fits} --in {nan} --out {out}", 2,
+                             ["{nan}", "sample 1", "non-finite"]),
+    "container-ragged-shapes": ({}, "transform --checkpoint {fits} --in {ragged} --out {out}",
+                                2, ["{ragged}", "sample 1", "shape"]),
+    "eval-checkpoint-shape": ({}, "eval --checkpoint {shape}", 2, ["{shape}"]),
+    "eval-checkpoint-fewer-classes": ({}, "eval --checkpoint {classes}", 2, ["{classes}"]),
+    "eval-checkpoint-more-classes": ({}, "eval --checkpoint {wide}", 2, ["{wide}"]),
+    "ood-ppm-zero-size": ({"extra_eval": "ood_path = {ppmzero}\nood_class_map = zero=0"},
+                          "eval --checkpoint {fits}", 2,
+                          [os.path.join("{ppmzero}", "zero", "0.ppm"), "width 0"]),
+    "ood-ppm-text-size": ({"extra_eval": "ood_path = {ppmtext}\nood_class_map = zero=0"},
+                          "eval --checkpoint {fits}", 2,
+                          [os.path.join("{ppmtext}", "zero", "0.ppm"), "width"]),
+    "ood-channels": ({"extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=0"},
+                     "eval --checkpoint {fits}", 2, ["{ppmrgb}", "(3, 8, 8)"]),
 }
 
 
@@ -265,6 +303,7 @@ def test_run_errors(tmp_path, capsys, monkeypatch, case):
     for name in ("train", "sign_pipeline", "score_samples", "transform_dataset"):
         monkeypatch.setattr(cli, name, started)
     settings, command, code, named = RUN_ERROR_CASES[case]
+    settings = {k: v.format(**files) if isinstance(v, str) else v for k, v in settings.items()}
     cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run", **settings)
     words = command.format(**files).split()
     assert main([words[0], "-c", cfg, *words[1:]]) == code

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signreg.autodiff import forward, vjp
 from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, attach_uncertainty_head,
@@ -85,11 +87,14 @@ def naive_vjp(fn, at: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-# (B, C, O, H, W, k): k = 1, 3, 5; C < O and C > O; H != W; an image
-# smaller than the kernel; B > 1
+# (B, C, O, H, W, k): C < O, C == O and C > O (the two input-VJP layouts
+# and their boundary) at each k = 1, 3, 5; H != W; an image smaller than
+# the kernel; B > 1
 CONV_CASES = [(2, 3, 2, 3, 4, 1), (2, 1, 3, 4, 5, 3), (2, 3, 2, 5, 3, 3),
-              (2, 2, 2, 3, 5, 5), (3, 1, 2, 1, 2, 5)]
+              (2, 2, 2, 3, 5, 5), (3, 1, 2, 1, 2, 5), (2, 1, 3, 3, 4, 1),
+              (1, 2, 2, 4, 3, 1), (2, 2, 2, 3, 4, 3), (2, 3, 2, 4, 3, 5)]
 CONV_TOL = 1e-10
+ADJOINT_RTOL = 1e-12
 
 
 class TestConvKernel:
@@ -122,6 +127,20 @@ class TestConvKernel:
         pairing = (out.data * g).sum()
         assert abs((x * dx).sum() - pairing) <= CONV_TOL
         assert abs((w * dw).sum() - pairing) <= CONV_TOL
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 7),
+           st.integers(1, 7), st.sampled_from([1, 3, 5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_input_vjp_is_the_adjoint(self, b, c, o, h, wd, k, seed):
+        # <conv(x), g> == <x, vjp_x(g)>, to rounding relative to the terms' size
+        rng = Rng(seed)
+        x = rng.child("x").normal((b, c, h, wd))
+        w = rng.child("w").normal((o, c, k, k))
+        g = rng.child("g").normal((b, o, h, wd))
+        out, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+        dx = vjp(tape, tape.output, Tensor(g)).data
+        scale = np.abs(out.data * g).sum() + np.abs(x * dx).sum()
+        assert abs((out.data * g).sum() - (x * dx).sum()) <= ADJOINT_RTOL * scale
 
 
 class TestSmallMlp:

@@ -157,3 +157,18 @@ class TestRng:
         a = Rng(9).child("init", 3).normal((4,))
         b = Rng(9).child("init", 3).normal((4,))
         assert np.array_equal(a, b)
+
+    def test_lazy_generator_draws_like_an_eager_one(self):
+        def eager(seed, *path):
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
+
+        fresh, ref = Rng(11, (2, 7)), eager(11, 2, 7)
+        assert np.array_equal(fresh.normal((5,), mu=1.0, sigma=2.0),
+                              ref.normal(loc=1.0, scale=2.0, size=(5,)))
+        assert np.array_equal(fresh.uniform(-1.0, 1.0, size=3), ref.uniform(-1.0, 1.0, size=3))
+        assert np.array_equal(fresh.integers(0, 100, size=4), ref.integers(0, 100, size=4))
+        assert np.array_equal(fresh.permutation(9), ref.permutation(9))
+        assert np.array_equal(fresh.beta(0.4, 0.4, size=3), ref.beta(0.4, 0.4, size=3))
+        # a child of a stream that has never drawn
+        child = Rng(11, (2,)).child(7, 3)
+        assert np.array_equal(child.normal((6,)), eager(11, 2, 7, 3).normal(size=(6,)))
