@@ -10,7 +10,7 @@ from .augment import CorruptionSpec, MixupConfig, corrupt, mixup
 from .datasets import (DatasetSplit, NormStats, Sample, load_cifar10_binary,
                        load_container, load_ood_directory, make_synthetic_blobs,
                        normalize, save_container)
-from .training import (TrainConfig, TrainReport, aleatoric_loss, cross_entropy,
+from .training import (TrainConfig, TrainReport, aleatoric_loss, cross_entropy, fit,
                        sign_pipeline, train)
 from .evalharness import (EvalReport, evaluate, ood_evaluate, project_features,
                           robustness_suite, transferability_protocol)

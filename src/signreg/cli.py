@@ -21,8 +21,8 @@ import sys
 from . import config as cfgmod
 from . import repro
 from .config import ConfigError, ExperimentConfig, load_experiment_config
-from .datasets import (NormStats, load_container, load_ood_directory, normalize,
-                       normalize_sample, save_container)
+from .datasets import (load_container, load_ood_directory, normalize, normalize_sample,
+                       save_container)
 from .evalharness import (aggregate, ood_evaluate, project_features, robustness_suite,
                           score_samples, write_scores_csv)
 from .nn import build_model, load_checkpoint, params_checksum, save_checkpoint
@@ -43,30 +43,31 @@ def _log(cfg: ExperimentConfig, message: str):
         fh.write(message + "\n")
 
 
-def _load_fitting(path: str, split):
-    """The checkpoint's model, if its inputs and classes fit the dataset."""
+def _load_fitting(path: str, samples: list, num_classes: int):
+    """The checkpoint's model, if it fits the samples' shape and ``num_classes``."""
     model = load_checkpoint(path)
-    shape = split.train[0].image.shape
-    if model.input_shape != shape or model.num_classes != split.num_classes:
+    shape = samples[0].image.shape if samples else model.input_shape
+    if model.input_shape != shape or model.num_classes != num_classes:
         raise RuntimeError(f"checkpoint {path}: model takes input {model.input_shape} "
                            f"with {model.num_classes} classes, dataset has {shape} "
-                           f"with {split.num_classes}")
+                           f"with {num_classes}")
     return model
 
 
 def cmd_train(config_path: str) -> int:
     cfg = load_experiment_config(config_path)
     _write_run_dir(cfg)
-    split = normalize(cfgmod.build_dataset(cfg))
+    split = cfgmod.build_dataset(cfg)
+    split = split if split.normalized else normalize(split)
     meta = cfgmod.model_meta(cfg, split)
     out = cfg.output_dir
 
     model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
     if cfg.strategy in ("sign", "sign-plus-classical"):
+        source = pretrain = None
         if cfg.source_checkpoint is not None:
-            source, pretrain = _load_fitting(cfg.source_checkpoint, split), None
+            source = _load_fitting(cfg.source_checkpoint, split.train, split.num_classes)
         else:
-            source = None
             pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs,
                                            seed=cfg.source_seed, strategy="none")
         result = sign_pipeline(split, meta, pretrain, cfgmod.sign_configs(cfg),
@@ -82,7 +83,6 @@ def cmd_train(config_path: str) -> int:
         _log(cfg, f"pipeline wall time: source {source_time} final {report.wall_time_s:.1f}s")
     else:
         report = train(model, split, cfgmod.train_config(cfg))
-        model.set_params(report.best_params)
         _log(cfg, f"train wall time: {report.wall_time_s:.1f}s")
 
     save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
@@ -101,23 +101,19 @@ def cmd_transform(config_path: str, checkpoint: str, in_dataset: str, out_path: 
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     if not os.path.exists(in_dataset):
         raise ConfigError(f"input dataset not found: {in_dataset}")
-    model = load_checkpoint(checkpoint)
     samples, manifest = load_container(in_dataset)
-    if samples and samples[0].image.shape != model.input_shape:
-        raise RuntimeError(f"checkpoint expects input {model.input_shape}, "
-                           f"container has {samples[0].image.shape}")
+    if manifest["raw_domain"]:
+        raise RuntimeError(f"{in_dataset}: raw_domain = true; the transform works in model "
+                           "space, on a raw_domain = false container")
+    model = _load_fitting(checkpoint, samples, len(manifest["class_names"]))
     cfgs = cfgmod.sign_configs(cfg)
     out_samples = transform_dataset(model, samples, cfgs, threads=cfg.threads)
     checksum = params_checksum(model.params)
     provenance = {"source_checkpoint": os.path.basename(checkpoint),
                   "source_model": checksum,
                   "configs": [c.provenance(checksum) for c in cfgs]}
-    stats = manifest.get("stats")
-    save_container(out_samples, out_path, tuple(manifest["class_names"]),
-                   raw_domain=bool(manifest["raw_domain"]),
-                   stats=None if stats is None else NormStats(mean=tuple(stats["mean"]),
-                                                              std=tuple(stats["std"])),
-                   provenance=provenance)
+    save_container(out_samples, out_path, tuple(manifest["class_names"]), raw_domain=False,
+                   stats=manifest["stats"], provenance=provenance)
     print(f"wrote {len(out_samples)} samples to {out_path}", file=sys.stderr)
     return 0
 
@@ -127,9 +123,15 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     if not os.path.exists(checkpoint):
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     _write_run_dir(cfg)
-    raw_split = cfgmod.build_dataset(cfg)
-    split = normalize(raw_split)
-    model = _load_fitting(checkpoint, split)
+    loaded = cfgmod.build_dataset(cfg)  # a raw_domain = false container is used as is
+    split = loaded if loaded.normalized else normalize(loaded)
+    if loaded.normalized and cfg.corruptions:
+        raise RuntimeError(f"container {cfg.dataset_path}: raw_domain = false, and "
+                           "[eval] corruptions apply to raw-domain images")
+    if split.stats is None and cfg.ood_path:
+        raise RuntimeError(f"container {cfg.dataset_path}: no stats to normalize the "
+                           "[eval] ood_path images with")
+    model = _load_fitting(checkpoint, split.train, split.num_classes)
     ood_samples = None
     if cfg.ood_path:
         ood_raw = load_ood_directory(cfg.ood_path, cfg.ood_class_map,
@@ -147,7 +149,7 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
 
     if cfg.corruptions:
         report.corruptions = robustness_suite(
-            model, raw_split.test, cfg.corruptions, cfg.eval_repeats,
+            model, loaded.test, cfg.corruptions, cfg.eval_repeats,
             Rng(cfg.seed).child("robustness"), stats=split.stats,
             mc_samples=cfg.mc_samples)
     report.to_json(os.path.join(out, "eval-report.json"))

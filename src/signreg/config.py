@@ -283,12 +283,17 @@ def build_dataset(cfg: ExperimentConfig) -> DatasetSplit:
     samples, manifest = load_container(cfg.dataset_path)
     names = tuple(manifest["class_names"])
     n = len(samples)
+    if n < 3:
+        raise ValueError(f"{cfg.dataset_path}: {n} samples, too few to fill train, val and test")
     n_val = max(1, n // 6)
     n_test = max(1, n // 3)
+    model_space = not manifest["raw_domain"]  # already normalized, by the stats it carries
     return DatasetSplit(train=samples[:n - n_val - n_test],
                         val=samples[n - n_val - n_test:n - n_test],
                         test=samples[n - n_test:],
-                        class_names=names)
+                        class_names=names,
+                        stats=manifest["stats"] if model_space else None,
+                        normalized=model_space)
 
 
 def model_meta(cfg: ExperimentConfig, split: DatasetSplit) -> dict:

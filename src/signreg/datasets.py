@@ -208,11 +208,10 @@ def normalize(split: DatasetSplit) -> DatasetSplit:
     if split.normalized:
         raise ValueError("split is already normalized")
     stats = split.stats if split.stats is not None else compute_stats(split.train)
-    return DatasetSplit(
-        train=[_shift_scale(s, stats, True) for s in split.train],
-        val=[_shift_scale(s, stats, True) for s in split.val],
-        test=[_shift_scale(s, stats, True) for s in split.test],
-        class_names=split.class_names, stats=stats, normalized=True)
+    return replace(split, train=[_shift_scale(s, stats, True) for s in split.train],
+                   val=[_shift_scale(s, stats, True) for s in split.val],
+                   test=[_shift_scale(s, stats, True) for s in split.test],
+                   stats=stats, normalized=True)
 
 
 def normalize_sample(sample: Sample, stats: NormStats) -> Sample:
@@ -365,11 +364,10 @@ def _is_distribution(soft, ncls: int) -> bool:
 
 
 def load_container(path: str) -> tuple[list[Sample], dict]:
-    """Returns (samples, manifest). The manifest keeps the global fields."""
+    """Returns (samples, manifest). The manifest keeps the global fields,
+    its ``stats`` as NormStats (None when absent)."""
     manifest, payload = read_framed(path, CONTAINER_VERSION,
                                     {"raw_domain": bool, "class_names": list, "samples": list})
-    if manifest.get("stats") is not None:
-        require_fields(manifest["stats"], ("mean", "std"), path, "header field stats")
     raw_domain = bool(manifest["raw_domain"])
     ncls = len(manifest["class_names"])
     samples = []
@@ -391,4 +389,16 @@ def load_container(path: str) -> tuple[list[Sample], dict]:
         samples.append(Sample(image=Tensor._wrap(arr), label=label, raw=raw_domain,
                               soft_label=tuple(soft) if soft is not None else None,
                               provenance=rec.get("provenance")))
+    stats = manifest.get("stats")
+    if stats is not None:
+        require_fields(stats, ("mean", "std"), path, "header field stats")
+        channels = samples[0].image.shape[0] if samples else None
+        for key, low in (("mean", -math.inf), ("std", 0.0)):
+            values = stats[key]
+            if not (isinstance(values, list) and values and channels in (None, len(values))
+                    and all(type(v) in (int, float) and low < v < math.inf for v in values)):
+                raise ValueError(f"{path}: header field stats {key} needs one finite "
+                                 f"number{' > 0' if low == 0 else ''} per image channel")
+        stats = NormStats(mean=tuple(stats["mean"]), std=tuple(stats["std"]))
+    manifest["stats"] = stats
     return samples, manifest

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .datasets import DatasetSplit, NormStats, Sample, normalize_sample
 from .nn import Model, build_model, predict
 from .sign import SignConfig
 from .tensor import Rng, Tensor
-from .training import TrainConfig, train
+from .training import TrainConfig
 
 _EVAL_SEED = 0x5EED_E7A1
 
@@ -223,27 +223,16 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     identical seeds, so with no transform configs the two reports match
     bit-exactly.
     """
-    from .training import sign_pipeline  # local import keeps module load acyclic
+    from .training import fit, sign_pipeline  # local import keeps module load acyclic
 
-    init = Rng(final_cfg.seed).child("init")
     pipeline = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs, final_cfg,
-                             final=build_model(target_meta, rng=init))
-    control = build_model(target_meta, rng=init)
-    control_split = replace_train(
-        pipeline.augmented_split, [s for s in pipeline.augmented_split.train
-                                   if s.provenance is None])
-    control_report = train(control, control_split, final_cfg)
-    control.set_params(control_report.best_params)
-    test = pipeline.augmented_split.test
+                             final=build_model(target_meta, rng=Rng(final_cfg.seed).child("init")))
+    augmented = pipeline.augmented_split
+    control, _ = fit(target_meta, replace(augmented, train=[s for s in augmented.train
+                                                            if s.provenance is None]), final_cfg)
     return TransferResult(
-        transfer_report=evaluate(pipeline.final_model, test, mc_samples),
-        control_report=evaluate(control, test, mc_samples))
-
-
-def replace_train(split: DatasetSplit, train_samples: list[Sample]) -> DatasetSplit:
-    return DatasetSplit(train=train_samples, val=split.val, test=split.test,
-                        class_names=split.class_names, stats=split.stats,
-                        normalized=split.normalized)
+        transfer_report=evaluate(pipeline.final_model, augmented.test, mc_samples),
+        control_report=evaluate(control, augmented.test, mc_samples))
 
 
 # -- feature projection ---------------------------------------------------------

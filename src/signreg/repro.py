@@ -18,10 +18,9 @@ from .augment import CorruptionSpec
 from .datasets import DatasetSplit, make_synthetic_blobs, normalize, normalize_sample
 from .evalharness import (EvalReport, TransferResult, evaluate, ood_evaluate,
                           robustness_suite, transferability_protocol)
-from .nn import build_model
 from .sign import SignConfig, delta_only_dataset
 from .tensor import Rng
-from .training import TrainConfig, sign_pipeline, train
+from .training import TrainConfig, fit, sign_pipeline
 
 RECIPES = ("classify", "uncertainty", "robustness", "ood", "transfer", "delta-only")
 
@@ -60,13 +59,6 @@ def desk_sign_cfgs(k_values: tuple[int, ...] = (50, 100), gamma: float = 0.02,
     return [SignConfig(k=k, gamma=gamma, normalize=normalize_mode) for k in k_values]
 
 
-def _train_fresh(meta: dict, split: DatasetSplit, cfg: TrainConfig):
-    model = build_model(meta, rng=Rng(cfg.seed).child("init"))
-    report = train(model, split, cfg)
-    model.set_params(report.best_params)
-    return model, report
-
-
 def _base_cfg(seed: int, epochs: int = 16, strategy: str = "none", **kw) -> TrainConfig:
     return TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.05,
                        strategy=strategy, seed=seed, **kw)
@@ -86,7 +78,7 @@ def run_classify(seed: int = 0, separation: float = 1.0, epochs: int = 20,
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
     results = {"none": evaluate(pipeline.source_model, split.test)}
     for strategy in ("classical", "mixup"):
-        model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, strategy))
+        model, _ = fit(meta, split, _base_cfg(seed, epochs, strategy))
         results[strategy] = evaluate(model, split.test)
     results["sign"] = evaluate(pipeline.final_model, split.test)
     return results
@@ -100,7 +92,7 @@ def run_uncertainty(seed: int = 0, separation: float = 1.0,
     meta = dict(mlp_meta(split), uncertainty_head=True)
     pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
                              desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    mixup_model, _ = _train_fresh(meta, split, _base_cfg(seed, epochs, "mixup"))
+    mixup_model, _ = fit(meta, split, _base_cfg(seed, epochs, "mixup"))
     return {"none": evaluate(pipeline.source_model, split.test),
             "mixup": evaluate(mixup_model, split.test),
             "sign": evaluate(pipeline.final_model, split.test)}
@@ -194,9 +186,8 @@ def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
     from .datasets import load_cifar10_binary
 
     full = load_cifar10_binary(cifar_dir, val_count=val_count, split_rng=Rng(seed))
-    split = DatasetSplit(train=full.train[:subset], val=full.val[:val_subset],
-                         test=full.test[:test_subset], class_names=full.class_names)
-    split = normalize(split)
+    split = normalize(replace(full, train=full.train[:subset], val=full.val[:val_subset],
+                              test=full.test[:test_subset]))
     meta = cnn_meta(split)
     cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.01, seed=seed)
     cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
@@ -221,9 +212,7 @@ def run_mixup_confidence(seed: int = 0, separation: float = 6.0, noise_sigma: fl
     meta = mlp_meta(split)
     floors = {}
     for strategy in ("none", "mixup"):
-        cfg = TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.05,
-                          strategy=strategy, seed=seed, mixup_alpha=mixup_alpha)
-        model, _ = _train_fresh(meta, split, cfg)
+        model, _ = fit(meta, split, _base_cfg(seed, epochs, strategy, mixup_alpha=mixup_alpha))
         floors[strategy] = evaluate(model, split.test).min_correct_probability
     return floors
 
@@ -238,14 +227,12 @@ def run_delta_only(seed: int = 0, separation: float = 10.0,
     split = blob_split(seed, separation=separation,
                        samples_per_class=samples_per_class)
     meta = mlp_meta(split)
-    source, _ = _train_fresh(meta, split, _base_cfg(seed, epochs))
+    source, _ = fit(meta, split, _base_cfg(seed, epochs))
     cfg = SignConfig(k=5, gamma=1.0)
-    delta_split = DatasetSplit(
-        train=delta_only_dataset(source, split.train, cfg),
-        val=delta_only_dataset(source, split.val, cfg),
-        test=delta_only_dataset(source, split.test, cfg),
-        class_names=split.class_names, stats=split.stats, normalized=True)
-    fresh, _ = _train_fresh(meta, delta_split, _base_cfg(seed, epochs))
+    delta_split = replace(split, train=delta_only_dataset(source, split.train, cfg),
+                          val=delta_only_dataset(source, split.val, cfg),
+                          test=delta_only_dataset(source, split.test, cfg))
+    fresh, _ = fit(meta, delta_split, _base_cfg(seed, epochs))
     report = evaluate(fresh, delta_split.test)
     return {"delta_accuracy": report.mean_accuracy,
             "chance": 1.0 / split.num_classes,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,10 +161,11 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
+    """Per-epoch rows of one ``train`` call; the model keeps the selected epoch's parameters."""
+
     rows: list[EpochStats] = field(default_factory=list)
     selected_epoch: int | None = None
     wall_time_s: float = 0.0
-    best_params: dict[str, Tensor] = field(default_factory=dict)
 
     def to_csv(self, path: str):
         with open(path, "w", newline="") as fh:
@@ -225,8 +226,9 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
 
     sign-strategy data is expected to be augmented offline beforehand (the
     pipeline below does this); the loop itself then treats it like plain
-    data. Returns the report with the best-validation-accuracy snapshot
-    (ties keep the earliest epoch).
+    data. On return ``model`` holds the parameters of the selected epoch,
+    the one with the best validation accuracy (ties keep the earliest);
+    with zero epochs it keeps its initialization.
     """
     if not split.train or not split.val:
         raise ValueError("train() needs non-empty train and val splits")
@@ -239,8 +241,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     mix_cfg = MixupConfig(cfg.mixup_alpha)
     classical = cfg.strategy in ("classical", "sign-plus-classical")
 
-    report = TrainReport(best_params=dict(model.params))
-    best_acc = -1.0
+    report = TrainReport()
+    selected_params, best_acc = model.params, -1.0
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         order = rng.child("shuffle", epoch).permutation(images.shape[0])
@@ -274,9 +276,17 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
         if val_acc > best_acc:
             best_acc = val_acc
             report.selected_epoch = epoch
-            report.best_params = dict(model.params)
+            selected_params = model.params
+    model.set_params(selected_params)
     report.wall_time_s = time.perf_counter() - started
     return report
+
+
+def fit(meta: dict, split: DatasetSplit, cfg: TrainConfig) -> tuple[Model, TrainReport]:
+    """A model built from ``meta``, initialized from ``Rng(cfg.seed).child("init")``
+    and trained by ``train``: it holds the parameters of its selected epoch."""
+    model = build_model(meta, rng=Rng(cfg.seed).child("init"))
+    return model, train(model, split, cfg)
 
 
 # -- offline transform pipeline ---------------------------------------------------
@@ -297,29 +307,25 @@ def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainCon
                   source: Model | None = None) -> PipelineResult:
     """Train a source model, transform the train split with it, train fresh.
 
-    Stage 1 trains the source normally, unless a trained ``source`` is
-    given (then ``pretrain_cfg`` is unused); stage 2 adds one transformed
-    copy of every training sample per config (offline, from the frozen
-    source); stage 3 trains the untrained ``final`` model (by default one
-    built from ``source_meta``, initialized from ``final_cfg.seed``) on
-    original plus transformed samples. With an empty config list stage 3
-    degenerates to a plain retrain.
+    Stage 1 fits the source on ``pretrain_cfg``, unless a trained
+    ``source`` is given (then ``pretrain_cfg`` is unused); stage 2 adds one
+    transformed copy of every training sample per config (offline, from the
+    frozen source); stage 3 trains the untrained ``final`` model (by default
+    ``fit`` builds one from ``source_meta`` and ``final_cfg.seed``) on
+    original plus transformed samples. The source and final models are at
+    their selected epochs. With an empty config list stage 3 degenerates to
+    a plain retrain.
     """
     if not split.normalized:
         split = normalize(split)
     source_report = None
     if source is None:
-        source = build_model(source_meta, rng=Rng(pretrain_cfg.seed).child("init"))
-        source_report = train(source, split, pretrain_cfg)
-        source.set_params(source_report.best_params)
+        source, source_report = fit(source_meta, split, pretrain_cfg)
 
-    aug_train = transform_dataset(source, split.train, sign_cfgs, threads=threads)
-    aug_split = DatasetSplit(train=aug_train, val=split.val, test=split.test,
-                             class_names=split.class_names, stats=split.stats,
-                             normalized=True)
-
+    aug_split = replace(split, train=transform_dataset(source, split.train, sign_cfgs,
+                                                       threads=threads))
     if final is None:
-        final = build_model(source_meta, rng=Rng(final_cfg.seed).child("init"))
-    final_report = train(final, aug_split, final_cfg)
-    final.set_params(final_report.best_params)
+        final, final_report = fit(source_meta, aug_split, final_cfg)
+    else:
+        final_report = train(final, aug_split, final_cfg)
     return PipelineResult(source, source_report, aug_split, final, final_report)

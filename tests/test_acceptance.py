@@ -271,9 +271,7 @@ def test_criterion_6_robustness_harness():
         split = normalize(raw)
         meta = repro.mlp_meta(split)
         model = build_model(meta, rng=Rng(601).child("init"))
-        report = train(model, split, TrainConfig(epochs=10, batch_size=32,
-                                                 learning_rate=0.05, seed=601))
-        model.set_params(report.best_params)
+        train(model, split, TrainConfig(epochs=10, batch_size=32, learning_rate=0.05, seed=601))
 
         clean = evaluate(model, split.test).mean_accuracy
         identity = robustness_suite(model, raw.test,

@@ -14,7 +14,7 @@ from signreg import cli, evalharness, training
 from signreg.cli import main
 from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
                             parse_corruption, resolved_config_text)
-from signreg.datasets import Sample, load_container, save_container
+from signreg.datasets import NormStats, Sample, load_container, save_container
 from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
 from signreg.tensor import Rng, Tensor
 
@@ -121,6 +121,29 @@ def test_sign_run_initializes_final_model_from_init_seed(tmp_path):
     assert written[0]["checkpoint.bin"] != written[7]["checkpoint.bin"]
 
 
+def test_training_on_own_container_keeps_images_and_stats(tmp_path, monkeypatch):
+    run_a = tmp_path / "a"
+    assert main(["train", "-c", write_config(tmp_path / "a.ini", epochs=1, strategy="sign",
+                                             out_dir=run_a, extra_strategy="source_epochs = 1\n"
+                                             + SIGN_LINES)]) == 0
+    container = str(run_a / "transformed-train.container")
+    samples, manifest = load_container(container)
+    splits = []
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", lambda model, split, cfg: splits.append(split)
+                        or real_train(model, split, cfg))
+    run_b = tmp_path / "b"
+    cfg = write_config(tmp_path / "b.ini", epochs=1, out_dir=run_b,
+                       dataset_lines=["kind = container", f"path = {container}"])
+    assert main(["train", "-c", cfg]) == 0
+    (split,) = splits
+    assert manifest["stats"] is not None and split.stats == manifest["stats"]
+    assert [s.image.data.tobytes() for s in split.train + split.val + split.test] == \
+        [s.image.data.tobytes() for s in samples]
+    assert main(["eval", "-c", cfg, "--checkpoint", str(run_b / "checkpoint.bin")]) == 0
+    assert (run_b / "per-sample.csv").exists()
+
+
 def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
     path = str(tmp_path / name)
     save_checkpoint(build_small_mlp(input_dim, [4], num_classes, rng=Rng(1),
@@ -151,10 +174,10 @@ def _two_class_soft_label(soft):
     return breaks
 
 
-def _container(path, images):
+def _container(path, images, names=("a", "b", "c"), raw_domain=False, stats=None):
     """A container of one label-0 sample per image."""
-    save_container([Sample(image=Tensor(img), label=0, raw=False) for img in images], path,
-                   ("a", "b", "c"), raw_domain=False)
+    save_container([Sample(image=Tensor(img), label=0, raw=raw_domain) for img in images], path,
+                   names, raw_domain=raw_domain, stats=stats)
     return path
 
 
@@ -176,6 +199,16 @@ def _error_files(tmp_path):
              "nan": _container(str(tmp_path / "nan.container"), [np.zeros((1, 8, 8)), nan_image]),
              "ragged": _container(str(tmp_path / "ragged.container"),
                                   [np.zeros((1, 8, 8)), np.zeros((1, 4, 4))]),
+             "twoclass": _container(str(tmp_path / "twoclass.container"), [np.zeros((1, 8, 8))],
+                                    names=("a", "b")),
+             "rawdomain": _container(str(tmp_path / "rawdomain.container"),
+                                     [np.full((1, 8, 8), 128.0)], raw_domain=True),
+             "modelspace": _container(str(tmp_path / "modelspace.container"),
+                                      [np.zeros((1, 8, 8))] * 6,
+                                      stats=NormStats(mean=(128.0,), std=(12.0,))),
+             "pair": _container(str(tmp_path / "pair.container"), [np.zeros((1, 8, 8))] * 2),
+             "nostatsdata": _container(str(tmp_path / "nostatsdata.container"),
+                                       [np.zeros((1, 8, 8))] * 6),
              "ppmzero": _ood_dir(tmp_path / "ppmzero", b"P6 0 0 255\n"),
              "ppmtext": _ood_dir(tmp_path / "ppmtext", b"P6 x 2 255\n" + bytes(12)),
              "ppmrgb": _ood_dir(tmp_path / "ppmrgb", b"P6 2 2 255\n" + bytes(12)),
@@ -185,6 +218,13 @@ def _error_files(tmp_path):
                                           lambda m: m["samples"][0].pop("shape")),
              "nostats": _broken_container(str(tmp_path / "nostats.container"),
                                           lambda m: m.update(stats={})),
+             "statsscalar": _broken_container(str(tmp_path / "statsscalar.container"),
+                                              lambda m: m.update(stats={"mean": 5, "std": [1]})),
+             "statswide": _broken_container(str(tmp_path / "statswide.container"),
+                                            lambda m: m.update(stats={"mean": [0, 1],
+                                                                      "std": [1, 1]})),
+             "statszero": _broken_container(str(tmp_path / "statszero.container"),
+                                            lambda m: m.update(stats={"mean": [0], "std": [0]})),
              "label5": _broken_container(str(tmp_path / "label5.container"),
                                          lambda m: m["samples"][0].update(label=5)),
              "negative": _broken_container(str(tmp_path / "negative.container"),
@@ -263,6 +303,12 @@ RUN_ERROR_CASES = {
                            ["{noshape}", "shape"]),
     "container-stats-no-mean": ({}, "transform --checkpoint {fits} --in {nostats} --out {out}",
                                 2, ["{nostats}", "mean"]),
+    "container-stats-scalar": ({}, "transform --checkpoint {fits} --in {statsscalar} --out {out}",
+                               2, ["{statsscalar}", "stats mean"]),
+    "container-stats-channels": ({}, "transform --checkpoint {fits} --in {statswide} --out {out}",
+                                 2, ["{statswide}", "stats mean"]),
+    "container-stats-std-zero": ({}, "transform --checkpoint {fits} --in {statszero} --out {out}",
+                                 2, ["{statszero}", "stats std"]),
     "container-label-too-large": ({}, "transform --checkpoint {fits} --in {label5} --out {out}",
                                   2, ["{label5}", "sample 0", "label"]),
     "container-label-negative": ({}, "transform --checkpoint {fits} --in {negative} --out {out}",
@@ -290,6 +336,18 @@ RUN_ERROR_CASES = {
                           [os.path.join("{ppmtext}", "zero", "0.ppm"), "width"]),
     "ood-channels": ({"extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=0"},
                      "eval --checkpoint {fits}", 2, ["{ppmrgb}", "(3, 8, 8)"]),
+    "transform-checkpoint-classes": ({}, "transform --checkpoint {fits} --in {twoclass} "
+                                         "--out {out}", 2, ["checkpoint {fits}:"]),
+    "transform-raw-domain": ({}, "transform --checkpoint {fits} --in {rawdomain} --out {out}",
+                             2, ["{rawdomain}", "raw_domain"]),
+    "corruptions-model-space": ({"dataset_lines": ["kind = container", "path = {modelspace}"],
+                                 "extra_eval": "corruptions = gaussian:0:10"},
+                                "eval --checkpoint {fits}", 2, ["{modelspace}", "raw_domain"]),
+    "container-too-few-samples": ({"dataset_lines": ["kind = container", "path = {pair}"]},
+                                  "train", 2, ["{pair}", "2 samples"]),
+    "ood-model-space-no-stats": ({"dataset_lines": ["kind = container", "path = {nostatsdata}"],
+                                  "extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=0"},
+                                 "eval --checkpoint {fits}", 2, ["{nostatsdata}", "stats"]),
 }
 
 
@@ -303,7 +361,13 @@ def test_run_errors(tmp_path, capsys, monkeypatch, case):
     for name in ("train", "sign_pipeline", "score_samples", "transform_dataset"):
         monkeypatch.setattr(cli, name, started)
     settings, command, code, named = RUN_ERROR_CASES[case]
-    settings = {k: v.format(**files) if isinstance(v, str) else v for k, v in settings.items()}
+
+    def fill(value):
+        if isinstance(value, list):
+            return [fill(item) for item in value]
+        return value.format(**files) if isinstance(value, str) else value
+
+    settings = {k: fill(v) for k, v in settings.items()}
     cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run", **settings)
     words = command.format(**files).split()
     assert main([words[0], "-c", cfg, *words[1:]]) == code

@@ -1,0 +1,34 @@
+"""The scripts the README documents run end to end at a small size."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_run_protocols(tmp_path):
+    out = tmp_path / "tables.txt"
+    done = run_script("run_protocols.py", "--recipes", "delta-only", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "=== delta-only (seed 0) ==="
+    table = lines[1:lines.index("") - 1]  # up to the timing line
+    assert [line.split(":")[0] for line in table] == [
+        "source accuracy", "delta-only accuracy", "chance level", "ratio over chance"]
+
+
+def test_sweep_transform_strength():
+    done = run_script("sweep_transform_strength.py", "--seeds", "0", "--gammas", "0.02")
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["gamma", "clean(base)", "clean(sign)", "pixoff(base)",
+                              "pixoff(sign)"]
+    assert len(rows) == 1 and rows[0].split()[0] == "0.02"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signreg import autodiff
 from signreg.autodiff import summed_jacobian, vjp
@@ -98,6 +100,43 @@ class TestSignTransform:
                     rows.append(vjp(tape, node, Tensor(cot)).data.reshape(-1))
                 cur = cur + 0.7 * np.stack(rows).sum(axis=0)
             np.testing.assert_allclose(got, cur, atol=1e-8, rtol=0)
+
+    # Rounding in either product is at most about (depth + widths) * 2^-53
+    # times the same chain over absolute values; allow 1e-12 of that chain.
+    CLOSED_FORM_RTOL = 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.lists(st.integers(1, 8), min_size=1, max_size=4), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_relu_mlp_closed_form(self, seed, input_dim, hidden, classes):
+        """One step at gamma 1 is the summed Jacobian, 1^T W_L D_{L-1} ... D_1 W_1
+        for the logits tap (D_i the ReLU masks at the input) and the same
+        chain without W_L for the pre-logits tap, computed here in numpy in
+        the layers' x @ W orientation."""
+        rng = Rng(seed)
+        model = build_small_mlp(input_dim, hidden, classes, rng=rng.child("init"))
+        # random biases move the kinks away from the origin
+        model.set_params({name: Tensor(rng.child(name).normal(t.shape))
+                          for name, t in model.params.items()})
+        params = {name: t.data for name, t in model.params.items()}
+        x = rng.child("x").normal((input_dim,))
+        weights, masks, act = [], [], x
+        for i in range(len(hidden)):
+            w = params[f"fc{i + 1}.w"]
+            pre = act @ w + params[f"fc{i + 1}.b"]
+            assume(np.abs(pre).min() > 1e-3)  # away from the ReLU kinks
+            weights.append(w)
+            masks.append((pre > 0).astype(np.float64))
+            act = pre * masks[-1]
+        ones = np.ones(classes)
+        tails = {"pre-logits": (np.ones(hidden[-1]), np.ones(hidden[-1])),
+                 "logits": (params["out.w"] @ ones, np.abs(params["out.w"]) @ ones)}
+        for tap, (want, bound) in tails.items():
+            for w, mask in zip(reversed(weights), reversed(masks)):
+                want, bound = w @ (mask * want), np.abs(w) @ (mask * bound)
+            got = sign_transform(model, Tensor(x),
+                                 SignConfig(k=1, tap=tap, gamma=1.0)).final_delta.data
+            assert np.all(np.abs(got - want) <= self.CLOSED_FORM_RTOL * bound), tap
 
     def test_decomposition_invariant(self):
         rng = Rng(16)

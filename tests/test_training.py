@@ -136,7 +136,7 @@ class TestTrainLoop:
         init = {k: v.data.tobytes() for k, v in model.params.items()}
         report = train(model, split, TrainConfig(epochs=0, seed=1))
         assert report.rows == [] and report.selected_epoch is None
-        assert {k: v.data.tobytes() for k, v in report.best_params.items()} == init
+        assert {k: v.data.tobytes() for k, v in model.params.items()} == init
 
     def test_separable_blobs_reach_high_accuracy(self):
         split = small_split(separation=6.0)
@@ -222,10 +222,10 @@ class TestSignPipeline:
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, seed=8)
         result = sign_pipeline(split, meta, cfg, [], cfg)
         plain = build_model(meta, rng=Rng(cfg.seed).child("init"))
-        plain_report = train(plain, split, cfg)
+        train(plain, split, cfg)
         for name in plain.params:
-            assert plain_report.best_params[name].data.tobytes() == \
-                result.final_report.best_params[name].data.tobytes()
+            assert plain.params[name].data.tobytes() == \
+                result.final_model.params[name].data.tobytes()
 
     def test_default_two_configs_triple_training_set(self):
         split = small_split(spc=10)
@@ -261,5 +261,5 @@ class TestSignPipeline:
         for a, b in zip(trained.augmented_split.train, given.augmented_split.train):
             assert a.image.data.tobytes() == b.image.data.tobytes()
         for name in trained.final_model.params:
-            assert trained.final_report.best_params[name].data.tobytes() == \
-                given.final_report.best_params[name].data.tobytes()
+            assert trained.final_model.params[name].data.tobytes() == \
+                given.final_model.params[name].data.tobytes()
