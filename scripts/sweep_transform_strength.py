@@ -16,25 +16,17 @@ import sys
 
 from signreg import repro
 from signreg.augment import CorruptionSpec
+from signreg.datasets import normalize
 from signreg.evalharness import evaluate, robustness_suite
-from signreg.sign import SignConfig
 from signreg.tensor import Rng
-from signreg.training import sign_pipeline
 
 
 def run_one(seed: int, gamma: float) -> dict:
     raw = repro.blob_split(seed, separation=1.5, samples_per_class=40,
                            noise_sigma=14.0, test_per_class=300, val_per_class=150,
                            normalized=False)
-    from signreg.datasets import normalize
     split = normalize(raw)
     meta = repro.mlp_meta(split)
-    cfgs = [SignConfig(k=50, gamma=gamma, normalize="unit-max-abs"),
-            SignConfig(k=100, gamma=gamma, normalize="unit-max-abs")]
-    # the pipeline's source is the plainly trained baseline
-    pipe = sign_pipeline(split, meta, repro._base_cfg(seed, epochs=24), cfgs,
-                         repro._base_cfg(seed, 24, "sign"))
-
     spec = [CorruptionSpec(kind="pixel-off", pixel_count=14)]
 
     def measure(model):
@@ -43,8 +35,9 @@ def run_one(seed: int, gamma: float) -> dict:
                                rng=Rng(seed).child("rob"), stats=split.stats)
         return clean, rob[0].mean_accuracy
 
-    base_clean, base_rob = measure(pipe.source_model)
-    sign_clean, sign_rob = measure(pipe.final_model)
+    arms = repro.none_vs_sign(split, meta, repro._base_cfg(seed, epochs=24),
+                              repro.desk_sign_cfgs((50, 100), gamma), measure)
+    (base_clean, base_rob), (sign_clean, sign_rob) = arms["none"], arms["sign"]
     return {"base_clean": base_clean, "base_rob": base_rob,
             "sign_clean": sign_clean, "sign_rob": sign_rob}
 

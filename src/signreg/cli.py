@@ -62,7 +62,7 @@ def cmd_train(config_path: str) -> int:
     meta = cfgmod.model_meta(cfg, split)
     out = cfg.output_dir
 
-    model = build_model(meta, rng=Rng(cfg.init_seed).child("init"))
+    model = build_model(meta, seed=cfg.init_seed)
     if cfg.strategy in ("sign", "sign-plus-classical"):
         source = pretrain = None
         if cfg.source_checkpoint is not None:

@@ -51,11 +51,24 @@ def _at_least(minimum: int):
     return parse
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise ValueError(f"must be finite and > 0, got {value}")
-    return value
+def _seed(text: str) -> int:
+    return Rng(int(text)).seed  # Rng rejects a seed outside [0, 2**64)
+
+
+def _real(rule: str, holds=lambda value: True):
+    """A finite float for which ``holds`` is true; ``rule`` states the range."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and holds(value)):
+            raise ValueError(f"must be {rule}, got {value}")
+        return value
+    return parse
+
+
+_finite = _real("finite")
+_positive = _real("finite and > 0", lambda value: value > 0)
+_non_negative = _real("finite and >= 0", lambda value: value >= 0)
+_fraction = _real("in [0, 1)", lambda value: 0 <= value < 1)
 
 
 def _choice(*options: str):
@@ -75,12 +88,8 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
-
-
 def _counts(text: str) -> list[int]:
-    counts = _int_list(text)
+    counts = [int(x) for x in text.replace(",", " ").split()]
     if not counts or min(counts) < 1:
         raise ValueError(f"needs one or more counts >= 1, got {counts}")
     return counts
@@ -88,8 +97,8 @@ def _counts(text: str) -> list[int]:
 
 def _shape(text: str) -> tuple[int, int, int]:
     parts = [int(x) for x in text.lower().replace("x", " ").replace(",", " ").split()]
-    if len(parts) != 3:
-        raise ValueError(f"needs 3 extents, got {text!r}")
+    if len(parts) != 3 or min(parts) < 1:
+        raise ValueError(f"needs 3 extents >= 1, got {text!r}")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -101,8 +110,8 @@ def parse_corruption(token: str) -> CorruptionSpec:
         count = int(parts[1]) if len(parts) > 1 else 50
         return CorruptionSpec(kind="pixel-off", pixel_count=count)
     if kind == "gaussian":
-        mu = float(parts[1]) if len(parts) > 1 else 0.0
-        sigma = float(parts[2]) if len(parts) > 2 else 10.0
+        mu = _finite(parts[1]) if len(parts) > 1 else 0.0
+        sigma = _non_negative(parts[2]) if len(parts) > 2 else 10.0
         return CorruptionSpec(kind="gaussian", mu=mu, sigma=sigma)
     raise ValueError(f"unknown corruption {kind!r}")
 
@@ -133,19 +142,19 @@ _TAPS = ("pre-logits", "logits", "sigma")
 class ExperimentConfig:
     dataset_kind: str = _key("dataset", "kind", _choice("blobs", "cifar10", "container"))
     dataset_path: str | None = _key("dataset", "path", default=None)
-    blob_classes: int = _key("dataset", "classes", int, "3")
-    blob_samples_per_class: int = _key("dataset", "samples_per_class", int, "200")
+    blob_classes: int = _key("dataset", "classes", _at_least(1), "3")
+    blob_samples_per_class: int = _key("dataset", "samples_per_class", _at_least(1), "200")
     blob_image_shape: tuple[int, int, int] = _key("dataset", "image_shape", _shape, "1x12x12",
                                                   _joined("x"))
-    blob_separation: float = _key("dataset", "separation", float, "2.0")
-    blob_noise_sigma: float = _key("dataset", "noise_sigma", float, "12.0")
-    split_seed: int = _key("dataset", "split_seed", int, "0")
-    val_count: int = _key("dataset", "val_count", int, "5000")
+    blob_separation: float = _key("dataset", "separation", _non_negative, "2.0")
+    blob_noise_sigma: float = _key("dataset", "noise_sigma", _non_negative, "12.0")
+    split_seed: int = _key("dataset", "split_seed", _seed, "0")
+    val_count: int = _key("dataset", "val_count", _at_least(1), "5000")
 
     arch: str = _key("model", "arch", _choice("basic_cnn", "small_mlp"))
-    init_seed: int = _key("model", "init_seed", int, "0")
-    drop_prob: float = _key("model", "drop_prob", float, "0.3")
-    hidden_dims: list[int] = _key("model", "hidden_dims", _int_list, "64,32", _joined(","))
+    init_seed: int = _key("model", "init_seed", _seed, "0")
+    drop_prob: float = _key("model", "drop_prob", _fraction, "0.3")
+    hidden_dims: list[int] = _key("model", "hidden_dims", _counts, "64,32", _joined(","))
     uncertainty_head: bool = _key("model", "uncertainty_head", _bool, "false")
 
     strategy: str = _key("strategy", "name", _choice(*STRATEGIES))
@@ -157,16 +166,16 @@ class ExperimentConfig:
                                 "current-iterate")
     sign_normalize: str = _key("strategy", "sign_normalize", _choice(*NORMALIZE_MODES), "none")
     source_epochs: int | None = _key("strategy", "source_epochs", _at_least(1), None)
-    source_seed: int | None = _key("strategy", "source_seed", int, None)
+    source_seed: int | None = _key("strategy", "source_seed", _seed, None)
     source_checkpoint: str | None = _key("strategy", "source_checkpoint", default=None)
 
     epochs: int = _key("train", "epochs", _at_least(0))
     batch_size: int = _key("train", "batch_size", _at_least(1), "128")
     optimizer: str = _key("train", "optimizer", _choice("sgd-momentum", "adam"), "sgd-momentum")
-    learning_rate: float = _key("train", "learning_rate", float, "0.01")
-    momentum: float = _key("train", "momentum", float, "0.9")
+    learning_rate: float = _key("train", "learning_rate", _positive, "0.01")
+    momentum: float = _key("train", "momentum", _finite, "0.9")
     mc_samples: int = _key("train", "mc_samples", _at_least(1), "20")
-    seed: int = _key("train", "seed", int, "0")
+    seed: int = _key("train", "seed", _seed, "0")
     threads: int = _key("train", "threads", _at_least(1), "1")
 
     corruptions: list[CorruptionSpec] = _key(

@@ -143,15 +143,11 @@ def make_synthetic_blobs(num_classes: int, samples_per_class: int,
                          image_shape: tuple[int, int, int], separation: float,
                          rng: Rng, val_per_class: int | None = None,
                          test_per_class: int | None = None,
-                         noise_sigma: float = 12.0,
-                         distractor: float = 0.0) -> DatasetSplit:
+                         noise_sigma: float = 12.0) -> DatasetSplit:
     """Fast deterministic stand-in dataset in the raw 0-255 domain.
 
     Each class stamps its template scaled by ``separation``; zero
     separation makes every class-conditional distribution identical.
-    ``distractor`` > 0 additionally stamps a class-independent pattern with
-    a random per-sample amplitude, structured clutter that a small-sample
-    model can spuriously latch onto.
     """
     if separation < 0:
         raise ValueError(f"separation must be >= 0, got {separation}")
@@ -161,17 +157,13 @@ def make_synthetic_blobs(num_classes: int, samples_per_class: int,
     if test_per_class is None:
         test_per_class = max(1, samples_per_class // 2)
     templates = [_blob_template(c, num_classes, height, width) for c in range(num_classes)]
-    clutter = _blob_template(num_classes, 2 * num_classes, height, width)
     amplitude = 12.0 * separation
 
     def draw(cls: int, count: int, stream: Rng) -> list[Sample]:
         out = []
         for i in range(count):
-            child = stream.child(cls, i)
-            noise = child.normal((channels, height, width), 0.0, noise_sigma)
+            noise = stream.child(cls, i).normal((channels, height, width), 0.0, noise_sigma)
             img = 128.0 + amplitude * templates[cls][None, :, :] + noise
-            if distractor > 0.0:
-                img = img + (12.0 * distractor * child.uniform(-1.0, 1.0)) * clutter[None, :, :]
             out.append(Sample(image=Tensor._wrap(np.clip(img, 0.0, 255.0)), label=cls, raw=True))
         return out
 

@@ -226,7 +226,7 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     from .training import fit, sign_pipeline  # local import keeps module load acyclic
 
     pipeline = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs, final_cfg,
-                             final=build_model(target_meta, rng=Rng(final_cfg.seed).child("init")))
+                             final=build_model(target_meta, seed=final_cfg.seed))
     augmented = pipeline.augmented_split
     control, _ = fit(target_meta, replace(augmented, train=[s for s in augmented.train
                                                             if s.provenance is None]), final_cfg)

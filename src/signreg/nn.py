@@ -263,8 +263,10 @@ def attach_uncertainty_head(model: Model, rng: Rng | None = None) -> Model:
     return Model(layers, params, taps, model.input_shape, model.num_classes, meta)
 
 
-def build_model(meta: dict, rng: Rng | None = None) -> Model:
-    """Rebuild a model from its meta record (the checkpoint header schema)."""
+def build_model(meta: dict, seed: int = 0) -> Model:
+    """Build a model from its meta record (the checkpoint header schema),
+    initialized from the stream ``Rng(seed).child("init")``."""
+    rng = Rng(seed).child("init")
     arch = meta.get("arch")
     if arch == "basic_cnn":
         model = build_basic_cnn(tuple(meta["input_shape"]), int(meta["num_classes"]),

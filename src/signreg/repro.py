@@ -64,6 +64,15 @@ def _base_cfg(seed: int, epochs: int = 16, strategy: str = "none", **kw) -> Trai
                        strategy=strategy, seed=seed, **kw)
 
 
+def none_vs_sign(split: DatasetSplit, meta: dict, base: TrainConfig,
+                 cfgs: list[SignConfig], measure) -> dict:
+    """``measure`` of the pipeline's plainly trained source ("none", trained
+    on ``base``) and of its final model ("sign": the same config and seed with
+    ``strategy = sign``, trained on the originals plus their transformed copies)."""
+    pipeline = sign_pipeline(split, meta, base, cfgs, replace(base, strategy="sign"))
+    return {"none": measure(pipeline.source_model), "sign": measure(pipeline.final_model)}
+
+
 # -- protocols -------------------------------------------------------------------
 
 
@@ -73,15 +82,13 @@ def run_classify(seed: int = 0, separation: float = 1.0, epochs: int = 20,
     split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
                        test_per_class=200, val_per_class=100)
     meta = mlp_meta(split)
-    # the pipeline's source is the plainly trained model: the "none" arm
-    pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
-                             desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    results = {"none": evaluate(pipeline.source_model, split.test)}
+    arms = none_vs_sign(split, meta, _base_cfg(seed, epochs), desk_sign_cfgs(),
+                        lambda model: evaluate(model, split.test))
+    results = {"none": arms["none"]}
     for strategy in ("classical", "mixup"):
         model, _ = fit(meta, split, _base_cfg(seed, epochs, strategy))
         results[strategy] = evaluate(model, split.test)
-    results["sign"] = evaluate(pipeline.final_model, split.test)
-    return results
+    return {**results, "sign": arms["sign"]}
 
 
 def run_uncertainty(seed: int = 0, separation: float = 1.0,
@@ -90,12 +97,11 @@ def run_uncertainty(seed: int = 0, separation: float = 1.0,
     split = blob_split(seed, separation=separation, samples_per_class=60,
                        test_per_class=200, val_per_class=100)
     meta = dict(mlp_meta(split), uncertainty_head=True)
-    pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
-                             desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
+    arms = none_vs_sign(split, meta, _base_cfg(seed, epochs), desk_sign_cfgs(),
+                        lambda model: evaluate(model, split.test))
     mixup_model, _ = fit(meta, split, _base_cfg(seed, epochs, "mixup"))
-    return {"none": evaluate(pipeline.source_model, split.test),
-            "mixup": evaluate(mixup_model, split.test),
-            "sign": evaluate(pipeline.final_model, split.test)}
+    return {"none": arms["none"], "mixup": evaluate(mixup_model, split.test),
+            "sign": arms["sign"]}
 
 
 def blob_corruptions() -> list[CorruptionSpec]:
@@ -117,9 +123,7 @@ def run_robustness(seed: int = 0, separation: float = 2.0, epochs: int = 16,
                                 Rng(seed).child("robustness"), stats=split.stats)
         return {"clean": clean, "corruptions": corr}
 
-    pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
-                             desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    return {"none": measure(pipeline.source_model), "sign": measure(pipeline.final_model)}
+    return none_vs_sign(split, meta, _base_cfg(seed, epochs), desk_sign_cfgs(), measure)
 
 
 def run_ood(seed: int = 0, separation: float = 2.0, epochs: int = 16) -> dict[str, EvalReport]:
@@ -131,11 +135,8 @@ def run_ood(seed: int = 0, separation: float = 2.0, epochs: int = 16) -> dict[st
                                    noise_sigma=18.0)
     subset = [s for s in ood_raw.test if s.label < split.num_classes - 1]
     ood_samples = [normalize_sample(s, split.stats) for s in subset]
-    meta = mlp_meta(split)
-    pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs),
-                             desk_sign_cfgs(), _base_cfg(seed, epochs, "sign"))
-    return {"none": ood_evaluate(pipeline.source_model, ood_samples),
-            "sign": ood_evaluate(pipeline.final_model, ood_samples)}
+    return none_vs_sign(split, mlp_meta(split), _base_cfg(seed, epochs), desk_sign_cfgs(),
+                        lambda model: ood_evaluate(model, ood_samples))
 
 
 def run_transfer(seed: int = 0, separation: float = 2.0, epochs: int = 10,
@@ -170,12 +171,9 @@ def run_sign_benefit(seed: int = 0, separation: float = 0.8, noise_sigma: float 
     """
     split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
                        noise_sigma=noise_sigma, test_per_class=400, val_per_class=200)
-    meta = mlp_meta(split)
     cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
-    pipeline = sign_pipeline(split, meta, _base_cfg(seed, epochs), cfgs,
-                             _base_cfg(seed, epochs, "sign"))
-    return {"none": evaluate(pipeline.source_model, split.test).mean_accuracy,
-            "sign": evaluate(pipeline.final_model, split.test).mean_accuracy}
+    return none_vs_sign(split, mlp_meta(split), _base_cfg(seed, epochs), cfgs,
+                        lambda model: evaluate(model, split.test).mean_accuracy)
 
 
 def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
@@ -188,12 +186,10 @@ def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
     full = load_cifar10_binary(cifar_dir, val_count=val_count, split_rng=Rng(seed))
     split = normalize(replace(full, train=full.train[:subset], val=full.val[:val_subset],
                               test=full.test[:test_subset]))
-    meta = cnn_meta(split)
     cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.01, seed=seed)
     cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
-    pipeline = sign_pipeline(split, meta, cfg, cfgs, replace(cfg, strategy="sign"))
-    return {"none": evaluate(pipeline.source_model, split.test).mean_accuracy,
-            "sign": evaluate(pipeline.final_model, split.test).mean_accuracy}
+    return none_vs_sign(split, cnn_meta(split), cfg, cfgs,
+                        lambda model: evaluate(model, split.test).mean_accuracy)
 
 
 def run_mixup_confidence(seed: int = 0, separation: float = 6.0, noise_sigma: float = 10.0,
@@ -249,14 +245,19 @@ def _fmt(value) -> str:
     return f"{value:.4f}"
 
 
-def print_classify(results: dict[str, EvalReport], out=print):
+def _print_per_class(first: str, results: dict[str, EvalReport], out):
+    """One row per entry: its per-class accuracies, then the mean."""
     classes = [row.label for row in next(iter(results.values())).per_class]
-    header = ["method"] + [f"class{c}" for c in classes] + ["mean"]
+    header = [first] + [f"class{c}" for c in classes] + ["mean"]
     out("  ".join(f"{h:>10}" for h in header))
-    for method, report in results.items():
-        cells = [f"{method:>10}"] + [f"{row.accuracy:>10.4f}" for row in report.per_class]
+    for name, report in results.items():
+        cells = [f"{name:>10}"] + [f"{row.accuracy:>10.4f}" for row in report.per_class]
         cells.append(f"{report.mean_accuracy:>10.4f}")
         out("  ".join(cells))
+
+
+def print_classify(results: dict[str, EvalReport], out=print):
+    _print_per_class("method", results, out)
 
 
 def print_uncertainty(results: dict[str, EvalReport], out=print):
@@ -287,13 +288,8 @@ def print_ood(results: dict[str, EvalReport], out=print):
 
 
 def print_transfer(result: TransferResult, out=print):
-    header = ["arm"] + [f"class{r.label}" for r in result.control_report.per_class] + ["mean"]
-    out("  ".join(f"{h:>10}" for h in header))
-    for name, report in (("control", result.control_report),
-                         ("transfer", result.transfer_report)):
-        cells = [f"{name:>10}"] + [f"{r.accuracy:>10.4f}" for r in report.per_class]
-        cells.append(f"{report.mean_accuracy:>10.4f}")
-        out("  ".join(cells))
+    _print_per_class("arm", {"control": result.control_report,
+                             "transfer": result.transfer_report}, out)
 
 
 def print_delta_only(result: dict, out=print):

@@ -130,10 +130,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def tensor(values) -> Tensor:
-    return Tensor(values)
-
-
 def zeros(shape: Sequence[int]) -> Tensor:
     return Tensor._wrap(np.zeros(_check_shape(shape)))
 

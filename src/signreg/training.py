@@ -193,19 +193,16 @@ class TrainReport:
 # -- batch assembly ---------------------------------------------------------------
 
 
-def stack_samples(samples: list[Sample], num_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked images, soft-label matrix, and hard label indices."""
+def stack_samples(samples: list[Sample], num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked images and the soft-label matrix."""
     images = np.stack([s.image.data for s in samples])
     soft = np.zeros((len(samples), num_classes))
-    hard = np.zeros(len(samples), dtype=int)
     for i, s in enumerate(samples):
         if s.soft_label is not None:
             soft[i] = np.asarray(s.soft_label)
-            hard[i] = int(np.argmax(soft[i]))
         else:
             soft[i, s.label] = 1.0
-            hard[i] = s.label
-    return images, soft, hard
+    return images, soft
 
 
 def evaluate_arrays(model: Model, images: np.ndarray, soft: np.ndarray,
@@ -235,8 +232,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     started = time.perf_counter()
     rng = Rng(cfg.seed)
     ncls = split.num_classes
-    images, soft, _ = stack_samples(split.train, ncls)
-    val_images, val_soft, _ = stack_samples(split.val, ncls)
+    images, soft = stack_samples(split.train, ncls)
+    val_images, val_soft = stack_samples(split.val, ncls)
     optimizer = make_optimizer(cfg.optimizer, cfg.momentum)
     mix_cfg = MixupConfig(cfg.mixup_alpha)
     classical = cfg.strategy in ("classical", "sign-plus-classical")
@@ -283,9 +280,9 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
 
 
 def fit(meta: dict, split: DatasetSplit, cfg: TrainConfig) -> tuple[Model, TrainReport]:
-    """A model built from ``meta``, initialized from ``Rng(cfg.seed).child("init")``
-    and trained by ``train``: it holds the parameters of its selected epoch."""
-    model = build_model(meta, rng=Rng(cfg.seed).child("init"))
+    """A model built from ``meta`` with seed ``cfg.seed`` and trained by
+    ``train``: it holds the parameters of its selected epoch."""
+    model = build_model(meta, seed=cfg.seed)
     return model, train(model, split, cfg)
 
 

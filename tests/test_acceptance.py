@@ -270,7 +270,7 @@ def test_criterion_6_robustness_harness():
         raw = make_synthetic_blobs(3, 40, (1, 12, 12), 2.0, Rng(601).child("blobs"))
         split = normalize(raw)
         meta = repro.mlp_meta(split)
-        model = build_model(meta, rng=Rng(601).child("init"))
+        model = build_model(meta, seed=601)
         train(model, split, TrainConfig(epochs=10, batch_size=32, learning_rate=0.05, seed=601))
 
         clean = evaluate(model, split.test).mean_accuracy

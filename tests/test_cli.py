@@ -19,19 +19,28 @@ from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_c
 from signreg.tensor import Rng, Tensor
 
 
+BLOB_LINES = ["kind = blobs", "classes = 3", "samples_per_class = 10",
+              "image_shape = 1x8x8", "separation = 5.0", "split_seed = 1"]
+
+
+def blobs_with(line):
+    """The default blobs dataset lines, with ``line`` setting its key."""
+    key = line.split("=")[0]
+    return [kept for kept in BLOB_LINES if not kept.startswith(key)] + [line]
+
+
 def write_config(path, *, epochs=0, strategy="none", out_dir, extra_strategy="",
                  extra_eval="", arch="small_mlp", dataset_lines=None, batch_size=16,
-                 extra_train=""):
-    dataset = dataset_lines or [
-        "kind = blobs", "classes = 3", "samples_per_class = 10",
-        "image_shape = 1x8x8", "separation = 5.0", "split_seed = 1",
-    ]
+                 extra_train="", extra_model="", hidden_dims="12", init_seed=0, seed=3,
+                 learning_rate=0.05):
+    dataset = dataset_lines or BLOB_LINES
     text = "\n".join([
         "[dataset]", *dataset,
-        "[model]", f"arch = {arch}", "hidden_dims = 12", "init_seed = 0",
+        "[model]", f"arch = {arch}", f"hidden_dims = {hidden_dims}", f"init_seed = {init_seed}",
+        extra_model,
         "[strategy]", f"name = {strategy}", extra_strategy,
-        "[train]", f"epochs = {epochs}", f"batch_size = {batch_size}", "seed = 3",
-        "learning_rate = 0.05", extra_train,
+        "[train]", f"epochs = {epochs}", f"batch_size = {batch_size}", f"seed = {seed}",
+        f"learning_rate = {learning_rate}", extra_train,
         "[eval]", extra_eval,
         "[output]", f"dir = {out_dir}",
     ])
@@ -288,6 +297,43 @@ def test_sign_config_errors(tmp_path, capsys, case):
 # (write_config keywords, command line after "signreg" without -c, expected
 # exit code, texts the one-line message must name); {...} are _error_files
 RUN_ERROR_CASES = {
+    "classes-zero": ({"dataset_lines": blobs_with("classes = 0")}, "train", 1,
+                     ["[dataset] classes"]),
+    "samples-per-class-zero": ({"dataset_lines": blobs_with("samples_per_class = 0")}, "train",
+                               1, ["[dataset] samples_per_class"]),
+    "separation-negative": ({"dataset_lines": blobs_with("separation = -1")}, "train", 1,
+                            ["[dataset] separation"]),
+    "noise-sigma-nan": ({"dataset_lines": blobs_with("noise_sigma = nan")}, "train", 1,
+                        ["[dataset] noise_sigma"]),
+    "noise-sigma-negative": ({"dataset_lines": blobs_with("noise_sigma = -2")}, "train", 1,
+                             ["[dataset] noise_sigma"]),
+    "image-shape-zero": ({"dataset_lines": blobs_with("image_shape = 0x8x8")}, "train", 1,
+                         ["[dataset] image_shape"]),
+    "split-seed-negative": ({"dataset_lines": blobs_with("split_seed = -1")}, "train", 1,
+                            ["[dataset] split_seed"]),
+    "val-count-zero": ({"dataset_lines": blobs_with("val_count = 0")}, "train", 1,
+                       ["[dataset] val_count"]),
+    "init-seed-negative": ({"init_seed": -1}, "train", 1, ["[model] init_seed"]),
+    "seed-negative": ({"seed": -1}, "train", 1, ["[train] seed"]),
+    "seed-too-large": ({"seed": 2**64}, "train", 1, ["[train] seed"]),
+    "source-seed-negative": ({"extra_strategy": "source_seed = -1"}, "train", 1,
+                             ["[strategy] source_seed"]),
+    "hidden-dims-zero": ({"hidden_dims": "0"}, "train", 1, ["[model] hidden_dims"]),
+    "hidden-dims-empty": ({"hidden_dims": ""}, "train", 1, ["[model] hidden_dims"]),
+    "drop-prob-above-one": ({"extra_model": "drop_prob = 1.5"}, "train", 1,
+                            ["[model] drop_prob"]),
+    "drop-prob-one": ({"extra_model": "drop_prob = 1"}, "train", 1, ["[model] drop_prob"]),
+    "drop-prob-negative": ({"extra_model": "drop_prob = -0.1"}, "train", 1,
+                           ["[model] drop_prob"]),
+    "learning-rate-nan": ({"learning_rate": "nan"}, "train", 1, ["[train] learning_rate"]),
+    "learning-rate-negative": ({"learning_rate": -1}, "train", 1, ["[train] learning_rate"]),
+    "learning-rate-zero": ({"learning_rate": 0}, "train", 1, ["[train] learning_rate"]),
+    "momentum-nan": ({"extra_train": "momentum = nan"}, "train", 1, ["[train] momentum"]),
+    "momentum-inf": ({"extra_train": "momentum = inf"}, "train", 1, ["[train] momentum"]),
+    "corruption-mu-inf": ({"extra_eval": "corruptions = gaussian:inf:10"}, "train", 1,
+                          ["[eval] corruptions"]),
+    "corruption-sigma-nan": ({"extra_eval": "corruptions = gaussian:0:nan"}, "train", 1,
+                             ["[eval] corruptions"]),
     "optimizer": ({"extra_train": "optimizer = rmsprop"}, "train", 1, ["[train] optimizer"]),
     "batch-size-zero": ({"batch_size": 0}, "train", 1, ["[train] batch_size"]),
     "mc-samples-zero": ({"extra_train": "mc_samples = 0"}, "train", 1, ["[train] mc_samples"]),

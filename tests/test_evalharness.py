@@ -109,7 +109,7 @@ class TestEvaluate:
         split = normalize(make_synthetic_blobs(3, 20, (1, 8, 8), 4.0, Rng(2)))
         meta = {"arch": "small_mlp", "input_dim": 64, "hidden_dims": [8],
                 "num_classes": 3, "input_shape": [1, 8, 8]}
-        model = build_model(meta, rng=Rng(3).child("init"))
+        model = build_model(meta, seed=3)
         path = str(tmp_path / "m.bin")
         save_checkpoint(model, path)
         twin = load_checkpoint(path)
@@ -201,7 +201,7 @@ class TestRobustnessSuite:
         meta = {"arch": "small_mlp", "input_dim": 64, "hidden_dims": [12],
                 "num_classes": 3, "input_shape": [1, 8, 8]}
         from signreg.training import train
-        model = build_model(meta, rng=Rng(seed).child("init"))
+        model = build_model(meta, seed=seed)
         train(model, split, TrainConfig(epochs=8, batch_size=16, learning_rate=0.05, seed=seed))
         return model, raw, split
 

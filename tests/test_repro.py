@@ -1,13 +1,17 @@
 """Protocol smoke tests: the recipe dispatcher and the CIFAR benefit arm."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from signreg import repro
-from signreg.sign import SignConfig
+from signreg.evalharness import TransferResult, evaluate
+from signreg.nn import build_model, params_checksum
+from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng
+from signreg.training import fit
 
 
 class TestRecipeDispatch:
@@ -25,6 +29,33 @@ class TestRecipeDispatch:
                              out=lines.append)
         assert lines[0].split()[0] == "method"
         assert len(lines) == 5  # header + none/classical/mixup/sign
+
+    def test_transfer_table_has_one_row_per_arm(self):
+        split = repro.blob_split(2, samples_per_class=6)
+        meta = repro.mlp_meta(split)
+        result = TransferResult(transfer_report=evaluate(build_model(meta, seed=1), split.test),
+                                control_report=evaluate(build_model(meta, seed=2), split.test))
+        lines = []
+        repro.print_transfer(result, out=lines.append)
+        assert lines[0].split() == ["arm", "class0", "class1", "class2", "mean"]
+        assert [line.split()[0] for line in lines[1:]] == ["control", "transfer"]
+        for line, report in zip(lines[1:], (result.control_report, result.transfer_report)):
+            accuracies = [row.accuracy for row in report.per_class] + [report.mean_accuracy]
+            assert line.split()[1:] == [f"{value:.4f}" for value in accuracies]
+
+
+class TestNoneVsSign:
+    def test_arms_are_plain_fit_and_sign_fit_at_the_same_seed(self):
+        split = repro.blob_split(4, samples_per_class=12)
+        meta = repro.mlp_meta(split)
+        base = repro._base_cfg(4, epochs=2)
+        cfgs = repro.desk_sign_cfgs((2,))
+        arms = repro.none_vs_sign(split, meta, base, cfgs, lambda model: model)
+        plain, _ = fit(meta, split, base)
+        assert params_checksum(arms["none"].params) == params_checksum(plain.params)
+        augmented = replace(split, train=transform_dataset(plain, split.train, cfgs))
+        final, _ = fit(meta, augmented, replace(base, strategy="sign"))
+        assert params_checksum(arms["sign"].params) == params_checksum(final.params)
 
 
 def write_fake_cifar(root: str, per_file: int, rng: Rng):

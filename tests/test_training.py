@@ -126,7 +126,7 @@ def fresh_mlp(split, seed=0):
     dim = int(np.prod(split.train[0].image.shape))
     meta = {"arch": "small_mlp", "input_dim": dim, "hidden_dims": [16],
             "num_classes": 3, "input_shape": list(split.train[0].image.shape)}
-    return build_model(meta, rng=Rng(seed).child("init")), meta
+    return build_model(meta, seed=seed), meta
 
 
 class TestTrainLoop:
@@ -180,7 +180,7 @@ class TestTrainLoop:
         meta = {"arch": "small_mlp", "input_dim": dim, "hidden_dims": [16],
                 "num_classes": 3, "input_shape": list(split.train[0].image.shape),
                 "uncertainty_head": True}
-        model = build_model(meta, rng=Rng(0).child("init"))
+        model = build_model(meta, seed=0)
         report = train(model, split, TrainConfig(epochs=3, batch_size=16,
                                                  learning_rate=0.02, seed=6, mc_samples=5))
         assert len(report.rows) == 3 and np.isfinite(report.rows[-1].train_loss)
@@ -221,7 +221,7 @@ class TestSignPipeline:
         _, meta = fresh_mlp(split)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, seed=8)
         result = sign_pipeline(split, meta, cfg, [], cfg)
-        plain = build_model(meta, rng=Rng(cfg.seed).child("init"))
+        plain = build_model(meta, seed=cfg.seed)
         train(plain, split, cfg)
         for name in plain.params:
             assert plain.params[name].data.tobytes() == \
@@ -247,7 +247,7 @@ class TestSignPipeline:
         cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
         result = sign_pipeline(split, source_meta, cfg,
                                [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")], cfg,
-                               final=build_model(target_meta, rng=Rng(cfg.seed).child("init")))
+                               final=build_model(target_meta, seed=cfg.seed))
         assert result.final_model.meta["hidden_dims"] == [8]
 
     def test_given_source_skips_stage_one(self):
