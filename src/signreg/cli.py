@@ -1,12 +1,15 @@
 """Command-line entry point.
 
 Subcommands:
-  train      run an experiment config (plain or offline-transform pipeline)
+  train      run an experiment config; a sign strategy first builds the
+             augmented training set (``sign_pipeline``), then every strategy
+             trains its model with one ``train`` call
   transform  apply the Jacobian transform to a sample container
   eval       evaluate a checkpoint (accuracy, corruption, OOD, projection)
   repro      run one of the bundled desk-scale protocols
 
-Exit codes: 0 success, 1 configuration/user error, 2 runtime failure.
+Exit codes: 0 success (also ``--help``), 1 usage or configuration error,
+2 runtime failure.
 Every run writes a resolved config snapshot into its output directory so
 it can be reproduced bit-exactly. SIGNREG_THREADS overrides the config's
 thread count.
@@ -62,7 +65,6 @@ def cmd_train(config_path: str) -> int:
     meta = cfgmod.model_meta(cfg, split)
     out = cfg.output_dir
 
-    model = build_model(meta, seed=cfg.init_seed)
     if cfg.strategy in ("sign", "sign-plus-classical"):
         source = pretrain = None
         if cfg.source_checkpoint is not None:
@@ -71,20 +73,18 @@ def cmd_train(config_path: str) -> int:
             pretrain = cfgmod.train_config(cfg, epochs=cfg.source_epochs,
                                            seed=cfg.source_seed, strategy="none")
         result = sign_pipeline(split, meta, pretrain, cfgmod.sign_configs(cfg),
-                               cfgmod.train_config(cfg), final=model, threads=cfg.threads,
-                               source=source)
+                               threads=cfg.threads, source=source)
         save_checkpoint(result.source_model, os.path.join(out, "source-checkpoint.bin"))
-        aug = [s for s in result.augmented_split.train if s.provenance is not None]
-        save_container(aug, os.path.join(out, "transformed-train.container"),
+        copies = result.augmented_split.train[len(split.train):]
+        save_container(copies, os.path.join(out, "transformed-train.container"),
                        split.class_names, raw_domain=False, stats=split.stats)
-        report = result.final_report
-        source_time = ("loaded" if result.source_report is None
-                       else f"{result.source_report.wall_time_s:.1f}s")
-        _log(cfg, f"pipeline wall time: source {source_time} final {report.wall_time_s:.1f}s")
-    else:
-        report = train(model, split, cfgmod.train_config(cfg))
-        _log(cfg, f"train wall time: {report.wall_time_s:.1f}s")
+        split = result.augmented_split
+        if result.source_report is not None:
+            _log(cfg, f"source wall time: {result.source_report.wall_time_s:.1f}s")
 
+    model = build_model(meta, seed=cfg.init_seed)
+    report = train(model, split, cfgmod.train_config(cfg))
+    _log(cfg, f"train wall time: {report.wall_time_s:.1f}s")
     save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
     report.to_csv(os.path.join(out, "report.csv"))
     report.to_json(os.path.join(out, "report.json"))
@@ -164,12 +164,11 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     return 0
 
 
-def cmd_repro(recipe: str, seed: int = 0) -> int:
-    if recipe not in repro.RECIPES:
-        print(f"unknown recipe {recipe!r}; valid recipes: {', '.join(repro.RECIPES)}",
-              file=sys.stderr)
-        return 1
-    return repro.run_recipe(recipe, seed)
+def _seed(text: str) -> int:
+    try:
+        return Rng(int(text)).seed  # Rng rejects a seed outside [0, 2**64)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,14 +190,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--checkpoint", required=True)
 
     p_rp = sub.add_parser("repro", help="run a bundled desk-scale protocol")
-    p_rp.add_argument("recipe")
-    p_rp.add_argument("--seed", type=int, default=0)
+    p_rp.add_argument("recipe", choices=repro.RECIPES)
+    p_rp.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, a user error here
+        return 1 if exc.code else 0
     try:
         if args.command == "train":
             return cmd_train(args.config)
@@ -206,16 +207,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_transform(args.config, args.checkpoint, args.in_dataset, args.out_path)
         if args.command == "eval":
             return cmd_eval(args.config, args.checkpoint)
-        if args.command == "repro":
-            return cmd_repro(args.recipe, args.seed)
-        parser.error(f"unknown command {args.command!r}")
+        return repro.run_recipe(args.recipe, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -30,13 +30,16 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _key(section: str, key: str, parse=str, default=_REQUIRED, fmt=str):
+def _key(section: str, key: str, parse=str, default=_REQUIRED, fmt=str, only_with=None):
     """Declare one config key. ``parse`` turns INI text into the value and
     raises ValueError for a bad one; ``default`` is the INI text used when
     the key is absent, or None for a key that stays unset (for those keys
-    only, an empty value also means unset); ``fmt`` writes the value back."""
+    only, an empty value also means unset); ``fmt`` writes the value back.
+    ``only_with = (field, value)``: the key has an effect only while that
+    other field holds that value; otherwise setting it is an error, and it
+    stays unset."""
     return field(metadata={"section": section, "key": key, "parse": parse,
-                           "default": default, "fmt": fmt})
+                           "default": default, "fmt": fmt, "only_with": only_with})
 
 
 # -- value parsers: INI text -> checked value ----------------------------------
@@ -149,12 +152,15 @@ class ExperimentConfig:
     blob_separation: float = _key("dataset", "separation", _non_negative, "2.0")
     blob_noise_sigma: float = _key("dataset", "noise_sigma", _non_negative, "12.0")
     split_seed: int = _key("dataset", "split_seed", _seed, "0")
-    val_count: int = _key("dataset", "val_count", _at_least(1), "5000")
+    val_count: int | None = _key("dataset", "val_count", _at_least(1), "5000",
+                                 only_with=("dataset_kind", "cifar10"))
 
     arch: str = _key("model", "arch", _choice("basic_cnn", "small_mlp"))
     init_seed: int = _key("model", "init_seed", _seed, "0")
-    drop_prob: float = _key("model", "drop_prob", _fraction, "0.3")
-    hidden_dims: list[int] = _key("model", "hidden_dims", _counts, "64,32", _joined(","))
+    drop_prob: float | None = _key("model", "drop_prob", _fraction, "0.3",
+                                   only_with=("arch", "basic_cnn"))
+    hidden_dims: list[int] | None = _key("model", "hidden_dims", _counts, "64,32", _joined(","),
+                                         only_with=("arch", "small_mlp"))
     uncertainty_head: bool = _key("model", "uncertainty_head", _bool, "false")
 
     strategy: str = _key("strategy", "name", _choice(*STRATEGIES))
@@ -165,8 +171,11 @@ class ExperimentConfig:
     sign_eval_point: str = _key("strategy", "sign_eval_point", _choice(*EVAL_POINTS),
                                 "current-iterate")
     sign_normalize: str = _key("strategy", "sign_normalize", _choice(*NORMALIZE_MODES), "none")
-    source_epochs: int | None = _key("strategy", "source_epochs", _at_least(1), None)
-    source_seed: int | None = _key("strategy", "source_seed", _seed, None)
+    # a source_checkpoint is loaded, not trained
+    source_epochs: int | None = _key("strategy", "source_epochs", _at_least(1), None,
+                                     only_with=("source_checkpoint", None))
+    source_seed: int | None = _key("strategy", "source_seed", _seed, None,
+                                   only_with=("source_checkpoint", None))
     source_checkpoint: str | None = _key("strategy", "source_checkpoint", default=None)
 
     epochs: int = _key("train", "epochs", _at_least(0))
@@ -219,7 +228,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
 
-    values = {}
+    values, given = {}, set()
     for name, f in _FIELDS.items():
         section, key, default = f.metadata["section"], f.metadata["key"], f.metadata["default"]
         text = parser[section].get(key) if parser.has_section(section) else None
@@ -227,8 +236,19 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             if default is _REQUIRED:
                 raise ConfigError(f"[{section}] missing required key: {key}")
             text = default
+        else:
+            given.add(name)
         values[name] = None if text is None else _parse(f.metadata["parse"], text,
                                                         f"[{section}] {key}")
+    for name, f in _FIELDS.items():
+        rule = f.metadata["only_with"]
+        if rule and values[rule[0]] != rule[1]:
+            if name in given:
+                other = _FIELDS[rule[0]].metadata
+                raise ConfigError(f"[{f.metadata['section']}] {f.metadata['key']}: no effect with "
+                                  f"[{other['section']}] {other['key']} = "
+                                  f"{other['fmt'](values[rule[0]])}")
+            values[name] = None
     cfg = ExperimentConfig(**values)
     _check_across_keys(cfg)
     return cfg
@@ -251,13 +271,8 @@ def _check_across_keys(cfg: ExperimentConfig):
             raise ConfigError("[strategy] sign_tap = sigma needs [model] uncertainty_head = true")
         if cfg.source_seed is None:
             cfg.source_seed = 0
-    else:
-        if is_sign and not os.path.exists(cfg.source_checkpoint):
-            raise ConfigError(f"[strategy] source_checkpoint does not exist: {cfg.source_checkpoint}")
-        unused = [k for k in ("source_epochs", "source_seed") if getattr(cfg, k) is not None]
-        if unused:
-            raise ConfigError(f"[strategy] {', '.join(unused)}: no effect with "
-                              "source_checkpoint, which is loaded, not trained")
+    elif is_sign and not os.path.exists(cfg.source_checkpoint):
+        raise ConfigError(f"[strategy] source_checkpoint does not exist: {cfg.source_checkpoint}")
     if cfg.ood_path is not None and not os.path.isdir(cfg.ood_path):
         raise ConfigError(f"[eval] ood_path is not a directory: {cfg.ood_path}")
     env_threads = os.environ.get("SIGNREG_THREADS")
@@ -268,7 +283,8 @@ def _check_across_keys(cfg: ExperimentConfig):
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
     """Every set key at its resolved value, in declaration order; unset keys
-    are left out, so the text loads back to an equal config."""
+    (those without effect among them) are left out, so the text loads back
+    to an equal config."""
     blocks: dict[str, list[str]] = {}
     for name, f in _FIELDS.items():
         section, value = f.metadata["section"], getattr(cfg, name)
@@ -312,11 +328,9 @@ def model_meta(cfg: ExperimentConfig, split: DatasetSplit) -> dict:
         meta = {"arch": "basic_cnn", "input_shape": list(shape), "num_classes": ncls,
                 "drop_prob": cfg.drop_prob}
     else:
-        dim = 1
-        for s in shape:
-            dim *= s
-        meta = {"arch": "small_mlp", "input_dim": dim, "hidden_dims": list(cfg.hidden_dims),
-                "num_classes": ncls, "input_shape": list(shape)}
+        meta = {"arch": "small_mlp", "input_dim": math.prod(shape),
+                "hidden_dims": list(cfg.hidden_dims), "num_classes": ncls,
+                "input_shape": list(shape)}
     if cfg.uncertainty_head:
         meta["uncertainty_head"] = True
     return meta

@@ -19,10 +19,10 @@ import numpy as np
 
 from .augment import CorruptionSpec, corrupt
 from .datasets import DatasetSplit, NormStats, Sample, normalize_sample
-from .nn import Model, build_model, predict
+from .nn import Model, predict
 from .sign import SignConfig
 from .tensor import Rng, Tensor
-from .training import TrainConfig
+from .training import TrainConfig, fit, sign_pipeline
 
 _EVAL_SEED = 0x5EED_E7A1
 
@@ -223,16 +223,12 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
     identical seeds, so with no transform configs the two reports match
     bit-exactly.
     """
-    from .training import fit, sign_pipeline  # local import keeps module load acyclic
-
-    pipeline = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs, final_cfg,
-                             final=build_model(target_meta, seed=final_cfg.seed))
-    augmented = pipeline.augmented_split
-    control, _ = fit(target_meta, replace(augmented, train=[s for s in augmented.train
-                                                            if s.provenance is None]), final_cfg)
-    return TransferResult(
-        transfer_report=evaluate(pipeline.final_model, augmented.test, mc_samples),
-        control_report=evaluate(control, augmented.test, mc_samples))
+    augmented = sign_pipeline(split, source_meta, pretrain_cfg, sign_cfgs).augmented_split
+    target, _ = fit(target_meta, augmented, final_cfg)
+    control, _ = fit(target_meta, replace(augmented, train=augmented.train[:len(split.train)]),
+                     final_cfg)
+    return TransferResult(transfer_report=evaluate(target, augmented.test, mc_samples),
+                          control_report=evaluate(control, augmented.test, mc_samples))
 
 
 # -- feature projection ---------------------------------------------------------

@@ -65,26 +65,24 @@ class Dense:
         return tape.bias_add(tape.matmul(x, w), b)
 
 
-class ReLU:
+class _NoParams:
+    """Base of the layers that hold no parameters."""
+
     def init_params(self, rng: Rng) -> dict[str, Tensor]:
         return {}
 
+
+class ReLU(_NoParams):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         return tape.relu(x)
 
 
-class MaxPool2:
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        return {}
-
+class MaxPool2(_NoParams):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         return tape.maxpool2(x)
 
 
-class Flatten:
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        return {}
-
+class Flatten(_NoParams):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         b = x.shape[0]
         flat = int(np.prod(x.shape[1:]))
@@ -93,16 +91,13 @@ class Flatten:
         return tape.reshape(x, (b, flat))
 
 
-class Dropout:
+class Dropout(_NoParams):
     """Inverted dropout. Identity unless training with an rng supplied."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"drop probability must be in [0, 1), got {p}")
         self.p = p
-
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        return {}
 
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         if not train or self.p == 0.0 or rng is None:

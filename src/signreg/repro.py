@@ -67,10 +67,12 @@ def _base_cfg(seed: int, epochs: int = 16, strategy: str = "none", **kw) -> Trai
 def none_vs_sign(split: DatasetSplit, meta: dict, base: TrainConfig,
                  cfgs: list[SignConfig], measure) -> dict:
     """``measure`` of the pipeline's plainly trained source ("none", trained
-    on ``base``) and of its final model ("sign": the same config and seed with
-    ``strategy = sign``, trained on the originals plus their transformed copies)."""
-    pipeline = sign_pipeline(split, meta, base, cfgs, replace(base, strategy="sign"))
-    return {"none": measure(pipeline.source_model), "sign": measure(pipeline.final_model)}
+    on ``base``) and of a model fit on its augmented split, the originals plus
+    their transformed copies ("sign": the same config and seed with
+    ``strategy = sign``)."""
+    pipeline = sign_pipeline(split, meta, base, cfgs)
+    final, _ = fit(meta, pipeline.augmented_split, replace(base, strategy="sign"))
+    return {"none": measure(pipeline.source_model), "sign": measure(final)}
 
 
 # -- protocols -------------------------------------------------------------------

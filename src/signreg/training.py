@@ -1,4 +1,6 @@
-"""Losses, optimizers, the seeded training loop, and the offline transform pipeline.
+"""Losses, optimizers, the seeded training loop, and the offline transform
+pipeline that builds the SIGN training set (the final model is trained on
+it by ``fit`` or ``train``, like any other).
 
 Two losses: soft-label cross-entropy, and the Monte-Carlo aleatoric loss
 for models with an uncertainty head (per-class logit noise, log-mean-exp
@@ -221,11 +223,11 @@ def evaluate_arrays(model: Model, images: np.ndarray, soft: np.ndarray,
 def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     """Seeded mini-batch training with the configured augmentation strategy.
 
-    sign-strategy data is expected to be augmented offline beforehand (the
-    pipeline below does this); the loop itself then treats it like plain
-    data. On return ``model`` holds the parameters of the selected epoch,
-    the one with the best validation accuracy (ties keep the earliest);
-    with zero epochs it keeps its initialization.
+    sign-strategy data is expected to be augmented offline beforehand
+    (``sign_pipeline`` below returns that split); the loop itself then
+    treats it like plain data. On return ``model`` holds the parameters of
+    the selected epoch, the one with the best validation accuracy (ties keep
+    the earliest); with zero epochs it keeps its initialization.
     """
     if not split.train or not split.val:
         raise ValueError("train() needs non-empty train and val splits")
@@ -294,35 +296,25 @@ class PipelineResult:
     source_model: Model
     source_report: TrainReport | None  # None when the source was given
     augmented_split: DatasetSplit
-    final_model: Model
-    final_report: TrainReport
 
 
 def sign_pipeline(split: DatasetSplit, source_meta: dict, pretrain_cfg: TrainConfig | None,
-                  sign_cfgs: list[SignConfig], final_cfg: TrainConfig,
-                  final: Model | None = None, threads: int = 1,
+                  sign_cfgs: list[SignConfig], *, threads: int = 1,
                   source: Model | None = None) -> PipelineResult:
-    """Train a source model, transform the train split with it, train fresh.
+    """Train a source model and add its transformed copies to the train split.
 
     Stage 1 fits the source on ``pretrain_cfg``, unless a trained
     ``source`` is given (then ``pretrain_cfg`` is unused); stage 2 adds one
     transformed copy of every training sample per config (offline, from the
-    frozen source); stage 3 trains the untrained ``final`` model (by default
-    ``fit`` builds one from ``source_meta`` and ``final_cfg.seed``) on
-    original plus transformed samples. The source and final models are at
-    their selected epochs. With an empty config list stage 3 degenerates to
-    a plain retrain.
+    frozen source, at its selected epoch). The augmented train split holds
+    the originals first, then the copies (``transform_dataset``'s order);
+    the final model is trained on it by ``fit`` or ``train``.
     """
     if not split.normalized:
         split = normalize(split)
     source_report = None
     if source is None:
         source, source_report = fit(source_meta, split, pretrain_cfg)
-
     aug_split = replace(split, train=transform_dataset(source, split.train, sign_cfgs,
                                                        threads=threads))
-    if final is None:
-        final, final_report = fit(source_meta, aug_split, final_cfg)
-    else:
-        final_report = train(final, aug_split, final_cfg)
-    return PipelineResult(source, source_report, aug_split, final, final_report)
+    return PipelineResult(source, source_report, aug_split)

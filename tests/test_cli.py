@@ -10,7 +10,8 @@ import struct
 import numpy as np
 import pytest
 
-from signreg import cli, evalharness, training
+from signreg import cli, evalharness, repro, training
+from signreg import config as cfgmod
 from signreg.cli import main
 from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
                             parse_corruption, resolved_config_text)
@@ -36,8 +37,8 @@ def write_config(path, *, epochs=0, strategy="none", out_dir, extra_strategy="",
     dataset = dataset_lines or BLOB_LINES
     text = "\n".join([
         "[dataset]", *dataset,
-        "[model]", f"arch = {arch}", f"hidden_dims = {hidden_dims}", f"init_seed = {init_seed}",
-        extra_model,
+        "[model]", f"arch = {arch}", f"init_seed = {init_seed}", extra_model,
+        "" if hidden_dims is None else f"hidden_dims = {hidden_dims}",
         "[strategy]", f"name = {strategy}", extra_strategy,
         "[train]", f"epochs = {epochs}", f"batch_size = {batch_size}", f"seed = {seed}",
         f"learning_rate = {learning_rate}", extra_train,
@@ -98,14 +99,15 @@ class TestSourceCheckpoint:
         given = run_a / "checkpoint.bin"
         calls = []
         real_train = training.train
-        monkeypatch.setattr(training, "train",
-                            lambda *a, **k: calls.append(1) or real_train(*a, **k))
+        for module in (training, cli):
+            monkeypatch.setattr(module, "train", lambda *a, module=module, **k:
+                                calls.append(module.__name__) or real_train(*a, **k))
         run_b = tmp_path / "b"
         cfg = write_config(tmp_path / "b.ini", epochs=1, strategy="sign", out_dir=run_b,
                            extra_strategy=f"source_checkpoint = {given}\nsign_k = 2\n"
                                           "sign_gamma = 0.01\nsign_normalize = unit-max-abs")
         assert main(["train", "-c", cfg]) == 0
-        assert len(calls) == 1  # the final model only
+        assert calls == ["signreg.cli"]  # the final model only
 
         def sha256(path):
             return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -151,6 +153,28 @@ def test_training_on_own_container_keeps_images_and_stats(tmp_path, monkeypatch)
         [s.image.data.tobytes() for s in samples]
     assert main(["eval", "-c", cfg, "--checkpoint", str(run_b / "checkpoint.bin")]) == 0
     assert (run_b / "per-sample.csv").exists()
+
+
+def test_sign_run_on_transformed_container_saves_only_new_copies(tmp_path):
+    """The run's copies are found by position, not by provenance: here every
+    training original already carries an earlier transform's provenance."""
+    images = Rng(4).child("images").normal((24, 1, 8, 8))
+    container = str(tmp_path / "earlier.container")
+    save_container([Sample(image=Tensor(img), label=i % 3, raw=False,
+                           provenance={"source_model": "earlier", "k": 2})
+                    for i, img in enumerate(images)], container, ("a", "b", "c"),
+                   raw_domain=False, stats=NormStats(mean=(128.0,), std=(12.0,)))
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.ini", epochs=1, strategy="sign", out_dir=out,
+                       dataset_lines=["kind = container", f"path = {container}"],
+                       extra_strategy="source_epochs = 1\nsign_k = 1,2\nsign_gamma = 0.01\n"
+                                      "sign_normalize = unit-max-abs")
+    assert main(["train", "-c", cfg]) == 0
+    train_count = len(cfgmod.build_dataset(load_experiment_config(cfg)).train)
+    samples, _ = load_container(str(out / "transformed-train.container"))
+    assert len(samples) == train_count * 2
+    checksum = params_checksum(load_checkpoint(str(out / "source-checkpoint.bin")).params)
+    assert all(s.provenance["source_model"] == checksum for s in samples)
 
 
 def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
@@ -325,6 +349,15 @@ RUN_ERROR_CASES = {
     "drop-prob-one": ({"extra_model": "drop_prob = 1"}, "train", 1, ["[model] drop_prob"]),
     "drop-prob-negative": ({"extra_model": "drop_prob = -0.1"}, "train", 1,
                            ["[model] drop_prob"]),
+    "drop-prob-small-mlp": ({"extra_model": "drop_prob = 0.3"}, "train", 1,
+                            ["[model] drop_prob", "arch = small_mlp"]),
+    "hidden-dims-basic-cnn": ({"arch": "basic_cnn"}, "train", 1,
+                              ["[model] hidden_dims", "arch = basic_cnn"]),
+    "val-count-blobs": ({"dataset_lines": blobs_with("val_count = 10")}, "train", 1,
+                        ["[dataset] val_count", "kind = blobs"]),
+    "val-count-container": ({"dataset_lines": ["kind = container", "path = {modelspace}",
+                                               "val_count = 2"]}, "eval --checkpoint {fits}", 1,
+                            ["[dataset] val_count", "kind = container"]),
     "learning-rate-nan": ({"learning_rate": "nan"}, "train", 1, ["[train] learning_rate"]),
     "learning-rate-negative": ({"learning_rate": -1}, "train", 1, ["[train] learning_rate"]),
     "learning-rate-zero": ({"learning_rate": 0}, "train", 1, ["[train] learning_rate"]),
@@ -558,6 +591,30 @@ class TestCmdRepro:
             assert name in err
 
 
+# command line -> text the usage error must name
+USAGE_ERROR_CASES = {
+    "train-without-config": (["train"], "-c/--config"),
+    "unknown-command": (["bogus"], "bogus"),
+    "repro-without-recipe": (["repro"], "recipe"),
+    "seed-not-a-number": (["repro", "classify", "--seed", "x"], "--seed"),
+    "seed-negative": (["repro", "classify", "--seed", "-1"], "--seed"),
+    "seed-too-large": (["repro", "classify", "--seed", str(2**64)], "--seed"),
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERROR_CASES))
+    def test_exit_one_naming_the_argument(self, capsys, monkeypatch, case):
+        monkeypatch.setattr(repro, "run_recipe", lambda *a: pytest.fail("the recipe started"))
+        argv, named = USAGE_ERROR_CASES[case]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err.strip().splitlines()[-1]
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["repro", "--help"]) == 0 and "--seed" in capsys.readouterr().out
+
+
 class TestThreadsOverride:
     def test_env_var_overrides(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.ini", epochs=0, out_dir=tmp_path / "run")
@@ -600,6 +657,19 @@ class TestResolvedConfig:
             assert again.threads == 3 and again.corruptions[0].sigma == 10.1234567
         if case == "sign-checkpoint":
             assert again.source_seed is None and "source_seed" not in text
+
+    @pytest.mark.parametrize("arch, kept, left_out", [
+        ("small_mlp", "hidden_dims = 12", "drop_prob"),
+        ("basic_cnn", "drop_prob = 0.3", "hidden_dims")])
+    def test_snapshot_leaves_out_keys_without_effect(self, tmp_path, arch, kept, left_out):
+        cfg = load_experiment_config(write_config(
+            tmp_path / "c.ini", arch=arch, out_dir=tmp_path / "run",
+            hidden_dims="12" if arch == "small_mlp" else None))
+        text = resolved_config_text(cfg)
+        assert kept in text and left_out not in text and "val_count" not in text
+        assert getattr(cfg, left_out) is None and cfg.val_count is None
+        (tmp_path / "resolved.ini").write_text(text)
+        assert load_experiment_config(str(tmp_path / "resolved.ini")) == cfg
 
     @pytest.mark.parametrize("case", ["plain", "sign-trained"])
     def test_rerun_rewrites_artifacts_byte_for_byte(self, tmp_path, case):

@@ -1,6 +1,8 @@
 """Report math against second-pass recomputation, projection against a
 Jacobi eigensolver, corruption harness determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from signreg.evalharness import (evaluate, ood_evaluate, project_features,
                                  transferability_protocol, write_scores_csv)
 from signreg.nn import (Dense, Model, attach_uncertainty_head, build_model, build_small_mlp,
                         load_checkpoint, save_checkpoint)
+from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
-from signreg.training import TrainConfig, evaluate_arrays
+from signreg.training import TrainConfig, evaluate_arrays, fit
 
 
 def logit_passthrough_model(ncls: int) -> Model:
@@ -273,6 +276,22 @@ class TestTransferability:
         assert result.transfer_report.per_class_accuracy == \
             result.control_report.per_class_accuracy
         assert result.transfer_report.mean_accuracy == result.control_report.mean_accuracy
+
+    def test_control_arm_trains_on_the_originals(self):
+        """Even when the originals carry provenance, as a transformed
+        container's samples do, the control arm trains on exactly them."""
+        split = normalize(make_synthetic_blobs(3, 8, (1, 8, 8), 5.0, Rng(14)))
+        split = dataclasses.replace(split, train=[
+            dataclasses.replace(s, provenance={"source_model": "earlier"}) for s in split.train])
+        meta_a = {"arch": "small_mlp", "input_dim": 64, "hidden_dims": [8],
+                  "num_classes": 3, "input_shape": [1, 8, 8]}
+        meta_b = dict(meta_a, hidden_dims=[4])
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=15)
+        result = transferability_protocol(
+            meta_a, meta_b, split, [SignConfig(k=2, gamma=0.02, normalize="unit-max-abs")],
+            cfg, cfg)
+        control, _ = fit(meta_b, split, cfg)
+        assert result.control_report == evaluate(control, split.test)
 
     def test_report_schema(self):
         split = normalize(make_synthetic_blobs(2, 10, (1, 8, 8), 5.0, Rng(11)))

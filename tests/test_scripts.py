@@ -1,4 +1,5 @@
-"""The scripts the README documents run end to end at a small size."""
+"""The scripts and the library snippet the README documents run end to end
+at a small size."""
 
 import os
 import subprocess
@@ -7,11 +8,15 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(os.path.join(ROOT, "scripts", name), *args)
 
 
 def test_run_protocols(tmp_path):
@@ -32,3 +37,11 @@ def test_sweep_transform_strength():
     assert header.split() == ["gamma", "clean(base)", "clean(sign)", "pixoff(base)",
                               "pixoff(sign)"]
     assert len(rows) == 1 and rows[0].split()[0] == "0.02"
+
+
+def test_readme_library_snippet():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        (snippet,) = [block.split("```", 1)[0] for block in fh.read().split("```python\n")[1:]]
+    done = run_python("-c", snippet)
+    assert done.returncode == 0, done.stderr
+    assert 1 / 3 < float(done.stdout) <= 1.0  # the final model's test accuracy

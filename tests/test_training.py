@@ -7,8 +7,9 @@ from signreg.datasets import DatasetSplit, make_synthetic_blobs, normalize
 from signreg.nn import build_model
 from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
+from signreg import training
 from signreg.training import (Adam, SgdMomentum, TrainConfig, aleatoric_loss,
-                              cross_entropy, sign_pipeline, train)
+                              cross_entropy, fit, sign_pipeline, train)
 
 
 def naive_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -220,12 +221,13 @@ class TestSignPipeline:
         split = small_split(spc=15)
         _, meta = fresh_mlp(split)
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, seed=8)
-        result = sign_pipeline(split, meta, cfg, [], cfg)
+        result = sign_pipeline(split, meta, cfg, [])
+        assert len(result.augmented_split.train) == len(split.train)
+        final, _ = fit(meta, result.augmented_split, cfg)
         plain = build_model(meta, seed=cfg.seed)
         train(plain, split, cfg)
         for name in plain.params:
-            assert plain.params[name].data.tobytes() == \
-                result.final_model.params[name].data.tobytes()
+            assert plain.params[name].data.tobytes() == final.params[name].data.tobytes()
 
     def test_default_two_configs_triple_training_set(self):
         split = small_split(spc=10)
@@ -233,7 +235,7 @@ class TestSignPipeline:
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=9)
         cfgs = [SignConfig(k=5, gamma=0.02, normalize="unit-max-abs"),
                 SignConfig(k=10, gamma=0.02, normalize="unit-max-abs")]
-        result = sign_pipeline(split, meta, cfg, cfgs, cfg)
+        result = sign_pipeline(split, meta, cfg, cfgs)
         assert len(result.augmented_split.train) == 3 * len(split.train)
         originals = result.augmented_split.train[:len(split.train)]
         assert all(s.provenance is None for s in originals)
@@ -246,20 +248,33 @@ class TestSignPipeline:
         target_meta = dict(source_meta, hidden_dims=[8])
         cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
         result = sign_pipeline(split, source_meta, cfg,
-                               [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")], cfg,
-                               final=build_model(target_meta, seed=cfg.seed))
-        assert result.final_model.meta["hidden_dims"] == [8]
+                               [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")])
+        final, report = fit(target_meta, result.augmented_split, cfg)
+        assert final.meta["hidden_dims"] == [8] and len(report.rows) == 2
+        assert result.source_model.meta["hidden_dims"] == [16]
 
     def test_given_source_skips_stage_one(self):
         split = small_split(spc=10)
         _, meta = fresh_mlp(split)
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=11)
         cfgs = [SignConfig(k=3, gamma=0.02, normalize="unit-max-abs")]
-        trained = sign_pipeline(split, meta, cfg, cfgs, cfg)
-        given = sign_pipeline(split, meta, None, cfgs, cfg, source=trained.source_model)
+        trained = sign_pipeline(split, meta, cfg, cfgs)
+        given = sign_pipeline(split, meta, None, cfgs, source=trained.source_model)
         assert given.source_report is None and given.source_model is trained.source_model
+        assert len(given.augmented_split.train) == len(trained.augmented_split.train)
         for a, b in zip(trained.augmented_split.train, given.augmented_split.train):
             assert a.image.data.tobytes() == b.image.data.tobytes()
-        for name in trained.final_model.params:
-            assert trained.final_model.params[name].data.tobytes() == \
-                given.final_model.params[name].data.tobytes()
+
+    def test_trains_the_source_only(self, monkeypatch):
+        split = small_split(spc=10)
+        _, meta = fresh_mlp(split)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=12)
+        cfgs = [SignConfig(k=2, gamma=0.02, normalize="unit-max-abs")]
+        trained = []
+        real_train = training.train
+        monkeypatch.setattr(training, "train",
+                            lambda model, *a: trained.append(model) or real_train(model, *a))
+        result = sign_pipeline(split, meta, cfg, cfgs)
+        assert trained == [result.source_model]
+        sign_pipeline(split, meta, None, cfgs, source=result.source_model)
+        assert trained == [result.source_model]
