@@ -14,11 +14,12 @@ import sys
 import time
 
 from signreg import repro
+from signreg.cli import _seed
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", default=None, help="also append tables to this file")
     parser.add_argument("--recipes", nargs="*", default=list(repro.RECIPES))
     args = parser.parse_args()

@@ -16,6 +16,7 @@ import sys
 
 from signreg import repro
 from signreg.augment import CorruptionSpec
+from signreg.cli import _seed
 from signreg.datasets import normalize
 from signreg.evalharness import evaluate, robustness_suite
 from signreg.tensor import Rng
@@ -44,7 +45,7 @@ def run_one(seed: int, gamma: float) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", nargs="*", type=int, default=[0, 1, 2])
+    parser.add_argument("--seeds", nargs="*", type=_seed, default=[0, 1, 2])
     parser.add_argument("--gammas", nargs="*", type=float,
                         default=[0.002, 0.005, 0.01, 0.02, 0.05])
     args = parser.parse_args()

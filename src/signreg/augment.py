@@ -1,8 +1,7 @@
 """Baseline augmentations and test-time corruptions.
 
 Classical augmentation (flips, 90-degree rotations, integer shifts with
-zero fill) and mixup operate on the stacked arrays of a training batch;
-the single-pair ``mixup`` states the interpolation rule on samples.
+zero fill) and mixup operate on the stacked arrays of a training batch.
 Corruptions operate strictly in the raw 0-255 intensity domain,
 before normalization. Labels never change under classical augmentation or
 corruption; mixup blends labels with the same coefficient as images.
@@ -104,25 +103,6 @@ def classical_augment_array(image: np.ndarray, rng: Rng) -> np.ndarray:
 
 
 # -- mixup -------------------------------------------------------------------
-
-
-def _soft_label(sample: Sample, num_classes: int) -> np.ndarray:
-    if sample.soft_label is not None:
-        return np.asarray(sample.soft_label, dtype=np.float64)
-    onehot = np.zeros(num_classes)
-    onehot[sample.label] = 1.0
-    return onehot
-
-
-def mixup(p1: Sample, p2: Sample, lam: float, num_classes: int) -> Sample:
-    """image = lam * img1 + (1 - lam) * img2, same blend for the labels."""
-    if p1.image.shape != p2.image.shape:
-        raise ShapeError(f"mixup shape mismatch: {p1.image.shape} vs {p2.image.shape}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    img = lam * p1.image.data + (1.0 - lam) * p2.image.data
-    label = lam * _soft_label(p1, num_classes) + (1.0 - lam) * _soft_label(p2, num_classes)
-    return replace(p1, image=Tensor._wrap(img), soft_label=tuple(float(v) for v in label))
 
 
 def mixup_arrays(images: np.ndarray, labels: np.ndarray, cfg: MixupConfig,

@@ -7,6 +7,12 @@ parameter leaves (``param_gradients``). Each tape belongs to one forward
 call; nothing is global, so independent tapes over shared (immutable)
 parameters can run concurrently.
 
+The primitives are the ones the models and the training loop record:
+matmul, bias_add, relu, softplus, reshape, dropout, maxpool2 and conv2d
+in the forward pass, and the two losses, cross_entropy and
+aleatoric_nll. ``forward`` records any function of one input built from
+them; the gradient checks use it.
+
 Derivative conventions, chosen for determinism:
   * relu'(0) == 0 exactly;
   * maxpool ties resolve to the first element in row-major window order
@@ -102,25 +108,6 @@ class Tape:
             raise ValueError("node is not on this tape")
 
     # -- primitives ---------------------------------------------------------
-
-    def add(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
-            raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-        return self._record("add", a.value.data + b.value.data, (a, b),
-                            lambda g, needed: (g, g))
-
-    def sub(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
-            raise ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
-        return self._record("sub", a.value.data - b.value.data, (a, b),
-                            lambda g, needed: (g, -g))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-        ad, bd = a.value.data, b.value.data
-        return self._record("mul", ad * bd, (a, b),
-                            lambda g, needed: (g * bd, g * ad))
 
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -231,18 +218,6 @@ class Tape:
             return (dx, dw)
 
         return self._record("conv2d", out, (x, w), vjp)
-
-    def sum(self, x: Node) -> Node:
-        """Total sum, producing a scalar-shaped (1,) node."""
-        xd = x.value.data
-        return self._record("sum", np.array([xd.sum()]), (x,),
-                            lambda g, needed: (np.full(xd.shape, g[0]),))
-
-    def mean(self, x: Node) -> Node:
-        xd = x.value.data
-        n = xd.size
-        return self._record("mean", np.array([xd.mean()]), (x,),
-                            lambda g, needed: (np.full(xd.shape, g[0] / n),))
 
     def cross_entropy(self, logits: Node, labels: np.ndarray) -> Node:
         """Mean soft-label cross-entropy over the batch, log-sum-exp shifted.

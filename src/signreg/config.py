@@ -182,7 +182,8 @@ class ExperimentConfig:
     batch_size: int = _key("train", "batch_size", _at_least(1), "128")
     optimizer: str = _key("train", "optimizer", _choice("sgd-momentum", "adam"), "sgd-momentum")
     learning_rate: float = _key("train", "learning_rate", _positive, "0.01")
-    momentum: float = _key("train", "momentum", _finite, "0.9")
+    momentum: float | None = _key("train", "momentum", _finite, "0.9",
+                                  only_with=("optimizer", "sgd-momentum"))
     mc_samples: int = _key("train", "mc_samples", _at_least(1), "20")
     seed: int = _key("train", "seed", _seed, "0")
     threads: int = _key("train", "threads", _at_least(1), "1")
@@ -343,7 +344,8 @@ def train_config(cfg: ExperimentConfig, epochs: int | None = None,
         batch_size=cfg.batch_size,
         optimizer=cfg.optimizer,
         learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
+        # unset with adam, which has no momentum; the field keeps its default
+        momentum=TrainConfig.momentum if cfg.momentum is None else cfg.momentum,
         strategy=cfg.strategy if strategy is None else strategy,
         mixup_alpha=cfg.mixup_alpha,
         mc_samples=cfg.mc_samples,

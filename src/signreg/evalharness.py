@@ -74,10 +74,6 @@ class EvalReport:
     min_correct_probability: float | None
     corruptions: list[CorruptionResult] = field(default_factory=list)
 
-    @property
-    def per_class_accuracy(self) -> list[float]:
-        return [row.accuracy for row in self.per_class]
-
     def to_json(self, path: str):
         doc = {
             "mean_accuracy": self.mean_accuracy,

@@ -12,6 +12,11 @@ layer and pushes uninfluential ones negative, where a downstream ReLU
 discards them. Transformed values live in all of R and are deliberately
 not clipped. Dropout is disabled throughout, so the transform is a pure
 function of (model parameters, input, config).
+
+The transform runs on batches of samples, which evolve independently
+(``_transform_batch``). ``transform_dataset`` adds the transformed copies
+to a sample list, and ``delta_only_dataset`` returns the accumulated
+deltas; a single sample is a list of one.
 """
 
 from __future__ import annotations
@@ -64,21 +69,15 @@ class SignConfig:
                 "normalize": self.normalize}
 
 
-@dataclass(frozen=True)
-class SignResult:
-    transformed: Tensor
-    final_delta: Tensor  # transformed - input, the accumulated perturbation
-    delta_norms: tuple[float, ...]  # l2 norm of each per-iteration delta
-
-
 def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
                      stops: tuple[int, ...]) -> tuple[list, np.ndarray]:
     """Transform a batch (samples evolve independently under the ones-VJP).
 
     Runs ``cfg.k`` iterations and returns the (transformed, final_delta)
     pair reached after each iteration count in ``stops`` (none may exceed
-    ``cfg.k``), and the per-iteration norms of shape (K, B). At the original point every step is the same, so its
-    delta is computed once and added K times.
+    ``cfg.k``), and the per-iteration l2 norms of the deltas, shape (K, B).
+    At the original point every step is the same, so its delta is
+    computed once and added K times.
     """
     taps = sorted(model.taps) + (["sigma"] if model.has_uncertainty_head else [])
     if cfg.tap not in taps:
@@ -106,17 +105,6 @@ def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
         if k + 1 in stops:
             reached[k + 1] = (current, total)
     return [reached[s] for s in stops], norms
-
-
-def sign_transform(model: Model, input: Tensor, cfg: SignConfig) -> SignResult:
-    """Transform a single sample. Output values are in R (never clipped)."""
-    if input.shape != model.input_shape:
-        raise ShapeError(f"input shape {input.shape} != model input {model.input_shape}")
-    batch = input.data[None, ...]
-    [(transformed, total)], norms = _transform_batch(model, batch, cfg, (cfg.k,))
-    return SignResult(transformed=Tensor._wrap(transformed[0]),
-                      final_delta=Tensor._wrap(total[0]),
-                      delta_norms=tuple(float(n) for n in norms[:, 0]))
 
 
 def _map_batches(model: Model, samples: list, cfg: SignConfig, stops: tuple[int, ...],

@@ -1,9 +1,11 @@
 """Dense float64 tensors and a splittable, counter-based random source.
 
-Every other module works in terms of these two types. Tensors are
-immutable after construction (the underlying numpy buffer is marked
-read-only), so they are safe to share across threads. Kernels never
-mutate their inputs.
+Every other module works in terms of these two types. A Tensor is an
+immutable container, not an array type: the numpy buffer behind ``data``
+is marked read-only, so tensors are safe to share across threads, and
+all arithmetic happens on numpy arrays, in the tape's primitives
+(``autodiff``) and the library's kernels, which never mutate their inputs.
+Tensors have no ``==``; compare their ``data``.
 
 Numerics are 64-bit throughout: the test suite leans on tight
 finite-difference tolerances and desk-scale memory is cheap.
@@ -79,81 +81,16 @@ class Tensor:
     def size(self) -> int:
         return self._data.size
 
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return Tensor._wrap(self._data.reshape(_check_shape(shape)).copy())
-
     def copy(self) -> "Tensor":
         return Tensor._wrap(self._data.copy())
-
-    def tolist(self):
-        return self._data.tolist()
 
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self._data.reshape(-1)[0])
 
-    def _binop(self, other, fn) -> "Tensor":
-        if isinstance(other, Tensor):
-            if other.shape != self.shape:
-                raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-            return Tensor._wrap(fn(self._data, other._data))
-        return Tensor._wrap(fn(self._data, float(other)))
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __radd__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __neg__(self):
-        return Tensor._wrap(-self._data)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self._data, other._data)
-
-    def __hash__(self):
-        return hash((self.shape, self._data.tobytes()))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor._wrap(np.zeros(_check_shape(shape)))
-
-
-def ones(shape: Sequence[int]) -> Tensor:
-    return Tensor._wrap(np.ones(_check_shape(shape)))
-
-
-def full(shape: Sequence[int], value: float) -> Tensor:
-    return Tensor._wrap(np.full(_check_shape(shape), float(value)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rank-2 matrix product. No broadcasting."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return Tensor._wrap(a.data @ b.data)
-
-
-def normal(rng: "Rng", shape: Sequence[int], mu: float = 0.0, sigma: float = 1.0) -> Tensor:
-    """I.i.d. Gaussian samples. sigma == 0 degenerates to a constant mu."""
-    return Tensor._wrap(rng.normal(_check_shape(shape), mu=mu, sigma=sigma))
 
 
 def _tag_to_int(tag) -> int:

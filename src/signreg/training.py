@@ -2,10 +2,11 @@
 pipeline that builds the SIGN training set (the final model is trained on
 it by ``fit`` or ``train``, like any other).
 
-Two losses: soft-label cross-entropy, and the Monte-Carlo aleatoric loss
-for models with an uncertainty head (per-class logit noise, log-mean-exp
-over draws; the printed likelihood form increases with fit, so training
-minimizes its negation).
+The loop records its loss on the model's tape, so the losses are two tape
+primitives: ``Tape.cross_entropy`` on soft labels, and, for models with
+an uncertainty head, ``Tape.aleatoric_nll``, the Monte-Carlo aleatoric
+loss (per-class logit noise, log-mean-exp over ``mc_samples`` draws; the
+likelihood increases with fit, so training minimizes its negation).
 
 Every stochastic ingredient (shuffling, dropout, augmentation draws,
 noise draws) comes from a child stream keyed by purpose and position, so
@@ -23,54 +24,12 @@ import numpy as np
 
 from . import autodiff
 from .augment import MixupConfig, classical_augment_array, mixup_arrays
-from .autodiff import Tape
-from .datasets import SOFT_LABEL_TOLERANCE, DatasetSplit, Sample, normalize
+from .datasets import DatasetSplit, Sample, normalize
 from .nn import Model, build_model, predict
 from .sign import SignConfig, transform_dataset
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import Rng, Tensor
 
 STRATEGIES = ("none", "classical", "mixup", "sign", "sign-plus-classical")
-
-
-# -- losses -------------------------------------------------------------------
-
-
-def _check_soft_labels(labels: np.ndarray):
-    sums = labels.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > SOFT_LABEL_TOLERANCE):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"label row {bad} sums to {sums[bad]!r}, expected 1")
-
-
-def cross_entropy(logits: Tensor, labels: Tensor) -> float:
-    """Mean over the batch of -sum_c y_c (logit_c - logsumexp), shift-stabilized."""
-    if logits.shape != labels.shape or logits.ndim != 2:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
-    _check_soft_labels(labels.data)
-    tape = Tape()
-    node = tape.cross_entropy(tape.leaf_const(logits), labels.data)
-    return node.value.item()
-
-
-def aleatoric_loss(f: Tensor, sigma: Tensor, labels, t_draws: int, rng: Rng) -> float:
-    """Monte-Carlo aleatoric classification loss over ``t_draws`` noise draws.
-
-    ``labels`` are class indices. Sigma must be strictly positive; as
-    sigma -> 0+ this collapses to the cross-entropy of f.
-    """
-    if t_draws < 1:
-        raise ValueError(f"need at least one Monte-Carlo draw, got {t_draws}")
-    if f.shape != sigma.shape or f.ndim != 2:
-        raise ShapeError(f"aleatoric_loss: f {f.shape} vs sigma {sigma.shape}")
-    if np.any(sigma.data <= 0):
-        raise ValueError("sigma must be strictly positive")
-    batch, ncls = f.shape
-    onehot = np.zeros((batch, ncls))
-    onehot[np.arange(batch), np.asarray(labels, dtype=int)] = 1.0
-    eps = rng.normal((t_draws, batch, ncls))
-    tape = Tape()
-    node = tape.aleatoric_nll(tape.leaf_const(f), tape.leaf_const(sigma), onehot, eps)
-    return node.value.item()
 
 
 # -- optimizers ----------------------------------------------------------------

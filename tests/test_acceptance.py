@@ -14,17 +14,17 @@ from gradcheck import away_from_kinks, check_input_grad
 from scipy.special import betaincinv
 
 from signreg import repro
-from signreg.augment import CorruptionSpec, MixupConfig, mixup
-from signreg.autodiff import param_gradients, vjp
+from signreg.augment import CorruptionSpec, MixupConfig, mixup_arrays
+from signreg.autodiff import forward, param_gradients, vjp
 from signreg.cli import main
 from signreg.datasets import (Sample, bilinear_resize, decode_ppm, make_synthetic_blobs,
                               normalize, denormalize_sample, parse_cifar_record,
                               serialize_cifar_record)
 from signreg.evalharness import evaluate, robustness_suite
 from signreg.nn import build_basic_cnn, build_model, build_small_mlp
-from signreg.sign import SignConfig, sign_transform
+from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng, Tensor
-from signreg.training import TrainConfig, aleatoric_loss, cross_entropy, train
+from signreg.training import TrainConfig, train
 
 
 def _passline(num: int, label: str, detail: str = ""):
@@ -68,8 +68,6 @@ def _primitive_gradchecks():
     check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(cx)), n), cw)
     mask = (rng.child("dm").uniform(size=(3, 4)) < 0.7) / 0.7
     check_input_grad(lambda t, n: t.dropout(n, mask), rng.child("dx").normal((3, 4)))
-    check_input_grad(lambda t, n: t.sum(n), rng.child("s").normal((3, 3)))
-    check_input_grad(lambda t, n: t.mean(n), rng.child("m").normal((3, 3)))
     # both losses
     labels = np.eye(4)[[0, 2, 3]]
     check_input_grad(lambda t, n: t.cross_entropy(n, labels),
@@ -146,8 +144,9 @@ def test_criterion_2_sign_oracle_equivalence():
         rng = Rng(201)
         model = build_small_mlp(64, [24], 4, rng=rng.child("init"))
         p = rng.child("p").normal((64,))
+        sample = [Sample(image=Tensor(p), label=0, raw=False)]
         for k in (1, 3, 5):
-            got = sign_transform(model, Tensor(p), SignConfig(k=k, gamma=0.5)).transformed.data
+            got = transform_dataset(model, sample, [SignConfig(k=k, gamma=0.5)])[1].image.data
             cur = p.copy()
             for _ in range(k):
                 tape = model.forward(Tensor(cur[None]))
@@ -171,9 +170,9 @@ def test_criterion_2_sign_oracle_equivalence():
         column_sums = w.sum(axis=1)
         for policy in ("current-iterate", "original-point"):
             for k in (1, 4, 9):
-                got = sign_transform(linear, Tensor(q),
-                                     SignConfig(k=k, tap="logits", gamma=0.25,
-                                                eval_point=policy)).transformed.data
+                cfg = SignConfig(k=k, tap="logits", gamma=0.25, eval_point=policy)
+                got = transform_dataset(linear, [Sample(image=Tensor(q), label=0, raw=False)],
+                                        [cfg])[1].image.data
                 want = q + k * 0.25 * column_sums
                 assert np.abs(got - want).max() < 1e-10, \
                     f"linear closed form, K={k}, {policy}"
@@ -194,15 +193,19 @@ def test_criterion_3_aleatoric_identities():
         f = rng.child("f").normal((5, 4))
         labels = rng.child("y").integers(0, 4, size=5)
         onehot = np.eye(4)[labels]
-        ce = cross_entropy(Tensor(f), Tensor(onehot))
+        ce = forward(lambda t, n: t.cross_entropy(n, onehot), Tensor(f))[0].item()
         sigma = Tensor(np.full((5, 4), 1e-12))
         for t_draws in (1, 5, 20):
-            got = aleatoric_loss(Tensor(f), sigma, labels, t_draws, rng.child("mc", t_draws))
+            eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
+            got = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(sigma), onehot, eps),
+                          Tensor(f))[0].item()
             assert abs(got - ce) < 1e-6, f"T={t_draws}: |{got} - {ce}| >= 1e-6"
 
         # C=2 symmetric case against an independent Monte-Carlo oracle
-        loss = aleatoric_loss(Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 2))),
-                              [0], 100_000, Rng(302))
+        eps = Rng(302).normal((100_000, 1, 2))
+        loss = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.ones((1, 2)))),
+                                                    np.eye(2)[[0]], eps),
+                       Tensor(np.zeros((1, 2))))[0].item()
         oracle_eps = Rng(987654).normal((1_000_000, 2))
         xhat = oracle_eps  # f = 0, sigma = 1
         shifted = xhat - xhat.max(axis=1, keepdims=True)
@@ -310,15 +313,18 @@ def test_criterion_6_robustness_harness():
 def test_criterion_7_mixup():
     def body():
         started = time.perf_counter()
-        p1 = Sample(image=Tensor(np.full((1, 2, 2), 4.0)), label=0, raw=False)
-        p2 = Sample(image=Tensor(np.full((1, 2, 2), 8.0)), label=1, raw=False)
-        end = mixup(p1, p2, 1.0, num_classes=3)
-        assert np.array_equal(end.image.data, p1.image.data) and end.soft_label == (1.0, 0.0, 0.0)
-        mid = mixup(p1, p2, 0.5, num_classes=3)
-        assert mid.soft_label == (0.5, 0.5, 0.0)
-        assert np.all(mid.image.data == 6.0)
-
+        # the blend law on a constant-image batch, against the draws it takes
         alpha = MixupConfig().alpha
+        images = np.stack([np.full((1, 2, 2), v) for v in (4.0, 8.0, 4.0, 8.0)])
+        labels = np.eye(3)[[0, 1, 2, 1]]
+        mixed, soft = mixup_arrays(images, labels, MixupConfig(), Rng(702))
+        draw_rng = Rng(702)
+        perm, lams = draw_rng.permutation(4), draw_rng.beta(alpha, alpha, size=4)
+        for i, j in enumerate(perm):
+            assert np.all(mixed[i] == lams[i] * images[i] + (1.0 - lams[i]) * images[j])
+            assert np.array_equal(soft[i], lams[i] * labels[i] + (1.0 - lams[i]) * labels[j])
+            assert abs(soft[i].sum() - 1.0) < 1e-12
+
         draws = Rng(701).beta(alpha, alpha, size=100_000)
         for d in range(1, 10):
             q = betaincinv(alpha, alpha, d / 10)
@@ -415,8 +421,8 @@ def test_criterion_10_transferability():
         assert elapsed < 600.0, f"took {elapsed:.0f}s (budget 600s)"
 
         control = repro.run_transfer(seed=0, epochs=2, sign_cfgs=[])
-        assert control.transfer_report.per_class_accuracy == \
-            control.control_report.per_class_accuracy
+        assert [r.accuracy for r in control.transfer_report.per_class] == \
+            [r.accuracy for r in control.control_report.per_class]
         assert control.transfer_report.mean_accuracy == control.control_report.mean_accuracy
         assert control.transfer_report.min_correct_probability == \
             control.control_report.min_correct_probability

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import betaincinv
 
 from signreg.augment import (CorruptionSpec, MixupConfig, apply_classical,
-                             classical_augment_array, corrupt, mixup, mixup_arrays)
+                             classical_augment_array, corrupt, mixup_arrays)
 from signreg.datasets import Sample
 from signreg.tensor import Rng, Tensor
 
@@ -62,39 +62,46 @@ class TestClassical:
         assert out.shape == (1, 1, 1)
 
 
-class TestMixup:
-    def test_lambda_one_endpoint(self):
-        p1 = image_sample(np.full((1, 2, 2), 3.0), label=0)
-        p2 = image_sample(np.full((1, 2, 2), 9.0), label=1)
-        out = mixup(p1, p2, 1.0, num_classes=3)
-        assert np.array_equal(out.image.data, p1.image.data)
-        assert out.soft_label == (1.0, 0.0, 0.0)
+def draws(seed: int, n: int, alpha: float = 0.2):
+    """The partner permutation and the lambdas ``mixup_arrays`` takes from ``Rng(seed)``."""
+    rng = Rng(seed)
+    return rng.permutation(n), rng.beta(alpha, alpha, size=n)
 
-    def test_lambda_half_soft_label(self):
-        p1 = image_sample(np.zeros((1, 2, 2)), label=0)
-        p2 = image_sample(np.ones((1, 2, 2)), label=1)
-        out = mixup(p1, p2, 0.5, num_classes=4)
-        assert out.soft_label == (0.5, 0.5, 0.0, 0.0)
+
+class TestMixup:
+    """The blend law of ``mixup_arrays``, checked against its own draws."""
+
+    def test_row_blends_with_partner_by_lambda(self):
+        # indicator images and one-hot labels show each row's two weights
+        images, labels = np.eye(4).reshape(4, 1, 2, 2), np.eye(4)
+        mixed, soft = mixup_arrays(images, labels, MixupConfig(), Rng(14))
+        perm, lams = draws(14, 4)
+        for i in range(4):
+            want = lams[i] * labels[i] + (1.0 - lams[i]) * labels[perm[i]]
+            np.testing.assert_allclose(mixed[i].reshape(-1), want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(soft[i], want, atol=1e-12, rtol=0)
 
     def test_constant_images_blend(self):
-        p1 = image_sample(np.full((1, 3, 3), 10.0), label=0)
-        p2 = image_sample(np.full((1, 3, 3), 20.0), label=1)
-        out = mixup(p1, p2, 0.3, num_classes=2)
-        np.testing.assert_allclose(out.image.data, 17.0, atol=1e-12)
+        values = np.array([10.0, 20.0, 30.0])
+        images = values[:, None, None, None] * np.ones((3, 1, 3, 3))
+        mixed, _ = mixup_arrays(images, np.eye(3), MixupConfig(), Rng(15))
+        perm, lams = draws(15, 3)
+        for i in range(3):
+            np.testing.assert_allclose(mixed[i], lams[i] * values[i]
+                                       + (1.0 - lams[i]) * values[perm[i]], atol=1e-12)
 
-    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    @given(st.integers(0, 2**32 - 1), st.floats(min_value=0.05, max_value=5.0))
     @settings(max_examples=30, deadline=None)
-    def test_affine_symmetry(self, lam):
+    def test_affine_symmetry(self, seed, alpha):
+        # a batch of two and the same batch swapped share the draws, so each
+        # row of the two blends sums to img1 + img2, whatever lambda is
         img1 = Rng(8).normal((2, 3, 3))
         img2 = Rng(9).normal((2, 3, 3))
-        p1, p2 = image_sample(img1, 0), image_sample(img2, 1)
-        fwd = mixup(p1, p2, lam, 2).image.data
-        bwd = mixup(p2, p1, lam, 2).image.data
-        np.testing.assert_allclose(fwd + bwd, img1 + img2, atol=1e-12, rtol=0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(Exception):
-            mixup(image_sample(np.zeros((1, 2, 2))), image_sample(np.zeros((1, 3, 3))), 0.5, 2)
+        labels = np.eye(2)
+        fwd, _ = mixup_arrays(np.stack([img1, img2]), labels, MixupConfig(alpha), Rng(seed))
+        bwd, _ = mixup_arrays(np.stack([img2, img1]), labels, MixupConfig(alpha), Rng(seed))
+        for i in range(2):
+            np.testing.assert_allclose(fwd[i] + bwd[i], img1 + img2, atol=1e-12, rtol=0)
 
 
 class TestMixupBatch:

@@ -363,6 +363,8 @@ RUN_ERROR_CASES = {
     "learning-rate-zero": ({"learning_rate": 0}, "train", 1, ["[train] learning_rate"]),
     "momentum-nan": ({"extra_train": "momentum = nan"}, "train", 1, ["[train] momentum"]),
     "momentum-inf": ({"extra_train": "momentum = inf"}, "train", 1, ["[train] momentum"]),
+    "momentum-adam": ({"extra_train": "optimizer = adam\nmomentum = 0.99"}, "train", 1,
+                      ["[train] momentum", "[train] optimizer = adam"]),
     "corruption-mu-inf": ({"extra_eval": "corruptions = gaussian:inf:10"}, "train", 1,
                           ["[eval] corruptions"]),
     "corruption-sigma-nan": ({"extra_eval": "corruptions = gaussian:0:nan"}, "train", 1,
@@ -632,6 +634,7 @@ SNAPSHOT_CASES = {
     "sign-trained": {"strategy": "sign", "extra_strategy": "source_epochs = 1\n" + SIGN_LINES},
     "sign-checkpoint": {"strategy": "sign",
                         "extra_strategy": "source_checkpoint = {fits}\n" + SIGN_LINES},
+    "adam": {"extra_train": "optimizer = adam"},
     "eval-block": {"extra_eval": "corruptions = gaussian:0:10.1234567 pixel-off:7\n"
                                  "repeats = 2\nood_path = {ood}\nood_class_map = zero=0,one=1"},
 }
@@ -657,6 +660,8 @@ class TestResolvedConfig:
             assert again.threads == 3 and again.corruptions[0].sigma == 10.1234567
         if case == "sign-checkpoint":
             assert again.source_seed is None and "source_seed" not in text
+        if case == "adam":
+            assert again.momentum is None and "momentum" not in text
 
     @pytest.mark.parametrize("arch, kept, left_out", [
         ("small_mlp", "hidden_dims = 12", "drop_prob"),
@@ -671,7 +676,7 @@ class TestResolvedConfig:
         (tmp_path / "resolved.ini").write_text(text)
         assert load_experiment_config(str(tmp_path / "resolved.ini")) == cfg
 
-    @pytest.mark.parametrize("case", ["plain", "sign-trained"])
+    @pytest.mark.parametrize("case", ["plain", "sign-trained", "adam"])
     def test_rerun_rewrites_artifacts_byte_for_byte(self, tmp_path, case):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "c.ini", epochs=2, out_dir=out, **SNAPSHOT_CASES[case])

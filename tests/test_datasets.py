@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from signreg.augment import mixup
 from signreg.datasets import (CIFAR_CLASSES, DatasetSplit, Sample, bilinear_resize,
                               decode_ppm, load_cifar10_binary, load_container,
                               load_ood_directory, make_synthetic_blobs, normalize,
@@ -268,11 +267,15 @@ class TestContainer:
             assert not got.raw
 
     def test_mixup_soft_labels_load(self, tmp_path):
+        # label blends as mixup makes them; inexact floats such as
+        # 0.9400000000000001 must load back unchanged
+        a, c = np.eye(3)[0], np.eye(3)[2]
+        blends = [0.3 * a + 0.7 * c, 0.7 * c + (1.0 - 0.7) * c,
+                  0.6 * (0.1 * a + 0.9 * c) + (1.0 - 0.6) * c]
         rng = Rng(8)
-        parts = [Sample(image=Tensor(rng.child(i).normal((1, 3, 3))), label=label, raw=False)
-                 for i, label in enumerate((0, 2, 2))]
-        samples = [mixup(parts[0], parts[1], 0.3, 3), mixup(parts[1], parts[2], 0.7, 3),
-                   mixup(mixup(parts[0], parts[1], 0.1, 3), parts[2], 0.6, 3)]
+        samples = [Sample(image=Tensor(rng.child(i).normal((1, 3, 3))), label=2, raw=False,
+                          soft_label=tuple(float(v) for v in soft))
+                   for i, soft in enumerate(blends)]
         path = str(tmp_path / "mixup.container")
         save_container(samples, path, ("a", "b", "c"), raw_domain=False)
         loaded, _ = load_container(path)

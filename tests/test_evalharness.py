@@ -68,7 +68,7 @@ class TestEvaluate:
     def test_perfect_classifier(self):
         model = logit_passthrough_model(10)
         report = evaluate(model, one_per_class_samples(10))
-        assert report.per_class_accuracy == [1.0] * 10
+        assert [r.accuracy for r in report.per_class] == [1.0] * 10
         assert report.mean_accuracy == 1.0
         assert report.bucket.count == 0
         assert report.bucket.mean_probability is None
@@ -118,7 +118,7 @@ class TestEvaluate:
         twin = load_checkpoint(path)
         a = evaluate(model, split.test)
         b = evaluate(twin, split.test)
-        assert a.per_class_accuracy == b.per_class_accuracy
+        assert [r.accuracy for r in a.per_class] == [r.accuracy for r in b.per_class]
         assert a.mean_accuracy == b.mean_accuracy
         assert a.min_correct_probability == b.min_correct_probability
 
@@ -244,7 +244,7 @@ class TestOodEvaluate:
                    for i in range(24)]
         plain = evaluate(model, samples)
         ood = ood_evaluate(model, samples)
-        assert [r.accuracy for r in ood.per_class] == plain.per_class_accuracy
+        assert [r.accuracy for r in ood.per_class] == [r.accuracy for r in plain.per_class]
         assert ood.mean_accuracy == plain.mean_accuracy
 
     def test_single_class_table(self):
@@ -273,8 +273,8 @@ class TestTransferability:
         meta_b = dict(meta_a, hidden_dims=[6])
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=10)
         result = transferability_protocol(meta_a, meta_b, split, [], cfg, cfg)
-        assert result.transfer_report.per_class_accuracy == \
-            result.control_report.per_class_accuracy
+        assert [r.accuracy for r in result.transfer_report.per_class] == \
+            [r.accuracy for r in result.control_report.per_class]
         assert result.transfer_report.mean_accuracy == result.control_report.mean_accuracy
 
     def test_control_arm_trains_on_the_originals(self):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -37,6 +39,15 @@ def test_sweep_transform_strength():
     assert header.split() == ["gamma", "clean(base)", "clean(sign)", "pixoff(base)",
                               "pixoff(sign)"]
     assert len(rows) == 1 and rows[0].split()[0] == "0.02"
+
+
+@pytest.mark.parametrize("name, flag", [("run_protocols.py", "--seed"),
+                                        ("sweep_transform_strength.py", "--seeds")])
+def test_seed_out_of_range_is_a_usage_error(name, flag):
+    done = run_script(name, flag, "-1")
+    assert done.returncode != 0
+    assert f"argument {flag}: seed must be a 64-bit unsigned integer, got -1" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_readme_library_snippet():

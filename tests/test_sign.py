@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from signreg import autodiff
+from signreg import autodiff, sign
 from signreg.autodiff import summed_jacobian, vjp
 from signreg.datasets import Sample
 from signreg.nn import Dense, Flatten, Model, build_basic_cnn, build_small_mlp
-from signreg.sign import (NonFiniteDeltaError, SignConfig, delta_only_dataset,
-                          sign_transform, transform_dataset)
+from signreg.sign import NonFiniteDeltaError, SignConfig, delta_only_dataset, transform_dataset
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
@@ -45,9 +44,9 @@ class TestSignTransform:
         expected_step = w.sum(axis=1)
         for policy in ("current-iterate", "original-point"):
             for k in (1, 3, 7):
-                res = sign_transform(model, Tensor(p),
-                                     SignConfig(k=k, tap="logits", gamma=1.0, eval_point=policy))
-                np.testing.assert_allclose(res.transformed.data, p + k * expected_step,
+                cfg = SignConfig(k=k, tap="logits", gamma=1.0, eval_point=policy)
+                [_, copy] = transform_dataset(model, samples_of([p], [0]), [cfg])
+                np.testing.assert_allclose(copy.image.data, p + k * expected_step,
                                            atol=1e-10, rtol=0)
 
     def test_single_step_is_definition(self):
@@ -55,21 +54,22 @@ class TestSignTransform:
         model = build_small_mlp(8, [5], 3, rng=rng.child("init"))
         p = rng.child("p").normal((8,))
         gamma = 0.3
-        res = sign_transform(model, Tensor(p), SignConfig(k=1, gamma=gamma))
+        [_, copy] = transform_dataset(model, samples_of([p], [0]), [SignConfig(k=1, gamma=gamma)])
         tape = model.forward(Tensor(p[None]))
         delta = summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
-        np.testing.assert_allclose(res.transformed.data, p + gamma * delta, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(copy.image.data, p + gamma * delta, atol=1e-12, rtol=0)
 
     def test_two_steps_match_hand_rolled_loop(self):
         rng = Rng(13)
         model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
         p = rng.child("p").normal((6,))
-        res = sign_transform(model, Tensor(p), SignConfig(k=2, eval_point="current-iterate"))
+        [_, copy] = transform_dataset(model, samples_of([p], [0]),
+                                      [SignConfig(k=2, eval_point="current-iterate")])
         cur = p.copy()
         for _ in range(2):
             tape = model.forward(Tensor(cur[None]))
             cur = cur + summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
-        np.testing.assert_allclose(res.transformed.data, cur, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(copy.image.data, cur, atol=1e-12, rtol=0)
 
     def test_original_point_policy_repeats_first_delta(self):
         rng = Rng(14)
@@ -77,9 +77,9 @@ class TestSignTransform:
         p = rng.child("p").normal((6,))
         tape = model.forward(Tensor(p[None]))
         delta = summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
-        res = sign_transform(model, Tensor(p),
-                             SignConfig(k=4, gamma=0.5, eval_point="original-point"))
-        np.testing.assert_allclose(res.transformed.data, p + 4 * 0.5 * delta, atol=1e-10, rtol=0)
+        [_, copy] = transform_dataset(model, samples_of([p], [0]),
+                                      [SignConfig(k=4, gamma=0.5, eval_point="original-point")])
+        np.testing.assert_allclose(copy.image.data, p + 4 * 0.5 * delta, atol=1e-10, rtol=0)
 
     def test_explicit_jacobian_per_step_oracle(self):
         # oracle: materialize the full Jacobian by one-hot pullbacks, row-sum,
@@ -88,7 +88,8 @@ class TestSignTransform:
         model = build_small_mlp(12, [6], 3, rng=rng.child("init"))
         p = rng.child("p").normal((12,))
         for k in (1, 3, 5):
-            got = sign_transform(model, Tensor(p), SignConfig(k=k, gamma=0.7)).transformed.data
+            [_, copy] = transform_dataset(model, samples_of([p], [0]), [SignConfig(k=k, gamma=0.7)])
+            got = copy.image.data
             cur = p.copy()
             for _ in range(k):
                 tape = model.forward(Tensor(cur[None]))
@@ -134,18 +135,21 @@ class TestSignTransform:
         for tap, (want, bound) in tails.items():
             for w, mask in zip(reversed(weights), reversed(masks)):
                 want, bound = w @ (mask * want), np.abs(w) @ (mask * bound)
-            got = sign_transform(model, Tensor(x),
-                                 SignConfig(k=1, tap=tap, gamma=1.0)).final_delta.data
+            [delta] = delta_only_dataset(model, samples_of([x], [0]),
+                                         SignConfig(k=1, tap=tap, gamma=1.0))
+            got = delta.image.data
             assert np.all(np.abs(got - want) <= self.CLOSED_FORM_RTOL * bound), tap
 
     def test_decomposition_invariant(self):
         rng = Rng(16)
         model = build_small_mlp(10, [7], 4, rng=rng.child("init"))
         p = rng.child("p").normal((10,))
-        res = sign_transform(model, Tensor(p), SignConfig(k=6, gamma=0.2))
-        diff = res.transformed.data - p
+        cfg = SignConfig(k=6, gamma=0.2)
+        [_, copy] = transform_dataset(model, samples_of([p], [0]), [cfg])
+        [delta] = delta_only_dataset(model, samples_of([p], [0]), cfg)
+        diff = copy.image.data - p
         denom = max(np.abs(diff).max(), 1e-12)
-        assert np.abs(diff - res.final_delta.data).max() / denom < 1e-9
+        assert np.abs(diff - delta.image.data).max() / denom < 1e-9
 
     def test_monotone_accumulation_linear(self):
         w = Rng(17).normal((5, 3))
@@ -153,40 +157,45 @@ class TestSignTransform:
         p = Rng(18).normal((5,))
         gamma = 0.4
         step_norm = float(np.linalg.norm(w.sum(axis=1)))
-        res = sign_transform(model, Tensor(p), SignConfig(k=5, tap="logits", gamma=gamma))
-        assert res.delta_norms == tuple([step_norm] * 5)
-        assert np.linalg.norm(res.transformed.data - p) == pytest.approx(5 * gamma * step_norm,
-                                                                         abs=1e-10)
+        [(transformed, _)], norms = sign._transform_batch(
+            model, p[None], SignConfig(k=5, tap="logits", gamma=gamma), (5,))
+        assert tuple(norms[:, 0]) == tuple([step_norm] * 5)
+        assert np.linalg.norm(transformed[0] - p) == pytest.approx(5 * gamma * step_norm,
+                                                                   abs=1e-10)
 
     def test_unit_max_abs_normalization(self):
         rng = Rng(19)
         model = build_small_mlp(9, [5], 3, rng=rng.child("init"))
         p = rng.child("p").normal((9,))
-        res = sign_transform(model, Tensor(p),
-                             SignConfig(k=1, gamma=1.0, normalize="unit-max-abs"))
-        assert np.abs(res.final_delta.data).max() == pytest.approx(1.0, abs=1e-12)
+        [delta] = delta_only_dataset(model, samples_of([p], [0]),
+                                     SignConfig(k=1, gamma=1.0, normalize="unit-max-abs"))
+        assert np.abs(delta.image.data).max() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_values_not_clipped(self):
         w = -np.ones((4, 2))  # every step subtracts 2 from each coordinate
         model = linear_model(w)
-        res = sign_transform(model, Tensor(np.full(4, 0.5)), SignConfig(k=3, tap="logits"))
-        assert np.all(res.transformed.data < 0.0)
+        [_, copy] = transform_dataset(model, samples_of([np.full(4, 0.5)], [0]),
+                                      [SignConfig(k=3, tap="logits")])
+        assert np.all(copy.image.data < 0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_delta_raises(self):
         model = linear_model(np.full((3, 2), 1e308))
         with pytest.raises(NonFiniteDeltaError):
-            sign_transform(model, Tensor(np.ones(3)), SignConfig(k=1, tap="logits"))
+            delta_only_dataset(model, samples_of([np.ones(3)], [0]), SignConfig(k=1, tap="logits"))
 
     def test_shape_mismatch(self):
         model = build_small_mlp(5, [3], 2, rng=Rng(0))
-        with pytest.raises(ShapeError):
-            sign_transform(model, Tensor(np.zeros(4)), SignConfig(k=1))
+        samples = samples_of([np.zeros(5)] * 2 + [np.zeros(4)] * 2, [0, 1, 0, 1])
+        with pytest.raises(ShapeError, match=r"samples \[2, 4\): input shape \(4,\) "
+                                             r"!= model input \(5,\)"):
+            transform_dataset(model, samples, [SignConfig(k=1)], batch_size=2)
 
     def test_missing_tap(self):
         model = build_small_mlp(5, [3], 2, rng=Rng(0))
-        with pytest.raises(ValueError):
-            sign_transform(model, Tensor(np.zeros(5)), SignConfig(k=1, tap="nope"))
+        with pytest.raises(ValueError, match=r"samples \[0, 2\): model has no tap 'nope'"):
+            transform_dataset(model, samples_of([np.zeros(5)] * 3, [0, 1, 0]),
+                              [SignConfig(k=1, tap="nope")], batch_size=2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +217,9 @@ class TestTransformDataset:
     def test_empty_config_list_unchanged(self):
         model = build_small_mlp(6, [4], 3, rng=Rng(0))
         samples = self.make_samples()
-        assert transform_dataset(model, samples, []) == samples
+        out = transform_dataset(model, samples, [])
+        assert [s.image.data.tobytes() for s in out] == [s.image.data.tobytes() for s in samples]
+        assert [s.label for s in out] == [s.label for s in samples]
 
     def test_two_configs_triple_count_labels_preserved(self):
         model = build_small_mlp(6, [4], 3, rng=Rng(0))
@@ -233,10 +244,10 @@ class TestTransformDataset:
         samples = self.make_samples(n=3)
         cfg = SignConfig(k=2, gamma=0.5)
         out = transform_dataset(model, samples, [cfg], batch_size=2)
-        for i, s in enumerate(samples):
-            single = sign_transform(model, s.image, cfg).transformed.data
-            np.testing.assert_allclose(out[len(samples) + i].image.data, single,
-                                       atol=1e-9, rtol=0)
+        singles = transform_dataset(model, samples, [cfg], batch_size=1)
+        for i in range(len(samples)):
+            np.testing.assert_allclose(out[len(samples) + i].image.data,
+                                       singles[len(samples) + i].image.data, atol=1e-9, rtol=0)
 
     def test_provenance_recorded(self):
         model = build_small_mlp(6, [4], 3, rng=Rng(0))
@@ -312,7 +323,8 @@ class TestSharedTrajectories:
         model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
         p = rng.child("p").normal((6,))
         cfg = SignConfig(k=4, gamma=0.3, eval_point="original-point", normalize="unit-max-abs")
-        res = sign_transform(model, Tensor(p), cfg)
+        [(transformed, accumulated)], got_norms = sign._transform_batch(model, p[None], cfg,
+                                                                        (cfg.k,))
         cur, total, norms = p[None], np.zeros((1, 6)), []
         for _ in range(cfg.k):
             tape = model.forward(Tensor(p[None]))
@@ -320,9 +332,9 @@ class TestSharedTrajectories:
             delta = delta / np.abs(delta).max()
             norms.append(float(np.sqrt((delta ** 2).sum())))
             cur, total = cur + cfg.gamma * delta, total + cfg.gamma * delta
-        assert np.array_equal(res.transformed.data, cur[0])
-        assert np.array_equal(res.final_delta.data, total[0])
-        assert res.delta_norms == tuple(norms)
+        assert np.array_equal(transformed, cur)
+        assert np.array_equal(accumulated, total)
+        assert tuple(got_norms[:, 0]) == tuple(norms)
 
     def test_basic_cnn_threads_byte_identical(self):
         model = build_basic_cnn((1, 8, 8), 3, rng=Rng(0))
@@ -351,4 +363,4 @@ class TestDeltaOnly:
         samples = samples_of([Rng(23).child(i).normal((5,)) for i in range(3)], [0, 1, 0])
         out = delta_only_dataset(model, samples, SignConfig(k=1))
         for s in out:
-            assert s.image.tolist() == [1.0] * 5
+            assert s.image.data.tolist() == [1.0] * 5

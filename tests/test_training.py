@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from signreg.autodiff import forward
 from signreg.datasets import DatasetSplit, make_synthetic_blobs, normalize
 from signreg.nn import build_model
 from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
 from signreg import training
-from signreg.training import (Adam, SgdMomentum, TrainConfig, aleatoric_loss,
-                              cross_entropy, fit, sign_pipeline, train)
+from signreg.training import Adam, SgdMomentum, TrainConfig, fit, sign_pipeline, train
 
 
 def naive_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -24,69 +24,77 @@ def onehot(indices, ncls):
 
 
 class TestCrossEntropy:
+    """``Tape.cross_entropy``, the loss training records."""
+
     def test_uniform_logits_ln_ten(self):
-        logits = Tensor(np.zeros((4, 10)))
-        labels = Tensor(onehot([0, 3, 5, 9], 10))
-        assert cross_entropy(logits, labels) == pytest.approx(np.log(10.0), abs=1e-12)
+        labels = onehot([0, 3, 5, 9], 10)
+        loss, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(np.zeros((4, 10))))
+        assert loss.item() == pytest.approx(np.log(10.0), abs=1e-12)
 
     def test_saturated_true_class(self):
         z = np.zeros((1, 10))
         z[0, 2] = 50.0
-        loss = cross_entropy(Tensor(z), Tensor(onehot([2], 10)))
-        assert 0.0 <= loss < 1e-20
+        loss, _ = forward(lambda t, n: t.cross_entropy(n, onehot([2], 10)), Tensor(z))
+        assert 0.0 <= loss.item() < 1e-20
 
     def test_matches_naive_formula_on_small_logits(self):
         rng = Rng(1)
         logits = rng.child("z").normal((6, 5))
         labels = onehot(rng.child("y").integers(0, 5, size=6), 5)
-        got = cross_entropy(Tensor(logits), Tensor(labels))
-        assert got == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
+        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(logits))
+        assert got.item() == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
 
     def test_soft_labels_supported(self):
         logits = Rng(2).normal((3, 4))
         labels = np.full((3, 4), 0.25)
-        got = cross_entropy(Tensor(logits), Tensor(labels))
-        assert got == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
-
-    def test_non_normalized_rows_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.zeros((1, 3))), Tensor([[0.4, 0.4, 0.4]]))
+        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(logits))
+        assert got.item() == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
 
 
 class TestAleatoricLoss:
+    """``Tape.aleatoric_nll`` with one-hot labels and the noise draws
+    training takes, ``Rng.normal((T, B, C))``."""
+
     def test_sigma_to_zero_collapses_to_cross_entropy(self):
         rng = Rng(3)
         f = rng.child("f").normal((5, 4))
-        labels = rng.child("y").integers(0, 4, size=5)
-        ce = cross_entropy(Tensor(f), Tensor(onehot(labels, 4)))
+        labels = onehot(rng.child("y").integers(0, 4, size=5), 4)
+        ce, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(f))
         sigma = Tensor(np.full((5, 4), 1e-12))
         for t_draws in (1, 5, 20):
-            got = aleatoric_loss(Tensor(f), sigma, labels, t_draws, rng.child("mc", t_draws))
-            assert got == pytest.approx(ce, abs=1e-6)
+            eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
+            got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(sigma), labels, eps),
+                             Tensor(f))
+            assert got.item() == pytest.approx(ce.item(), abs=1e-6)
 
     def test_single_draw_equals_perturbed_cross_entropy(self):
         rng = Rng(4)
         f = rng.child("f").normal((3, 4))
         sigma = np.abs(rng.child("s").normal((3, 4))) + 0.3
-        labels = np.array([0, 2, 3])
+        labels = onehot([0, 2, 3], 4)
         eps = Rng(4).child("draw").normal((1, 3, 4))
-        got = aleatoric_loss(Tensor(f), Tensor(sigma), labels, 1, Rng(4).child("draw"))
-        want = cross_entropy(Tensor(f + sigma * eps[0]), Tensor(onehot(labels, 4)))
-        assert got == pytest.approx(want, abs=1e-12)
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(sigma)), labels, eps),
+                         Tensor(f))
+        want, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(f + sigma * eps[0]))
+        assert got.item() == pytest.approx(want.item(), abs=1e-12)
 
     def test_symmetric_two_class_approaches_log_two(self):
         # f = 0, sigma = 1: the expected correct-class probability is 1/2 by
         # symmetry, so the loss tends to log 2 as draws grow
-        got = aleatoric_loss(Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 2))),
-                             [0], 50_000, Rng(5))
-        assert got == pytest.approx(np.log(2.0), abs=0.02)
+        eps = Rng(5).normal((50_000, 1, 2))
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.ones((1, 2)))),
+                                                      onehot([0], 2), eps),
+                         Tensor(np.zeros((1, 2))))
+        assert got.item() == pytest.approx(np.log(2.0), abs=0.02)
 
     def test_validation(self):
-        f = Tensor(np.zeros((2, 3)))
+        labels, eps = onehot([0, 1], 3), np.zeros((5, 2, 3))
         with pytest.raises(ValueError):
-            aleatoric_loss(f, Tensor(np.zeros((2, 3))), [0, 1], 5, Rng(0))
+            forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.zeros((2, 3)))),
+                                                 labels, eps), Tensor(np.zeros((2, 3))))
+        # training draws cfg.mc_samples noise samples per batch
         with pytest.raises(ValueError):
-            aleatoric_loss(f, Tensor(np.ones((2, 3))), [0, 1], 0, Rng(0))
+            TrainConfig(epochs=1, mc_samples=0)
 
 
 class TestOptimizers:
