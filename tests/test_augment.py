@@ -68,8 +68,38 @@ def draws(seed: int, n: int, alpha: float = 0.2):
     return rng.permutation(n), rng.beta(alpha, alpha, size=n)
 
 
+class FixedDraws:
+    """Stands in for the ``Rng`` of ``mixup_arrays``: a set partner permutation
+    and set lambdas, so a blend can be checked at an exact lambda."""
+
+    def __init__(self, perm, lams):
+        self.perm, self.lams = np.asarray(perm), np.asarray(lams, dtype=np.float64)
+
+    def permutation(self, n):
+        assert n == len(self.perm)
+        return self.perm
+
+    def beta(self, a, b, size=None):
+        assert size == len(self.lams)
+        return self.lams
+
+
 class TestMixup:
     """The blend law of ``mixup_arrays``, checked against its own draws."""
+
+    def test_lambda_one_endpoint(self):
+        images = np.stack([np.full((1, 2, 2), 3.0), np.full((1, 2, 2), 9.0)])
+        labels = np.eye(3)[[0, 1]]
+        mixed, soft = mixup_arrays(images, labels, MixupConfig(), FixedDraws([1, 0], [1.0, 1.0]))
+        assert np.array_equal(mixed, images)
+        assert soft[0].tolist() == [1.0, 0.0, 0.0]
+
+    def test_lambda_half_soft_label(self):
+        images = np.stack([np.zeros((1, 2, 2)), np.ones((1, 2, 2))])
+        labels = np.eye(4)[[0, 1]]
+        _, soft = mixup_arrays(images, labels, MixupConfig(), FixedDraws([1, 0], [0.5, 0.5]))
+        assert soft[0].tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert soft[1].tolist() == [0.5, 0.5, 0.0, 0.0]
 
     def test_row_blends_with_partner_by_lambda(self):
         # indicator images and one-hot labels show each row's two weights
