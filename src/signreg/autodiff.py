@@ -26,7 +26,11 @@ with fewer input than output channels (C < O) it folds ``W^T g``, C*k*k
 rows, back through ``_fold``, the adjoint of ``_columns``; otherwise it
 correlates the cotangent's O*k*k-row columns with the flipped kernel.
 The two layouts sum in different orders, so they agree to rounding, and
-each is deterministic.
+each is deterministic. Columns are built for a block of samples at a time
+(``_blocks``), used by that block's GEMMs and then dropped: the tape keeps
+conv2d's input, not its columns, and the weight-VJP rebuilds them. Every
+GEMM is per sample, and the weight-VJP adds the per-sample products in
+sample order, so the block size changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ from .tensor import ShapeError, Tensor
 
 # the (row, column) offsets of a 2x2 pooling window, in row-major order
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# conv2d builds at most this many bytes of im2col columns at once. 4 MiB
+# stays in cache from _columns writing it to the GEMM reading it (BasicCNN's
+# conv2 at 32x32, batch 32, would build 75 MB in one piece), and at 12x12
+# most layers still take a batch in one or two blocks
+_BLOCK_BYTES = 4 << 20
 
 
 class Node:
@@ -199,25 +209,39 @@ class Tape:
         if ic != c or kh != kw or kh % 2 == 0:
             raise ShapeError(f"conv2d: kernel {w.shape} incompatible with input {x.shape}")
         k = kh
-        cols = _columns(xd, k)
-        out = (wd.reshape(oc, c * k * k) @ cols).reshape(b, oc, h, wdt)
+        wmat = wd.reshape(oc, c * k * k)
+        in_blocks = _blocks(b, c * k * k * h * wdt)
+        out = np.empty((b, oc, h * wdt))
+        for s, e in in_blocks:
+            np.matmul(wmat, _columns(xd[s:e], k), out=out[s:e])
 
         def vjp(g, needed):
             dx = dw = None
+            rows = g.reshape(b, oc, h * wdt)
             if needed[0] and c < oc:
                 # fold W^T g: C*k*k rows, fewer than the flipped layout's O*k*k
-                dx = _fold(wd.reshape(oc, c * k * k).T @ g.reshape(b, oc, h * wdt), k, h, wdt)
+                dx = np.empty((b, c, h, wdt))
+                for s, e in in_blocks:
+                    dx[s:e] = _fold(wmat.T @ rows[s:e], k, h, wdt)
             elif needed[0]:
                 # the input-VJP of a stride-1 'same' convolution is the same
                 # correlation with the kernel flipped and in/out swapped
                 wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, oc * k * k)
-                dx = (wflip @ _columns(g, k)).reshape(b, c, h, wdt)
+                dx = np.empty((b, c, h * wdt))
+                for s, e in _blocks(b, oc * k * k * h * wdt):
+                    np.matmul(wflip, _columns(g[s:e], k), out=dx[s:e])
+                dx = dx.reshape(b, c, h, wdt)
             if needed[1]:
-                dw = (g.reshape(b, oc, h * wdt) @ cols.transpose(0, 2, 1)).sum(axis=0)
+                # the input's columns again, a block at a time; the per-sample
+                # products are added in sample order, as .sum(axis=0) adds them
+                dw = np.zeros((oc, c * k * k))
+                for s, e in in_blocks:
+                    for prod in rows[s:e] @ _columns(xd[s:e], k).transpose(0, 2, 1):
+                        dw += prod
                 dw = dw.reshape(oc, c, k, k)
             return (dx, dw)
 
-        return self._record("conv2d", out, (x, w), vjp)
+        return self._record("conv2d", out.reshape(b, oc, h, wdt), (x, w), vjp)
 
     def cross_entropy(self, logits: Node, labels: np.ndarray) -> Node:
         """Mean soft-label cross-entropy over the batch, log-sum-exp shifted.
@@ -285,13 +309,23 @@ class Tape:
         return self._record("aleatoric-nll", np.array([value]), (f, sigma), vjp)
 
 
+def _blocks(b: int, sample_values: int) -> list[tuple[int, int]]:
+    """(start, end) ranges that cover ``range(b)`` in order, each as many
+    samples as fit ``_BLOCK_BYTES`` at ``sample_values`` float64 column
+    entries per sample (at least one)."""
+    step = max(1, _BLOCK_BYTES // (8 * sample_values))
+    return [(s, min(s + step, b)) for s in range(0, b, step)]
+
+
 def _columns(x: np.ndarray, k: int) -> np.ndarray:
     """Zero-padded 'same' patches of (B, C, H, W) ``x`` as (B, C*k*k, H*W).
 
     Rows run over (channel, dy, dx), the order of ``w.reshape(O, -1)`` for
     an (O, C, k, k) kernel, so ``w.reshape(O, -1) @ _columns(x, k)`` is the
-    stride-1 correlation. conv2d's forward and weight-VJP take the columns
-    of its input. Its input-VJP takes the columns of the cotangent when
+    stride-1 correlation. conv2d builds columns one block of samples at a
+    time (``_blocks``) and keeps none: its forward and weight-VJP take the
+    columns of its input, the weight-VJP rebuilding them from the input the
+    tape holds. Its input-VJP takes the columns of the cotangent when
     C >= O, and otherwise folds ``W^T g`` through the adjoint, ``_fold``.
     """
     b, c, h, w = x.shape
@@ -360,7 +394,8 @@ def _pullback(tape: Tape, node: Node, cotangent: np.ndarray, targets: set[int]) 
     """Reverse accumulation from ``node`` into the target leaves.
 
     Fixed reverse-index order makes the accumulation deterministic;
-    cotangents are only materialized along paths that reach a target.
+    cotangents are only materialized along paths that reach a target, and
+    only the leaves' cotangents outlive their node's VJP.
     """
     needed = _reach(tape, node.idx, targets)
     grads: list = [None] * (node.idx + 1)
@@ -371,7 +406,8 @@ def _pullback(tape: Tape, node: Node, cotangent: np.ndarray, targets: set[int]) 
             continue
         n = tape.nodes[i]
         if n.vjp_fn is None:
-            continue
+            continue  # a leaf: vjp and param_gradients read its cotangent
+        grads[i] = None  # no later node reads it; the local g keeps it for this VJP
         flags = tuple(bool(needed[p.idx]) for p in n.parents)
         for parent, pg in zip(n.parents, n.vjp_fn(g, flags)):
             if pg is None:

@@ -260,6 +260,15 @@ def _top2_axes(cov: np.ndarray):
     return comps, (max(float(values[-1]), 0.0), max(float(values[-2]), 0.0))
 
 
+def _tap_values(model: Model, batch: np.ndarray, tap: str) -> np.ndarray:
+    """The tapped activations of a dropout-off forward pass. Its tape is
+    freed when this returns."""
+    tape = model.forward(Tensor._wrap(batch), train=False)
+    if tap not in tape.taps:
+        raise ValueError(f"model has no tap {tap!r}; available: {sorted(tape.taps)}")
+    return tape.taps[tap].value.data
+
+
 def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits",
                      split_tag: str = "test", batch_size: int = 256) -> ProjectionExport:
     """Tapped activations centered and projected onto the top-2 principal axes."""
@@ -268,12 +277,8 @@ def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits
     feats = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        xb = np.stack([s.image.data for s in chunk])
-        tape = model.forward(Tensor._wrap(xb), train=False)
-        if tap not in tape.taps:
-            raise ValueError(f"model has no tap {tap!r}; available: {sorted(tape.taps)}")
-        node = tape.taps[tap]
-        feats.append(node.value.data.reshape(len(chunk), -1))
+        feats.append(_tap_values(model, np.stack([s.image.data for s in chunk]), tap)
+                     .reshape(len(chunk), -1))
     matrix = np.concatenate(feats, axis=0)
     centered = matrix - matrix.mean(axis=0)
     cov = centered.T @ centered / centered.shape[0]

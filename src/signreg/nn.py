@@ -282,6 +282,14 @@ def build_model(meta: dict, seed: int = 0) -> Model:
 PREDICT_BATCH = 256
 
 
+def _outputs(model: Model, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The output and, for uncertainty-head models, the sigma tap of a
+    dropout-off forward pass. Its tape is freed when this returns."""
+    tape = model.forward(Tensor._wrap(batch))
+    sigma = tape.taps["sigma"].value.data if model.has_uncertainty_head else None
+    return tape.output.value.data, sigma
+
+
 def predict(model: Model, images, mc_samples: int,
             rng: Rng) -> tuple[np.ndarray, np.ndarray | None]:
     """Log predictive probabilities (N, C) with dropout off, and for
@@ -297,10 +305,8 @@ def predict(model: Model, images, mc_samples: int,
         raise ValueError("empty sample list")
     logps, sigmas = [], []
     for start in range(0, len(images), PREDICT_BATCH):
-        tape = model.forward(Tensor._wrap(np.stack(images[start:start + PREDICT_BATCH])))
-        f = tape.output.value.data
-        if model.has_uncertainty_head:
-            sigma = tape.taps["sigma"].value.data
+        f, sigma = _outputs(model, np.stack(images[start:start + PREDICT_BATCH]))
+        if sigma is not None:
             eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
             logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))
             sigmas.append(sigma.mean(axis=1))

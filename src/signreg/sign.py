@@ -69,6 +69,22 @@ class SignConfig:
                 "normalize": self.normalize}
 
 
+def _step(model: Model, batch: np.ndarray, cfg: SignConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration ``k``'s step at ``batch`` and the l2 norms of its deltas,
+    shape (B,). The tape lives in this frame only, so it is freed before
+    the next iteration records one."""
+    tape = model.forward(Tensor._wrap(batch), train=False)
+    delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap]).data
+    if not np.all(np.isfinite(delta)):
+        raise NonFiniteDeltaError(f"non-finite delta at iteration {k}")
+    if cfg.normalize == "unit-max-abs":
+        peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
+        scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
+        delta = delta / scale
+    norm = np.sqrt((delta ** 2).reshape(delta.shape[0], -1).sum(axis=1))
+    return cfg.gamma * delta, norm
+
+
 def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
                      stops: tuple[int, ...]) -> tuple[list, np.ndarray]:
     """Transform a batch (samples evolve independently under the ones-VJP).
@@ -89,16 +105,7 @@ def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
     step = None
     for k in range(cfg.k):
         if step is None or cfg.eval_point == "current-iterate":
-            tape = model.forward(Tensor._wrap(current), train=False)
-            delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap]).data
-            if not np.all(np.isfinite(delta)):
-                raise NonFiniteDeltaError(f"non-finite delta at iteration {k}")
-            if cfg.normalize == "unit-max-abs":
-                peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
-                scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
-                delta = delta / scale
-            norm = np.sqrt((delta ** 2).reshape(delta.shape[0], -1).sum(axis=1))
-            step = cfg.gamma * delta
+            step, norm = _step(model, current, cfg, k)
         norms[k] = norm
         current = current + step
         total = total + step
@@ -115,9 +122,9 @@ def _map_batches(model: Model, samples: list, cfg: SignConfig, stops: tuple[int,
 
     def run(chunk_index: int):
         chunk = chunks[chunk_index]
-        batch = np.stack([s.image.data for s in chunk])
         start = chunk_index * batch_size
         try:
+            batch = np.stack([s.image.data for s in chunk])
             reached, _ = _transform_batch(model, batch, cfg, stops)
         except (NonFiniteDeltaError, ShapeError, ValueError) as exc:
             raise type(exc)(f"samples [{start}, {start + len(chunk)}): {exc}") from exc

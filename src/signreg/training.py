@@ -179,6 +179,24 @@ def evaluate_arrays(model: Model, images: np.ndarray, soft: np.ndarray,
 # -- the loop ------------------------------------------------------------------
 
 
+def _step(model: Model, optimizer, lr: float, xb: np.ndarray, yb: np.ndarray,
+          mc_samples: int, rng: Rng, key: tuple[int, int]) -> tuple[float, int]:
+    """One optimizer step on batch ``key`` (epoch, batch index): its loss,
+    and how many of its argmax predictions match the labels'. The step's
+    tape lives in this frame only, so it is freed before the next step
+    records one."""
+    tape = model.forward(Tensor._wrap(xb), train=True, rng=rng.child("dropout", *key))
+    if model.has_uncertainty_head:
+        eps = rng.child("mc", *key).normal((mc_samples,) + tape.output.shape)
+        loss = tape.aleatoric_nll(tape.output, tape.taps["sigma"], yb, eps)
+    else:
+        loss = tape.cross_entropy(tape.output, yb)
+    grads = autodiff.param_gradients(tape, loss)
+    model.set_params(optimizer.step(model.params, grads, lr))
+    preds = tape.output.value.data.argmax(axis=1)
+    return loss.value.item(), int((preds == yb.argmax(axis=1)).sum())
+
+
 def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     """Seeded mini-batch training with the configured augmentation strategy.
 
@@ -214,18 +232,9 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
                                for j in range(xb.shape[0])])
             if cfg.strategy == "mixup" and xb.shape[0] >= 2:
                 xb, yb = mixup_arrays(xb, yb, mix_cfg, rng.child("mixup", epoch, bi))
-            tape = model.forward(Tensor._wrap(xb), train=True,
-                                 rng=rng.child("dropout", epoch, bi))
-            if model.has_uncertainty_head:
-                eps = rng.child("mc", epoch, bi).normal((cfg.mc_samples,) + tape.output.shape)
-                loss = tape.aleatoric_nll(tape.output, tape.taps["sigma"], yb, eps)
-            else:
-                loss = tape.cross_entropy(tape.output, yb)
-            grads = autodiff.param_gradients(tape, loss)
-            model.set_params(optimizer.step(model.params, grads, lr))
-            epoch_loss += loss.value.item() * xb.shape[0]
-            preds = tape.output.value.data.argmax(axis=1)
-            epoch_correct += int((preds == yb.argmax(axis=1)).sum())
+            loss, correct = _step(model, optimizer, lr, xb, yb, cfg.mc_samples, rng, (epoch, bi))
+            epoch_loss += loss * xb.shape[0]
+            epoch_correct += correct
             seen += xb.shape[0]
         val_loss, val_acc = evaluate_arrays(model, val_images, val_soft,
                                             cfg.mc_samples, rng.child("mc-val", epoch))

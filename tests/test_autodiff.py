@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from gradcheck import away_from_kinks, central_fd, check_input_grad, rel_err
 
+from signreg import autodiff
 from signreg.autodiff import forward, param_gradients, summed_jacobian, vjp
 from signreg.nn import build_small_mlp
 from signreg.tensor import Rng, ShapeError, Tensor
@@ -298,6 +299,16 @@ class TestPrimitiveGradients:
             check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(wk))), x)
             check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), wk)
 
+    def test_conv2d_at_one_sample_per_block(self, monkeypatch):
+        rng = Rng(59)
+        x = rng.child("x").normal((3, 2, 5, 5))
+        monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 8 * 2 * 9 * 25)
+        assert len(autodiff._blocks(3, 2 * 9 * 25)) == 3
+        for o in (1, 3):  # C >= O and C < O
+            w = rng.child("w", o).normal((o, 2, 3, 3))
+            check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), x)
+            check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w)
+
     def test_dropout_fixed_mask(self):
         rng = Rng(58)
         x = rng.child("x").normal((3, 4))
@@ -320,6 +331,57 @@ class TestPrimitiveGradients:
             lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(sigma)), labels, eps), f)
         check_input_grad(
             lambda t, n: t.aleatoric_nll(t.leaf_const(Tensor(f)), n, labels, eps), sigma)
+
+
+def conv2d_paths(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """conv2d's forward, then its input-VJP, weight-VJP and both-VJP at ``g``."""
+    _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+    node = tape.output
+    out = [node.value.data]
+    for needed in ((True, False), (False, True), (True, True)):
+        out.extend(r for r in node.vjp_fn(g, needed) if r is not None)
+    return out
+
+
+class TestConvBlocks:
+    """conv2d builds its columns a block of samples at a time and keeps none."""
+
+    @pytest.mark.parametrize("c, o", [(2, 3), (3, 2), (2, 2)])  # C < O folds; C >= O flips
+    def test_any_block_size_is_bitwise_one_block(self, monkeypatch, c, o):
+        rng = Rng(63)
+        b, h, w, k = 7, 5, 6, 3
+        x = rng.child("x").normal((b, c, h, w))
+        wt = rng.child("w").normal((o, c, k, k))
+        g = rng.child("g").normal((b, o, h, w))
+        for rows in (c, o):
+            assert autodiff._blocks(b, rows * k * k * h * w) == [(0, b)]
+        whole = conv2d_paths(x, wt, g)
+        assert len(whole) == 5
+        # n samples' worth of the input's columns, then of the cotangent's
+        for rows in (c, o):
+            for n in (1, 2, 3):
+                monkeypatch.setattr(autodiff, "_BLOCK_BYTES", n * 8 * rows * k * k * h * w)
+                blocks = autodiff._blocks(b, rows * k * k * h * w)
+                assert [i for s, e in blocks for i in range(s, e)] == list(range(b))
+                assert max(e - s for s, e in blocks) == n
+                got = conv2d_paths(x, wt, g)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+
+    def test_closure_holds_no_columns(self):
+        rng = Rng(64)
+        x = rng.child("x").normal((4, 3, 8, 8))
+        w = rng.child("w").normal((5, 3, 3, 3))
+        _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+        node = tape.output
+        owners = {}
+        for cell in node.vjp_fn.__closure__:
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value.nbytes
+        held = sum(owners.values())
+        assert 0 < held <= sum(p.value.data.nbytes for p in node.parents)
 
 
 class TestLazyPullback:

@@ -191,6 +191,14 @@ class TestSignTransform:
                                              r"!= model input \(5,\)"):
             transform_dataset(model, samples, [SignConfig(k=1)], batch_size=2)
 
+    def test_mixed_shapes_in_one_batch_name_the_sample_range(self):
+        model = build_small_mlp(5, [3], 2, rng=Rng(0))
+        samples = samples_of([np.zeros(5), np.zeros(4)], [0, 1])
+        with pytest.raises(ValueError, match=r"samples \[0, 2\): "):
+            transform_dataset(model, samples, [SignConfig(k=1)])
+        with pytest.raises(ValueError, match=r"samples \[0, 2\): "):
+            delta_only_dataset(model, samples, SignConfig(k=1))
+
     def test_missing_tap(self):
         model = build_small_mlp(5, [3], 2, rng=Rng(0))
         with pytest.raises(ValueError, match=r"samples \[0, 2\): model has no tap 'nope'"):

@@ -1,12 +1,14 @@
 """Loss identities against naive formulas, optimizer behavior, loop determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from signreg.autodiff import forward
 from signreg.datasets import DatasetSplit, make_synthetic_blobs, normalize
-from signreg.nn import build_model
-from signreg.sign import SignConfig
+from signreg.nn import Model, build_model
+from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng, Tensor
 from signreg import training
 from signreg.training import Adam, SgdMomentum, TrainConfig, fit, sign_pipeline, train
@@ -286,3 +288,29 @@ class TestSignPipeline:
         assert trained == [result.source_model]
         sign_pipeline(split, meta, None, cfgs, source=result.source_model)
         assert trained == [result.source_model]
+
+
+class TestTapeLifetime:
+    def test_spent_tapes_are_freed_before_the_next_forward(self, monkeypatch):
+        """Each training step and each transform iteration frees its tape
+        before the next forward records one, so no loop holds two."""
+        live_at_forward, refs = [], []
+        real_forward = Model.forward
+
+        def recording_forward(model, *args, **kwargs):
+            live_at_forward.append(sum(ref() is not None for ref in refs))
+            tape = real_forward(model, *args, **kwargs)
+            refs.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(Model, "forward", recording_forward)
+        split = small_split(spc=10)
+        model = build_model({"arch": "basic_cnn", "input_shape": [1, 8, 8], "num_classes": 3})
+        cfg = TrainConfig(epochs=2, batch_size=8, optimizer="adam", learning_rate=1e-3, seed=13)
+        batches = -(-len(split.train) // cfg.batch_size)
+        assert batches >= 2
+        train(model, split, cfg)
+        assert len(refs) == cfg.epochs * (batches + 1)  # the steps and each epoch's validation
+        transform_dataset(model, split.train, [SignConfig(k=3, gamma=0.02)], batch_size=8)
+        assert len(refs) == cfg.epochs * (batches + 1) + 3 * batches
+        assert live_at_forward == [0] * len(refs)
