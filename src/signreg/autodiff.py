@@ -69,9 +69,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __repr__(self):
-        return f"Node({self.op}, shape={self.shape}, idx={self.idx})"
-
 
 class Tape:
     """Recorded forward computation: nodes in evaluation order plus bookkeeping.

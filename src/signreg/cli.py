@@ -131,6 +131,10 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     if split.stats is None and cfg.ood_path:
         raise RuntimeError(f"container {cfg.dataset_path}: no stats to normalize the "
                            "[eval] ood_path images with")
+    for folder, idx in cfg.ood_class_map.items():
+        if idx >= split.num_classes:
+            raise ConfigError(f"[eval] ood_class_map: {folder}={idx} is not a class index "
+                              f"in [0, {split.num_classes})")
     model = _load_fitting(checkpoint, split.train, split.num_classes)
     ood_samples = None
     if cfg.ood_path:
@@ -214,7 +218,3 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

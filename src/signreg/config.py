@@ -128,8 +128,8 @@ def _class_map(text: str) -> dict[str, int]:
     out = {}
     for pair in text.replace(",", " ").split():
         folder, _, idx = pair.partition("=")
-        if not idx:
-            raise ValueError(f"class map entry {pair!r} needs folder=index")
+        if not idx or int(idx) < 0:
+            raise ValueError(f"class map entry {pair!r} needs folder=index, index >= 0")
         out[folder] = int(idx)
     return out
 

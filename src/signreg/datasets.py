@@ -10,8 +10,7 @@ On-disk formats:
     pixel bytes in R, G, B planes of 32x32 row-major.
   * Sample container: a framed file (see tensor.py) whose JSON manifest
     carries labels, optional soft labels, optional per-sample provenance.
-  * PPM (P6) images for the out-of-distribution loader; PNG accepted too
-    when Pillow is importable.
+  * PPM (P6) images for the out-of-distribution loader.
 """
 
 from __future__ import annotations
@@ -274,15 +273,7 @@ def _decode_image(path: str) -> np.ndarray:
             return decode_ppm(blob)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if path.lower().endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise ValueError(f"{path}: PNG support requires Pillow; convert to PPM (P6)") from exc
-        with Image.open(path) as img:
-            arr = np.asarray(img.convert("RGB"), dtype=np.float64)
-        return arr.transpose(2, 0, 1)
-    raise ValueError(f"undecodable file (expect .ppm or .png): {path}")
+    raise ValueError(f"undecodable file (expect .ppm): {path}")
 
 
 def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -369,8 +360,6 @@ def load_container(path: str) -> tuple[list[Sample], dict]:
         if samples and arr.shape != samples[0].image.shape:
             raise ValueError(f"{path}: sample {i} field shape {list(arr.shape)} differs from "
                              f"sample 0's {list(samples[0].image.shape)}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: sample {i} image holds a non-finite value")
         label, soft = rec["label"], rec.get("soft_label")
         if type(label) is not int or not 0 <= label < ncls:
             raise ValueError(f"{path}: sample {i} field label {label!r} is not a class "

@@ -57,8 +57,6 @@ class Tensor:
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
         """Wrap a buffer we own, without copying. Internal use only."""
         arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         arr.setflags(write=False)
         t = object.__new__(cls)
         t._data = arr
@@ -88,9 +86,6 @@ class Tensor:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self._data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
 
 
 def _tag_to_int(tag) -> int:
@@ -151,9 +146,6 @@ class Rng:
     def beta(self, a: float, b: float, size=None):
         return self._generator().beta(a, b, size=size)
 
-    def __repr__(self):
-        return f"Rng(seed={self.seed}, path={self.path})"
-
 
 # -- framed files -----------------------------------------------------------------
 
@@ -208,16 +200,23 @@ def read_framed(path: str, version: str, kinds: dict[str, type]) -> tuple[dict, 
 
 
 def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarray:
-    """A copy of the float64 array that ``record`` locates in ``payload``."""
+    """A copy of the float64 array that ``record`` locates in ``payload``;
+    a ValueError names the file and ``where`` unless the array has rank >= 1
+    and only finite values."""
     require_fields(record, ("shape", "offset", "nbytes"), path, where)
     try:
         shape = tuple(int(s) for s in record["shape"])
         start, nbytes = int(record["offset"]), int(record["nbytes"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {where} has a malformed shape, offset or nbytes") from exc
-    if min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
+    if not shape:
+        raise ValueError(f"{path}: {where} field shape [] has rank 0")
+    if min(shape) < 0 or nbytes != 8 * math.prod(shape):
         raise ValueError(f"{path}: {where} nbytes {nbytes} does not fit shape {list(shape)}")
     if not 0 <= start <= len(payload) - nbytes:
         raise ValueError(f"{path}: {where} payload truncated: needs bytes {start} to "
                          f"{start + nbytes}, the payload has {len(payload)}")
-    return np.frombuffer(payload, np.float64, count=nbytes // 8, offset=start).reshape(shape).copy()
+    arr = np.frombuffer(payload, np.float64, count=nbytes // 8, offset=start).reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: {where} holds a non-finite value")
+    return arr

@@ -11,7 +11,7 @@ from scipy.special import betaincinv
 from signreg.augment import (CorruptionSpec, MixupConfig, apply_classical,
                              classical_augment_array, corrupt, mixup_arrays)
 from signreg.datasets import Sample
-from signreg.tensor import Rng, Tensor
+from signreg.tensor import Rng, ShapeError, Tensor
 
 
 def image_sample(arr, label=0, raw=True) -> Sample:
@@ -56,6 +56,10 @@ class TestClassical:
         b = classical_augment_array(sample.image.data, Rng(6))
         assert a.label == 7
         assert np.array_equal(a.image.data, b)
+
+    def test_needs_a_channel_axis(self):
+        with pytest.raises(ShapeError, match="expects \\(C, H, W\\)"):
+            classical_augment_array(np.ones((4, 4)), Rng(7))
 
     def test_tiny_image_degenerates_to_identity_shift(self):
         out = classical_augment_array(np.ones((1, 1, 1)), Rng(7))

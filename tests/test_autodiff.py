@@ -1,6 +1,8 @@
 """Gradient checks: every primitive against central finite differences,
 plus the structural vjp/summed-jacobian/param-gradient contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from gradcheck import away_from_kinks, central_fd, check_input_grad, rel_err
@@ -110,6 +112,48 @@ class TestVjp:
         _, tape_b = forward(lambda t, n: t.relu(n), Tensor([1.0]))
         with pytest.raises(ValueError):
             vjp(tape_a, tape_b.output, Tensor([1.0]))
+
+    def test_tape_without_input_rejected(self):
+        tape = autodiff.Tape()
+        node = tape.relu(tape.leaf_const(Tensor([1.0])))
+        with pytest.raises(ValueError, match="no input leaf"):
+            vjp(tape, node, Tensor([1.0]))
+
+    def test_node_recorded_before_the_input_is_zero(self):
+        tape = autodiff.Tape()
+        early = tape.relu(tape.leaf_const(Tensor([1.0, 2.0])))
+        tape.leaf_input(Tensor(np.ones((2, 3))))
+        assert np.array_equal(vjp(tape, early, Tensor([1.0, 1.0])).data, np.zeros((2, 3)))
+
+
+# case -> (a primitive call on operands of mismatched shapes, text of its error);
+# ``leaf(*shape)`` records a constant of ones
+SHAPE_ERRORS = {
+    "dropout-mask": (lambda t, leaf: t.dropout(leaf(2, 3), np.ones((3, 2))), "dropout: mask"),
+    "maxpool-rank": (lambda t, leaf: t.maxpool2(leaf(2, 4, 4)), "maxpool2 expects"),
+    "maxpool-odd": (lambda t, leaf: t.maxpool2(leaf(1, 1, 3, 4)), "even spatial dims, got 3x4"),
+    "conv-rank": (lambda t, leaf: t.conv2d(leaf(1, 4, 4), leaf(1, 1, 3, 3)), "conv2d expects"),
+    "conv-channels": (lambda t, leaf: t.conv2d(leaf(1, 2, 4, 4), leaf(1, 1, 3, 3)),
+                      "conv2d: kernel"),
+    "conv-even-kernel": (lambda t, leaf: t.conv2d(leaf(1, 1, 4, 4), leaf(1, 1, 2, 2)),
+                         "conv2d: kernel"),
+    "cross-entropy-labels": (lambda t, leaf: t.cross_entropy(leaf(2, 3), np.ones((2, 4))),
+                             "cross_entropy: logits"),
+    "nll-sigma": (lambda t, leaf: t.aleatoric_nll(leaf(2, 3), leaf(2, 4), np.ones((2, 3)),
+                                                  np.ones((5, 2, 3))), "vs sigma"),
+    "nll-labels": (lambda t, leaf: t.aleatoric_nll(leaf(2, 3), leaf(2, 3), np.ones((2, 4)),
+                                                   np.ones((5, 2, 3))), "labels (2, 4)"),
+    "nll-eps": (lambda t, leaf: t.aleatoric_nll(leaf(2, 3), leaf(2, 3), np.ones((2, 3)),
+                                                np.ones((5, 2, 4))), "eps (5, 2, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_primitive_rejects_mismatched_shapes(case):
+    record, message = SHAPE_ERRORS[case]
+    tape = autodiff.Tape()
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        record(tape, lambda *shape: tape.leaf_const(Tensor(np.ones(shape))))
 
 
 def small_cnn_build(rng: Rng):
@@ -278,6 +322,9 @@ class TestPrimitiveGradients:
             x[planted < 0.1] = np.nan
             x[planted > 0.9] = -np.inf
             g = rng.child(trial, "g").normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+            # a non-finite cotangent reaches its window's first maximum only,
+            # and every other entry of the window gets 0, as in the oracle
+            g.flat[::5], g.flat[2::5], g.flat[3::5] = np.inf, np.nan, -np.inf
             _, tape = forward(lambda t, n: t.maxpool2(n), Tensor(x))
             grad = vjp(tape, tape.output, Tensor(g)).data
             want_out, want_grad = argmax_maxpool2(x, g)

@@ -15,9 +15,10 @@ from signreg import config as cfgmod
 from signreg.cli import main
 from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
                             parse_corruption, resolved_config_text)
-from signreg.datasets import NormStats, Sample, load_container, save_container
+from signreg.datasets import CIFAR_CLASSES, NormStats, Sample, load_container, save_container
 from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
 from signreg.tensor import Rng, Tensor
+from test_repro import write_fake_cifar
 
 
 BLOB_LINES = ["kind = blobs", "classes = 3", "samples_per_class = 10",
@@ -74,12 +75,10 @@ class TestCmdTrain:
         assert "source" in err
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "c.ini"
-        write_config(path, epochs=1, out_dir=tmp_path / "run")
-        with open(path, "a") as fh:
-            fh.write("\n[train]\nwarp_speed = 9\n")
-        with pytest.raises(ConfigError):
-            load_experiment_config(str(path))
+        path = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run",
+                            extra_train="warp_speed = 9")
+        with pytest.raises(ConfigError, match=re.escape("[train] unknown key(s): warp_speed")):
+            load_experiment_config(path)
 
     def test_short_training_run_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -89,6 +88,56 @@ class TestCmdTrain:
         assert len(lines) == 1 + 4  # header + (train,val) x 2 epochs
         resolved = (out / "resolved-config.ini").read_text()
         assert "epochs = 2" in resolved and "strategy" in resolved
+
+    @pytest.mark.parametrize("arch, extra_model, hidden_dims, meta", [
+        ("basic_cnn", "", None, {"arch": "basic_cnn", "drop_prob": 0.3}),
+        ("small_mlp", "uncertainty_head = true", "12",
+         {"arch": "small_mlp", "hidden_dims": [12], "uncertainty_head": True})])
+    def test_model_section_picks_the_model(self, tmp_path, arch, extra_model, hidden_dims, meta):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=out, arch=arch,
+                           extra_model=extra_model, hidden_dims=hidden_dims)
+        assert main(["train", "-c", cfg]) == 0
+        model = load_checkpoint(str(out / "checkpoint.bin"))
+        assert meta.items() <= model.meta.items() and model.input_shape == (1, 8, 8)
+
+    def test_cifar10_batches(self, tmp_path, monkeypatch):
+        write_fake_cifar(str(tmp_path), per_file=3, rng=Rng(42))
+        splits = []
+        real_train = cli.train
+        monkeypatch.setattr(cli, "train", lambda model, split, cfg: splits.append(split)
+                            or real_train(model, split, cfg))
+        cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run",
+                           dataset_lines=["kind = cifar10", f"path = {tmp_path}", "val_count = 5"])
+        assert main(["train", "-c", cfg]) == 0
+        (split,) = splits
+        assert (len(split.train), len(split.val), len(split.test)) == (10, 5, 3)
+        assert split.class_names == CIFAR_CLASSES and split.train[0].image.shape == (3, 32, 32)
+
+    def test_soft_labels_are_the_training_targets(self, tmp_path, monkeypatch):
+        images = Rng(4).child("images").normal((12, 1, 8, 8))
+        soft = (0.5, 0.25, 0.25)
+        targets, losses = [], []
+        real_stack = training.stack_samples
+
+        def stacking(samples, ncls):
+            stacked, rows = real_stack(samples, ncls)
+            targets.append(rows)
+            return stacked, rows
+
+        monkeypatch.setattr(training, "stack_samples", stacking)
+        for name, soft_label in (("hard", None), ("soft", soft)):
+            container = str(tmp_path / f"{name}.container")
+            save_container([Sample(image=Tensor(img), label=0, raw=False, soft_label=soft_label)
+                            for img in images], container, ("a", "b", "c"), raw_domain=False,
+                           stats=NormStats(mean=(128.0,), std=(12.0,)))
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.ini", epochs=1, out_dir=out,
+                               dataset_lines=["kind = container", f"path = {container}"])
+            assert main(["train", "-c", cfg]) == 0
+            losses.append((out / "report.csv").read_text().splitlines()[1])
+        assert np.array_equal(targets[-2], np.tile(soft, (len(targets[-2]), 1)))  # train split
+        assert losses[0] != losses[1]
 
 
 class TestSourceCheckpoint:
@@ -184,18 +233,38 @@ def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
     return path
 
 
+def _rewrite_header(path, breaks):
+    """The framed file at ``path``, its JSON header edited in place by ``breaks``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (length,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + length])
+    breaks(header)
+    doc = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(doc)) + doc + blob[8 + length:])
+    return path
+
+
 def _broken_container(path, breaks):
     """A one-sample container whose manifest ``breaks`` edits in place."""
     save_container([Sample(image=Tensor(np.zeros((1, 8, 8))), label=0, raw=False)], path,
                    ("a", "b", "c"), raw_domain=False)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    (length,) = struct.unpack("<Q", blob[:8])
-    manifest = json.loads(blob[8:8 + length])
-    breaks(manifest)
-    doc = json.dumps(manifest).encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(doc)) + doc + blob[8 + length:])
+    return _rewrite_header(path, breaks)
+
+
+def _broken_checkpoint(tmp_path, name, breaks):
+    """A {fits} checkpoint whose header ``breaks`` edits in place."""
+    return _rewrite_header(_checkpoint(tmp_path, name, 64, 3, (1, 8, 8)), breaks)
+
+
+def _nan_checkpoint(path):
+    """A {fits} checkpoint with one NaN in tensor fc1.w."""
+    model = build_small_mlp(64, [4], 3, rng=Rng(1), input_shape=(1, 8, 8))
+    w = model.params["fc1.w"].data.copy()
+    w[5, 2] = np.nan
+    model.set_params({**model.params, "fc1.w": Tensor(w)})
+    save_checkpoint(model, path)
     return path
 
 
@@ -245,6 +314,32 @@ def _error_files(tmp_path):
              "ppmzero": _ood_dir(tmp_path / "ppmzero", b"P6 0 0 255\n"),
              "ppmtext": _ood_dir(tmp_path / "ppmtext", b"P6 x 2 255\n" + bytes(12)),
              "ppmrgb": _ood_dir(tmp_path / "ppmrgb", b"P6 2 2 255\n" + bytes(12)),
+             "ppmshort": _ood_dir(tmp_path / "ppmshort", b"P6 2 "),
+             "ppm16": _ood_dir(tmp_path / "ppm16", b"P6 2 2 65535\n" + bytes(24)),
+             "cifar": str(tmp_path / "cifar"),
+             "missing": str(tmp_path / "missing"),
+             "nanparam": _nan_checkpoint(str(tmp_path / "nanparam.bin")),
+             "headershort": str(tmp_path / "headershort.bin"),
+             "headertext": str(tmp_path / "headertext.bin"),
+             "tensorslist": _broken_checkpoint(tmp_path, "tensorslist.bin",
+                                               lambda h: h.update(tensors=[])),
+             "tensorshape": _broken_checkpoint(
+                 tmp_path, "tensorshape.bin",
+                 lambda h: h["tensors"]["fc1.w"].update(shape=[4, 64])),
+             "dropmeta": _broken_checkpoint(
+                 tmp_path, "dropmeta.bin",
+                 lambda h: h.update(meta={"arch": "basic_cnn", "input_shape": [1, 8, 8],
+                                          "num_classes": 3, "drop_prob": 1.5})),
+             "hiddenmeta": _broken_checkpoint(tmp_path, "hiddenmeta.bin",
+                                              lambda h: h["meta"].update(hidden_dims=[0])),
+             "flatmeta": _broken_checkpoint(tmp_path, "flatmeta.bin",
+                                            lambda h: h["meta"].update(input_dim=63)),
+             "rankzero": _broken_container(str(tmp_path / "rankzero.container"),
+                                           lambda m: m["samples"][0].update(shape=[], nbytes=8)),
+             "shapetext": _broken_container(str(tmp_path / "shapetext.container"),
+                                            lambda m: m["samples"][0].update(shape=["x", 8, 8])),
+             "nbytes": _broken_container(str(tmp_path / "nbytes.container"),
+                                         lambda m: m["samples"][0].update(nbytes=7)),
              "junk": str(tmp_path / "junk.bin"),
              "truncated": str(tmp_path / "truncated.bin"),
              "noshape": _broken_container(str(tmp_path / "noshape.container"),
@@ -273,6 +368,10 @@ def _error_files(tmp_path):
              "out": str(tmp_path / "out.container")}
     (tmp_path / "junk.bin").write_bytes(b"junk")
     (tmp_path / "truncated.bin").write_bytes((tmp_path / "fits.bin").read_bytes()[:-3])
+    (tmp_path / "headershort.bin").write_bytes(struct.pack("<Q", 100) + b"{}")
+    (tmp_path / "headertext.bin").write_bytes(struct.pack("<Q", 5) + b"{nope")
+    os.makedirs(files["cifar"])
+    write_fake_cifar(files["cifar"], per_file=2, rng=Rng(42))  # 10 training records
     return files
 
 
@@ -305,6 +404,7 @@ ERROR_CASES = {
     "checkpoint-not-a-checkpoint": (["source_checkpoint = {junk}"], 2, "{junk}"),
     "checkpoint-sigma-no-head": (["source_checkpoint = {fits}", "sign_tap = sigma"], 2,
                                  "sigma"),
+    "checkpoint-missing": (["source_checkpoint = {missing}"], 1, "[strategy] source_checkpoint"),
 }
 
 
@@ -429,6 +529,65 @@ RUN_ERROR_CASES = {
     "ood-model-space-no-stats": ({"dataset_lines": ["kind = container", "path = {nostatsdata}"],
                                   "extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=0"},
                                  "eval --checkpoint {fits}", 2, ["{nostatsdata}", "stats"]),
+    # a second -c replaces the written config
+    "config-missing": ({}, "train -c {missing}", 1, ["config file not found", "{missing}"]),
+    "unknown-section": ({"extra_eval": "[warp]\nspeed = 9"}, "train", 1,
+                        ["unknown section [warp]"]),
+    "duplicate-section": ({"extra_eval": "[train]\nmc_samples = 4"}, "train", 1,
+                          ["cannot parse", "section 'train' already exists"]),
+    "kind-missing": ({"dataset_lines": ["classes = 3"]}, "train", 1,
+                     ["[dataset] missing required key: kind"]),
+    "container-path-missing": ({"dataset_lines": ["kind = container"]}, "train", 1,
+                               ["[dataset] missing required key: path"]),
+    "uncertainty-head-not-bool": ({"extra_model": "uncertainty_head = maybe"}, "train", 1,
+                                  ["[model] uncertainty_head"]),
+    "corruption-pixel-count-negative": ({"extra_eval": "corruptions = pixel-off:-3"}, "train", 1,
+                                        ["[eval] corruptions", "pixel_count"]),
+    "ood-path-not-directory": ({"extra_eval": "ood_path = {junk}"}, "eval --checkpoint {fits}", 1,
+                               ["[eval] ood_path", "{junk}"]),
+    "ood-class-map-no-index": ({"extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero"},
+                               "eval --checkpoint {fits}", 1, ["[eval] ood_class_map", "zero"]),
+    "ood-class-map-negative": ({"extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=-1"},
+                               "eval --checkpoint {fits}", 1, ["[eval] ood_class_map", "zero=-1"]),
+    "ood-class-map-too-large": ({"extra_eval": "ood_path = {ppmrgb}\nood_class_map = zero=7"},
+                                "eval --checkpoint {fits}", 1,
+                                ["[eval] ood_class_map", "zero=7", "[0, 3)"]),
+    "ood-ppm-truncated-header": ({"extra_eval": "ood_path = {ppmshort}\nood_class_map = zero=0"},
+                                 "eval --checkpoint {fits}", 2,
+                                 [os.path.join("{ppmshort}", "zero", "0.ppm"), "truncated"]),
+    "ood-ppm-16-bit": ({"extra_eval": "ood_path = {ppm16}\nood_class_map = zero=0"},
+                       "eval --checkpoint {fits}", 2,
+                       [os.path.join("{ppm16}", "zero", "0.ppm"), "maxval 65535"]),
+    "cifar-val-count-too-large": ({"dataset_lines": ["kind = cifar10", "path = {cifar}",
+                                                     "val_count = 10"]}, "train", 2,
+                                  ["val_count 10", "no training data"]),
+    "transform-input-missing": ({}, "transform --checkpoint {fits} --in {missing} --out {out}", 1,
+                                ["input dataset not found", "{missing}"]),
+    "checkpoint-non-finite": ({}, "eval --checkpoint {nanparam}", 2,
+                              ["{nanparam}", "tensor fc1.w", "non-finite"]),
+    "source-checkpoint-non-finite": ({"strategy": "sign",
+                                      "extra_strategy": "source_checkpoint = {nanparam}"},
+                                     "train", 2, ["{nanparam}", "tensor fc1.w", "non-finite"]),
+    "checkpoint-header-truncated": ({}, "eval --checkpoint {headershort}", 2,
+                                    ["{headershort}", "header truncated"]),
+    "checkpoint-header-not-json": ({}, "eval --checkpoint {headertext}", 2,
+                                   ["{headertext}", "header is not JSON"]),
+    "checkpoint-tensors-not-a-dict": ({}, "eval --checkpoint {tensorslist}", 2,
+                                      ["{tensorslist}", "tensors is not a JSON dict"]),
+    "checkpoint-tensor-shape": ({}, "eval --checkpoint {tensorshape}", 2,
+                                ["{tensorshape}", "tensors", "fc1.w"]),
+    "checkpoint-meta-drop-prob": ({}, "eval --checkpoint {dropmeta}", 2,
+                                  ["{dropmeta}", "meta", "drop probability"]),
+    "checkpoint-meta-hidden-zero": ({}, "eval --checkpoint {hiddenmeta}", 2,
+                                    ["{hiddenmeta}", "meta", "dims"]),
+    "checkpoint-meta-input-dim": ({}, "eval --checkpoint {flatmeta}", 2,
+                                  ["{flatmeta}", "meta", "flatten"]),
+    "container-rank-zero": ({}, "transform --checkpoint {fits} --in {rankzero} --out {out}", 2,
+                            ["{rankzero}", "sample 0", "shape [] has rank 0"]),
+    "container-shape-not-numbers": ({}, "transform --checkpoint {fits} --in {shapetext} "
+                                        "--out {out}", 2, ["{shapetext}", "sample 0", "malformed"]),
+    "container-nbytes": ({}, "transform --checkpoint {fits} --in {nbytes} --out {out}", 2,
+                         ["{nbytes}", "sample 0", "nbytes 7"]),
 }
 
 
@@ -584,6 +743,39 @@ class TestCmdEval:
         totals = {row["label"]: row["total"] for row in report["per_class"]}
         assert totals == {0: 2, 1: 3}
 
+    def test_ood_directory_skips_stray_files(self, tmp_path):
+        ood_root = tmp_path / "ood"
+        os.makedirs(ood_root / "zero")
+        (ood_root / "zero" / "0.ppm").write_bytes(b"P6\n8 8\n255\n" + bytes([90]) * 192)
+        (ood_root / "notes.txt").write_text("not a class folder")
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", out_dir=out,
+                           dataset_lines=["kind = blobs", "classes = 2", "samples_per_class = 4",
+                                          "image_shape = 3x8x8"],
+                           extra_eval=f"ood_path = {ood_root}\nood_class_map = zero=0")
+        ckpt = _checkpoint(tmp_path, "rgb.bin", 192, 2, (3, 8, 8))
+        assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 0
+        report = json.loads((out / "ood-report.json").read_text())
+        assert [(row["label"], row["total"]) for row in report["per_class"]] == [(0, 1)]
+
+
+# recipe -> its table at seed 0, each number (or N/A) shown as #; transfer's
+# table has the layout of classify's, and the recipe takes about 25 s
+RECIPE_TABLES = {
+    "classify": ["method class# class# class# mean", "none # # # #", "classical # # # #",
+                 "mixup # # # #", "sign # # # #"],
+    "uncertainty": ["method accuracy p<=# n bucket p uncert min corr p", "none # # # # #",
+                    "mixup # # # # #", "sign # # # # #"],
+    "robustness": ["method clean corruption results (mean +- std)",
+                   "none # pixel-off:#=#+-# gaussian:mu=#,sigma=#=#+-#",
+                   "sign # pixel-off:#=#+-# gaussian:mu=#,sigma=#=#+-#"],
+    "ood": ["method=none mean=#", "class#: n=# acc=# bucket n=# p=#",
+            "class#: n=# acc=# bucket n=# p=#", "method=sign mean=#",
+            "class#: n=# acc=# bucket n=# p=#", "class#: n=# acc=# bucket n=# p=#"],
+    "delta-only": ["source accuracy: #", "delta-only accuracy: #", "chance level: #",
+                   "ratio over chance: #x"],
+}
+
 
 class TestCmdRepro:
     def test_unknown_recipe_lists_valid_names(self, capsys):
@@ -591,6 +783,13 @@ class TestCmdRepro:
         err = capsys.readouterr().err
         for name in ("classify", "uncertainty", "robustness", "ood", "transfer", "delta-only"):
             assert name in err
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_TABLES))
+    def test_recipe_prints_its_table(self, capsys, recipe):
+        assert main(["repro", recipe]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [re.sub(r"N/A|\d+(\.\d+)?(e[-+]\d+)?", "#", " ".join(line.split()))
+                for line in lines] == RECIPE_TABLES[recipe]
 
 
 # command line -> text the usage error must name

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from signreg.datasets import (CIFAR_CLASSES, DatasetSplit, Sample, bilinear_resize,
+from signreg.datasets import (CIFAR_CLASSES, DatasetSplit, NormStats, Sample, bilinear_resize,
                               decode_ppm, load_cifar10_binary, load_container,
                               load_ood_directory, make_synthetic_blobs, normalize,
                               normalize_sample, denormalize_sample, parse_cifar_record,
@@ -50,6 +50,12 @@ class TestCifarRecords:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             parse_cifar_record(bytes([10]) + bytes(3072))
+
+    def test_serialize_needs_a_raw_cifar_image(self):
+        with pytest.raises(ValueError, match=r"\(3, 32, 32\)"):
+            serialize_cifar_record(Sample(image=Tensor(np.zeros((1, 32, 32))), label=0))
+        with pytest.raises(ValueError, match="0-255"):
+            serialize_cifar_record(Sample(image=Tensor(np.full((3, 32, 32), 256.0)), label=0))
 
     def test_wrong_record_size(self):
         with pytest.raises(ValueError):
@@ -150,6 +156,11 @@ class TestNormalize:
             np.testing.assert_allclose(back.image.data, orig.image.data, atol=1e-10, rtol=0)
             assert back.raw
 
+    def test_denormalize_needs_model_space(self):
+        raw = Sample(image=Tensor(np.zeros((1, 2, 2))), label=0, raw=True)
+        with pytest.raises(ValueError, match="already in the raw domain"):
+            denormalize_sample(raw, NormStats(mean=(0.0,), std=(1.0,)))
+
     def test_double_normalization_rejected(self):
         norm = normalize(self.blob_split())
         with pytest.raises(ValueError):
@@ -200,6 +211,10 @@ class TestPpmAndResize:
 
 
 class TestOodDirectory:
+    def test_not_a_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not a directory"):
+            load_ood_directory(str(tmp_path / "absent"), {})
+
     def test_empty_directory(self, tmp_path):
         assert load_ood_directory(str(tmp_path), {}) == []
 

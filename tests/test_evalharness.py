@@ -361,6 +361,13 @@ class TestProjectFeatures:
         # first nonzero loading positive: the first point lies on +x
         np.testing.assert_allclose(export.coordinates[0], [np.sqrt(6.0), 0.0], atol=1e-12)
 
+    def test_overflowing_features_rejected(self):
+        # the covariance overflows, and eigh returns NaN axes for it
+        samples = [Sample(image=Tensor([1e160 * i, -1e160 * i * i]), label=0, raw=False)
+                   for i in range(4)]
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="non-finite"):
+            project_features(self.passthrough_2d(), samples, tap="pre-logits")
+
     def test_too_few_samples(self):
         samples = one_per_class_samples(2)
         with pytest.raises(ValueError):

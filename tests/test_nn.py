@@ -208,6 +208,11 @@ class TestUncertaintyHead:
         with pytest.raises(ValueError):
             attach_uncertainty_head(model)
 
+    def test_replaces_only_a_dense_classifier(self):
+        model = attach_uncertainty_head(build_small_mlp(5, [7], 4, rng=Rng(0)))
+        with pytest.raises(ValueError, match="not a dense classifier"):
+            attach_uncertainty_head(model)
+
 
 class TestPredict:
     def test_head_matches_mean_softmax_oracle(self):

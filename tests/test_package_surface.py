@@ -16,6 +16,8 @@ PACKAGE = os.path.join(ROOT, "src", "signreg")
 SCRIPTS = os.path.join(ROOT, "scripts")
 
 KEEP = {
+    "cli.main": "the entry point of the signreg console script (pyproject.toml "
+                "[project.scripts])",
     "autodiff.forward": "records a function of one input on a fresh tape; every "
                         "finite-difference gradcheck builds its graphs through it",
     "datasets.serialize_cifar_record": "the inverse of parse_cifar_record, the oracle of "

@@ -135,6 +135,11 @@ class TestTensorInvariants:
         assert t.size == int(np.prod(shape)) == len(t.data.reshape(-1))
         assert t.ndim == len(shape)
 
+    def test_item_needs_one_element(self):
+        assert Tensor([[2.5]]).item() == 2.5
+        with pytest.raises(ShapeError, match="single-element"):
+            Tensor([1.0, 2.0]).item()
+
     def test_scalar_promoted_to_rank_one(self):
         assert Tensor(3.0).shape == (1,)
 

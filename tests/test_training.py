@@ -226,6 +226,19 @@ class TestTrainLoop:
         assert cfg.lr_at(75) == pytest.approx(0.01)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("strategy", "cutout")])
+    def test_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(epochs=1, **{field: value})
+
+    def test_unknown_optimizer_rejected(self):
+        split = small_split(spc=4)
+        model, _ = fresh_mlp(split)
+        with pytest.raises(ValueError, match="unknown optimizer 'rmsprop'"):
+            train(model, split, TrainConfig(epochs=1, optimizer="rmsprop"))
+
+
 class TestSignPipeline:
     def test_empty_cfgs_equal_plain_retrain(self):
         split = small_split(spc=15)
@@ -274,6 +287,17 @@ class TestSignPipeline:
         assert len(given.augmented_split.train) == len(trained.augmented_split.train)
         for a, b in zip(trained.augmented_split.train, given.augmented_split.train):
             assert a.image.data.tobytes() == b.image.data.tobytes()
+
+    def test_normalizes_a_raw_split_first(self):
+        raw = make_synthetic_blobs(3, 6, (1, 8, 8), 6.0, Rng(0).child("blobs"))
+        split = normalize(raw)
+        source, meta = fresh_mlp(split)
+        cfgs = [SignConfig(k=2, gamma=0.02, normalize="unit-max-abs")]
+        from_raw = sign_pipeline(raw, meta, None, cfgs, source=source).augmented_split
+        given = sign_pipeline(split, meta, None, cfgs, source=source).augmented_split
+        assert from_raw.normalized and from_raw.stats == given.stats
+        assert [s.image.data.tobytes() for s in from_raw.train] == \
+            [s.image.data.tobytes() for s in given.train]
 
     def test_trains_the_source_only(self, monkeypatch):
         split = small_split(spc=10)
