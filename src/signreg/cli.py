@@ -146,6 +146,9 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
                                f"{model.input_shape}")
         ood_samples = [normalize_sample(s, split.stats) for s in ood_raw]
     out = cfg.output_dir
+    if cfg.projection:  # before scoring, so a tap that cannot be projected fails first
+        project_features(model, split.test, cfg.projection_tap).to_csv(
+            os.path.join(out, "projection.csv"))
 
     scores = score_samples(model, split.test, cfg.mc_samples)
     write_scores_csv(scores, os.path.join(out, "per-sample.csv"))
@@ -162,9 +165,6 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     if ood_samples is not None:
         ood_report = ood_evaluate(model, ood_samples, cfg.mc_samples)
         ood_report.to_json(os.path.join(out, "ood-report.json"))
-    if cfg.projection:
-        export = project_features(model, split.test, cfg.projection_tap)
-        export.to_csv(os.path.join(out, "projection.csv"))
     return 0
 
 

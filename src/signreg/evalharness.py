@@ -280,6 +280,9 @@ def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits
         feats.append(_tap_values(model, np.stack([s.image.data for s in chunk]), tap)
                      .reshape(len(chunk), -1))
     matrix = np.concatenate(feats, axis=0)
+    if matrix.shape[1] < 2:
+        raise ValueError(f"projection needs at least 2 features, tap {tap!r} has "
+                         f"{matrix.shape[1]}")
     centered = matrix - matrix.mean(axis=0)
     cov = centered.T @ centered / centered.shape[0]
     comps, variances = _top2_axes(cov)

@@ -295,8 +295,8 @@ def predict(model: Model, images, mc_samples: int,
     """Log predictive probabilities (N, C) with dropout off, and for
     uncertainty-head models the mean sigma per sample (else None).
 
-    ``images`` holds N input arrays (a list, or one stacked array); they
-    are stacked one batch at a time. A head model's predictive is its
+    ``images`` holds N input arrays: a list, stacked one batch at a time,
+    or one stacked array, read one batch-sized view at a time. A head model's predictive is its
     softmax averaged over ``mc_samples`` logit-noise draws from
     ``rng.child("eps", batch_start)``, the distribution its aleatoric loss
     trains; other models ignore ``rng``.
@@ -305,7 +305,7 @@ def predict(model: Model, images, mc_samples: int,
         raise ValueError("empty sample list")
     logps, sigmas = [], []
     for start in range(0, len(images), PREDICT_BATCH):
-        f, sigma = _outputs(model, np.stack(images[start:start + PREDICT_BATCH]))
+        f, sigma = _outputs(model, np.asarray(images[start:start + PREDICT_BATCH]))
         if sigma is not None:
             eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
             logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))

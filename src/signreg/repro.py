@@ -78,19 +78,30 @@ def none_vs_sign(split: DatasetSplit, meta: dict, base: TrainConfig,
 # -- protocols -------------------------------------------------------------------
 
 
-def run_classify(seed: int = 0, separation: float = 1.0, epochs: int = 20,
-                 samples_per_class: int = 40) -> dict[str, EvalReport]:
-    """Per-class and overall accuracy under each augmentation strategy."""
-    split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
-                       test_per_class=200, val_per_class=100)
+def run_classify(seed: int = 0, epochs: int = 30,
+                 samples_per_class: int = 30) -> dict[str, EvalReport]:
+    """Per-class and overall accuracy of plain, mixup and SIGN training;
+    acceptance criterion 5 reads the none and sign arms.
+
+    The protocol sits in the scarce-data regime (90 training samples on a
+    hard task, baseline ~0.72) where extra label-consistent samples have
+    room to move test accuracy, with large validation/test pools so both
+    epoch selection and the measured accuracies are fine-grained. The
+    transform is kept gentle (gamma 0.002, bounded steps); stronger
+    settings trade clean accuracy for the robustness gains the corruption
+    protocol measures. There is no classical arm: blob classes differ only
+    in where their bump sits, so a flip or a quarter turn moves it to
+    another class's place and keeps the label.
+    """
+    split = blob_split(seed, separation=0.8, noise_sigma=14.0,
+                       samples_per_class=samples_per_class, test_per_class=400,
+                       val_per_class=200)
     meta = mlp_meta(split)
-    arms = none_vs_sign(split, meta, _base_cfg(seed, epochs), desk_sign_cfgs(),
+    arms = none_vs_sign(split, meta, _base_cfg(seed, epochs), desk_sign_cfgs(gamma=0.002),
                         lambda model: evaluate(model, split.test))
-    results = {"none": arms["none"]}
-    for strategy in ("classical", "mixup"):
-        model, _ = fit(meta, split, _base_cfg(seed, epochs, strategy))
-        results[strategy] = evaluate(model, split.test)
-    return {**results, "sign": arms["sign"]}
+    mixup_model, _ = fit(meta, split, _base_cfg(seed, epochs, "mixup"))
+    return {"none": arms["none"], "mixup": evaluate(mixup_model, split.test),
+            "sign": arms["sign"]}
 
 
 def run_uncertainty(seed: int = 0, separation: float = 1.0,
@@ -158,31 +169,11 @@ def run_transfer(seed: int = 0, separation: float = 2.0, epochs: int = 10,
                                     _base_cfg(seed, epochs, "sign"))
 
 
-def run_sign_benefit(seed: int = 0, separation: float = 0.8, noise_sigma: float = 14.0,
-                     samples_per_class: int = 30, epochs: int = 30,
-                     sign_cfgs: list[SignConfig] | None = None) -> dict:
-    """Plain training vs the offline-transform pipeline, same seeds throughout.
-
-    The protocol sits in the scarce-data regime (90 training samples on a
-    hard task, baseline ~0.72) where extra label-consistent samples have
-    room to move test accuracy, with large validation/test pools so both
-    epoch selection and the measured accuracies are fine-grained. The
-    transform is kept gentle (gamma 0.002, bounded steps); stronger
-    settings trade clean accuracy for the robustness gains the corruption
-    protocol measures.
-    """
-    split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
-                       noise_sigma=noise_sigma, test_per_class=400, val_per_class=200)
-    cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
-    return none_vs_sign(split, mlp_meta(split), _base_cfg(seed, epochs), cfgs,
-                        lambda model: evaluate(model, split.test).mean_accuracy)
-
-
 def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
                            test_subset: int = 2000, epochs: int = 10,
                            val_count: int = 5000, val_subset: int = 1000,
                            sign_cfgs: list[SignConfig] | None = None) -> dict:
-    """CIFAR-10 variant of the benefit comparison on a training subset."""
+    """CIFAR-10 variant of ``run_classify``'s none and sign arms, on a training subset."""
     from .datasets import load_cifar10_binary
 
     full = load_cifar10_binary(cifar_dir, val_count=val_count, split_rng=Rng(seed))

@@ -248,9 +248,15 @@ def test_criterion_5_sign_benefit_directional():
         rows = []
         for seed in (0, 1, 2):
             if cifar_dir and os.path.isdir(cifar_dir):
-                result = repro.run_sign_benefit_cifar(seed, cifar_dir)
+                result, classes = repro.run_sign_benefit_cifar(seed, cifar_dir), 10
             else:
-                result = repro.run_sign_benefit(seed)
+                reports = repro.run_classify(seed)
+                result = {arm: reports[arm].mean_accuracy for arm in ("none", "sign")}
+                classes = len(reports["none"].per_class)
+            # an effect can show only if the none arm is off both chance and the ceiling
+            low = 1.0 / classes + 0.1
+            assert low <= result["none"] <= 0.97, \
+                f"seed {seed}: none {result['none']:.4f} outside [{low:.4f}, 0.97]"
             rows.append((seed, result["none"], result["sign"]))
             per_seed = time.perf_counter() - started
             assert per_seed < 1800 * (len(rows)), f"over 30 min/seed budget at seed {seed}"

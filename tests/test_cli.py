@@ -226,9 +226,9 @@ def test_sign_run_on_transformed_container_saves_only_new_copies(tmp_path):
     assert all(s.provenance["source_model"] == checksum for s in samples)
 
 
-def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape):
+def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape, hidden=4):
     path = str(tmp_path / name)
-    save_checkpoint(build_small_mlp(input_dim, [4], num_classes, rng=Rng(1),
+    save_checkpoint(build_small_mlp(input_dim, [hidden], num_classes, rng=Rng(1),
                                     input_shape=input_shape), path)
     return path
 
@@ -298,6 +298,7 @@ def _error_files(tmp_path):
              "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
              "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
              "wide": _checkpoint(tmp_path, "wide.bin", 64, 4, (1, 8, 8)),
+             "narrow": _checkpoint(tmp_path, "narrow.bin", 64, 3, (1, 8, 8), hidden=1),
              "nan": _container(str(tmp_path / "nan.container"), [np.zeros((1, 8, 8)), nan_image]),
              "ragged": _container(str(tmp_path / "ragged.container"),
                                   [np.zeros((1, 8, 8)), np.zeros((1, 4, 4))]),
@@ -478,6 +479,8 @@ RUN_ERROR_CASES = {
                      "eval --checkpoint {fits}", 1, ["[eval] repeats"]),
     "projection-tap": ({"extra_eval": "projection = true\nprojection_tap = bottleneck"},
                        "eval --checkpoint {fits}", 1, ["[eval] projection_tap"]),
+    "projection-one-feature": ({"extra_eval": "projection = true"}, "eval --checkpoint {narrow}",
+                               2, ["tap 'pre-logits' has 1"]),
     "checkpoint-truncated": ({}, "eval --checkpoint {truncated}", 2,
                              ["{truncated}", "payload truncated"]),
     "container-no-shape": ({}, "transform --checkpoint {fits} --in {noshape} --out {out}", 2,
@@ -762,8 +765,8 @@ class TestCmdEval:
 # recipe -> its table at seed 0, each number (or N/A) shown as #; transfer's
 # table has the layout of classify's, and the recipe takes about 25 s
 RECIPE_TABLES = {
-    "classify": ["method class# class# class# mean", "none # # # #", "classical # # # #",
-                 "mixup # # # #", "sign # # # #"],
+    "classify": ["method class# class# class# mean", "none # # # #", "mixup # # # #",
+                 "sign # # # #"],
     "uncertainty": ["method accuracy p<=# n bucket p uncert min corr p", "none # # # # #",
                     "mixup # # # # #", "sign # # # # #"],
     "robustness": ["method clean corruption results (mean +- std)",

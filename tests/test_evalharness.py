@@ -373,6 +373,13 @@ class TestProjectFeatures:
         with pytest.raises(ValueError):
             project_features(self.passthrough_2d(), samples[:2], tap="pre-logits")
 
+    def test_one_feature_tap_rejected(self):
+        model = build_small_mlp(64, [1], 3, rng=Rng(18), input_shape=(1, 8, 8))
+        samples = [Sample(image=Tensor(Rng(19).child(i).normal((1, 8, 8))), label=0, raw=False)
+                   for i in range(4)]
+        with pytest.raises(ValueError, match="tap 'pre-logits' has 1"):
+            project_features(model, samples, tap="pre-logits")
+
     def test_missing_tap(self):
         samples = [Sample(image=Tensor(Rng(16).child(i).normal((2,))), label=0, raw=False)
                    for i in range(4)]

@@ -26,7 +26,6 @@ KEEP = {
                                    "normalization round trip",
     "evalharness.recompute_report": "rebuilds a report from per-sample.csv, as the "
                                     "evalharness docstring promises",
-    "repro.run_sign_benefit": "the protocol of acceptance criterion 5",
     "repro.run_sign_benefit_cifar": "criterion 5 on CIFAR-10 when SIGNREG_CIFAR_DIR is set",
     "repro.run_mixup_confidence": "the confidence-floor protocol of acceptance criterion 7",
 }

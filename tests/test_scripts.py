@@ -2,6 +2,7 @@
 at a small size."""
 
 import os
+import statistics
 import subprocess
 import sys
 
@@ -32,6 +33,24 @@ def test_run_protocols(tmp_path):
         "source accuracy", "delta-only accuracy", "chance level", "ratio over chance"]
 
 
+def test_run_protocols_summarizes_the_seeds():
+    done = run_script("run_protocols.py", "--recipes", "ood", "--seeds", "0", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line for line in lines if line.startswith("===")] == [
+        "=== ood (seed 0) ===", "=== ood (seed 1) ===", "=== summary over seeds 0 1 ==="]
+    # at these seeds the table's four decimals hold each accuracy exactly
+    means = {arm: [float(line.split("mean=")[1]) for line in lines
+                   if line.startswith(f"method={arm} ")] for arm in ("none", "sign")}
+    diffs = [s - n for n, s in zip(means["none"], means["sign"])]
+    assert lines[-1].split() == [
+        "ood",
+        *[cell for arm in ("none", "sign") for cell in (
+            arm, f"{statistics.fmean(means[arm]):.4f}+-{statistics.pstdev(means[arm]):.4f}")],
+        "sign-none", f"{statistics.fmean(diffs):+.4f}", "(>", "0", "at",
+        f"{sum(d > 0 for d in diffs)}/2", "seeds)"]
+
+
 def test_sweep_transform_strength():
     done = run_script("sweep_transform_strength.py", "--seeds", "0", "--gammas", "0.02")
     assert done.returncode == 0, done.stderr
@@ -41,7 +60,7 @@ def test_sweep_transform_strength():
     assert len(rows) == 1 and rows[0].split()[0] == "0.02"
 
 
-@pytest.mark.parametrize("name, flag", [("run_protocols.py", "--seed"),
+@pytest.mark.parametrize("name, flag", [("run_protocols.py", "--seeds"),
                                         ("sweep_transform_strength.py", "--seeds")])
 def test_seed_out_of_range_is_a_usage_error(name, flag):
     done = run_script(name, flag, "-1")
