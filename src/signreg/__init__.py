@@ -1,7 +1,7 @@
 """Jacobian-based input regularization with baselines and evaluation protocols."""
 
 from .tensor import Rng, ShapeError, Tensor
-from .autodiff import Tape, forward, param_gradients, summed_jacobian, vjp
+from .autodiff import Tape, param_gradients, summed_jacobian, vjp
 from .nn import (Model, attach_uncertainty_head, build_basic_cnn, build_model,
                  build_small_mlp, load_checkpoint, params_checksum, save_checkpoint)
 from .sign import NonFiniteDeltaError, SignConfig, delta_only_dataset, transform_dataset

@@ -9,6 +9,7 @@ corruption; mixup blends labels with the same coefficient as images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,8 @@ class MixupConfig:
     alpha: float = 0.2
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,10 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
         if self.pixel_count < 0:
             raise ValueError(f"pixel_count must be >= 0, got {self.pixel_count}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     def describe(self) -> str:
         if self.kind == "pixel-off":

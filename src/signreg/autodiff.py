@@ -10,8 +10,8 @@ parameters can run concurrently.
 The primitives are the ones the models and the training loop record:
 matmul, bias_add, relu, softplus, reshape, dropout, maxpool2 and conv2d
 in the forward pass, and the two losses, cross_entropy and
-aleatoric_nll. ``forward`` records any function of one input built from
-them; the gradient checks use it.
+aleatoric_nll. Every tape starts in a model's forward pass
+(``nn.Model.forward``).
 
 Derivative conventions, chosen for determinism:
   * relu'(0) == 0 exactly;
@@ -103,9 +103,6 @@ class Tape:
         node = self._record("param", t)
         self.params[name] = node
         return node
-
-    def leaf_const(self, t: Tensor) -> Node:
-        return self._record("const", t)
 
     def owns(self, node: Node) -> bool:
         return 0 <= node.idx < len(self.nodes) and self.nodes[node.idx] is node
@@ -364,15 +361,6 @@ def log_mean_exp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 # -- differentiation -------------------------------------------------------
-
-
-def forward(fn, x: Tensor) -> tuple[Tensor, Tape]:
-    """Record ``fn`` applied to ``x``. ``fn(tape, input_node) -> output_node``."""
-    tape = Tape()
-    node = tape.leaf_input(x)
-    out = fn(tape, node)
-    tape.output = out
-    return out.value, tape
 
 
 def _reach(tape: Tape, upto: int, targets: set[int]) -> np.ndarray:

@@ -140,7 +140,9 @@ def cmd_eval(config_path: str, checkpoint: str) -> int:
     if cfg.ood_path:
         ood_raw = load_ood_directory(cfg.ood_path, cfg.ood_class_map,
                                      size=model.input_shape[1:])
-        if ood_raw and ood_raw[0].image.shape != model.input_shape:
+        if not ood_raw:
+            raise RuntimeError(f"ood_path {cfg.ood_path}: no images in its class folders")
+        if ood_raw[0].image.shape != model.input_shape:
             raise RuntimeError(f"ood_path {cfg.ood_path}: images load as "
                                f"{ood_raw[0].image.shape}, the checkpoint takes "
                                f"{model.input_shape}")

@@ -77,15 +77,6 @@ def parse_cifar_record(record: bytes) -> Sample:
     return Sample(image=Tensor._wrap(image), label=int(label), raw=True)
 
 
-def serialize_cifar_record(sample: Sample) -> bytes:
-    img = sample.image.data
-    if img.shape != (3, 32, 32):
-        raise ValueError(f"CIFAR record needs a (3, 32, 32) image, got {img.shape}")
-    if img.min() < 0 or img.max() > 255:
-        raise ValueError("CIFAR record needs raw 0-255 values")
-    return bytes([sample.label]) + img.astype(np.uint8).tobytes()
-
-
 def _read_cifar_file(path: str) -> list[Sample]:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -95,13 +86,9 @@ def _read_cifar_file(path: str) -> list[Sample]:
             for i in range(0, len(blob), _RECORD_BYTES)]
 
 
-def load_cifar10_binary(dir_path: str, val_count: int = 5000,
-                        split_rng: Rng | None = None) -> DatasetSplit:
-    """Load the standard binary batches; carve validation from the train tail.
-
-    With ``split_rng`` the train set is shuffled before the carve;
-    otherwise validation is simply the last ``val_count`` records.
-    """
+def load_cifar10_binary(dir_path: str, val_count: int, split_rng: Rng) -> DatasetSplit:
+    """Load the standard binary batches, shuffle the training records with
+    ``split_rng`` and carve validation from the shuffled tail."""
     train_files = [os.path.join(dir_path, f"data_batch_{i}.bin") for i in range(1, 6)]
     test_file = os.path.join(dir_path, "test_batch.bin")
     for path in train_files + [test_file]:
@@ -113,9 +100,8 @@ def load_cifar10_binary(dir_path: str, val_count: int = 5000,
     test = _read_cifar_file(test_file)
     if val_count >= len(train):
         raise ValueError(f"val_count {val_count} leaves no training data")
-    if split_rng is not None:
-        order = split_rng.child("train-val-split").permutation(len(train))
-        train = [train[i] for i in order]
+    order = split_rng.child("train-val-split").permutation(len(train))
+    train = [train[i] for i in order]
     val = train[len(train) - val_count:]
     train = train[:len(train) - val_count]
     return DatasetSplit(train=train, val=val, test=test, class_names=CIFAR_CLASSES)
@@ -186,12 +172,10 @@ def compute_stats(samples: list[Sample]) -> NormStats:
     return NormStats(mean=tuple(float(m) for m in mean), std=tuple(float(s) for s in std))
 
 
-def _shift_scale(sample: Sample, stats: NormStats, forward: bool) -> Sample:
+def _shift_scale(sample: Sample, stats: NormStats) -> Sample:
     mean = np.asarray(stats.mean).reshape(-1, 1, 1)
     std = np.asarray(stats.std).reshape(-1, 1, 1)
-    img = sample.image.data
-    out = (img - mean) / std if forward else img * std + mean
-    return replace(sample, image=Tensor._wrap(out), raw=not forward)
+    return replace(sample, image=Tensor._wrap((sample.image.data - mean) / std), raw=False)
 
 
 def normalize(split: DatasetSplit) -> DatasetSplit:
@@ -199,22 +183,16 @@ def normalize(split: DatasetSplit) -> DatasetSplit:
     if split.normalized:
         raise ValueError("split is already normalized")
     stats = split.stats if split.stats is not None else compute_stats(split.train)
-    return replace(split, train=[_shift_scale(s, stats, True) for s in split.train],
-                   val=[_shift_scale(s, stats, True) for s in split.val],
-                   test=[_shift_scale(s, stats, True) for s in split.test],
+    return replace(split, train=[_shift_scale(s, stats) for s in split.train],
+                   val=[_shift_scale(s, stats) for s in split.val],
+                   test=[_shift_scale(s, stats) for s in split.test],
                    stats=stats, normalized=True)
 
 
 def normalize_sample(sample: Sample, stats: NormStats) -> Sample:
     if not sample.raw:
         raise ValueError("sample is already normalized")
-    return _shift_scale(sample, stats, True)
-
-
-def denormalize_sample(sample: Sample, stats: NormStats) -> Sample:
-    if sample.raw:
-        raise ValueError("sample is already in the raw domain")
-    return _shift_scale(sample, stats, False)
+    return _shift_scale(sample, stats)
 
 
 # -- out-of-distribution directory loading ------------------------------------

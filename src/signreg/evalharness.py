@@ -3,7 +3,7 @@ robustness, out-of-distribution tables, transfer comparison, 2D feature
 projection.
 
 All report quantities are recomputable from the emitted per-sample CSV;
-``recompute_report`` does exactly that and the tests assert equality.
+a test rebuilds a report from it and asserts equality.
 The low-confidence bucket is: prediction correct AND top-class
 probability <= 0.5. Uncertainty is the learned per-class noise scale
 averaged over classes (absent for models without an uncertainty head).
@@ -19,9 +19,9 @@ import numpy as np
 
 from .augment import CorruptionSpec, corrupt
 from .datasets import DatasetSplit, NormStats, Sample, normalize_sample
-from .nn import Model, predict
+from .nn import Model, forward_batches, predict
 from .sign import SignConfig
-from .tensor import Rng, Tensor
+from .tensor import Rng
 from .training import TrainConfig, fit, sign_pipeline
 
 _EVAL_SEED = 0x5EED_E7A1
@@ -234,15 +234,15 @@ def transferability_protocol(source_meta: dict, target_meta: dict, split: Datase
 class ProjectionExport:
     coordinates: np.ndarray  # (N, 2)
     labels: list[int]
-    split_tags: list[str]
     explained_variance: tuple[float, float]
 
     def to_csv(self, path: str):
+        """Rows of x, y, class and split; ``signreg eval`` projects the test split."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "class", "split"])
-            for (x, y), label, tag in zip(self.coordinates, self.labels, self.split_tags):
-                writer.writerow([repr(float(x)), repr(float(y)), label, tag])
+            for (x, y), label in zip(self.coordinates, self.labels):
+                writer.writerow([repr(float(x)), repr(float(y)), label, "test"])
 
 
 def _top2_axes(cov: np.ndarray):
@@ -260,25 +260,21 @@ def _top2_axes(cov: np.ndarray):
     return comps, (max(float(values[-1]), 0.0), max(float(values[-2]), 0.0))
 
 
-def _tap_values(model: Model, batch: np.ndarray, tap: str) -> np.ndarray:
-    """The tapped activations of a dropout-off forward pass. Its tape is
-    freed when this returns."""
-    tape = model.forward(Tensor._wrap(batch), train=False)
-    if tap not in tape.taps:
-        raise ValueError(f"model has no tap {tap!r}; available: {sorted(tape.taps)}")
-    return tape.taps[tap].value.data
-
-
-def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits",
-                     split_tag: str = "test", batch_size: int = 256) -> ProjectionExport:
-    """Tapped activations centered and projected onto the top-2 principal axes."""
+def project_features(model: Model, samples: list[Sample],
+                     tap: str = "pre-logits") -> ProjectionExport:
+    """Tapped activations of a dropout-off forward pass, centered and
+    projected onto the top-2 principal axes."""
     if len(samples) < 3:
         raise ValueError(f"projection needs at least 3 samples, got {len(samples)}")
-    feats = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        feats.append(_tap_values(model, np.stack([s.image.data for s in chunk]), tap)
-                     .reshape(len(chunk), -1))
+
+    def tapped(tape) -> np.ndarray:
+        if tap not in tape.taps:
+            raise ValueError(f"model has no tap {tap!r}; available: {sorted(tape.taps)}")
+        values = tape.taps[tap].value.data
+        return values.reshape(len(values), -1)
+
+    feats = [rows for _, rows in forward_batches(model, [s.image.data for s in samples],
+                                                 tapped)]
     matrix = np.concatenate(feats, axis=0)
     if matrix.shape[1] < 2:
         raise ValueError(f"projection needs at least 2 features, tap {tap!r} has "
@@ -290,33 +286,17 @@ def project_features(model: Model, samples: list[Sample], tap: str = "pre-logits
     if not np.all(np.isfinite(coords)):
         raise ArithmeticError("projection produced non-finite coordinates")
     return ProjectionExport(coordinates=coords, labels=[s.label for s in samples],
-                            split_tags=[split_tag] * len(samples),
                             explained_variance=variances)
 
 
-# -- per-sample CSV and recomputation ---------------------------------------------
+# -- per-sample CSV ----------------------------------------------------------------
 
 
-def write_scores_csv(scores: list[SampleScore], path: str, split_tag: str = "test"):
+def write_scores_csv(scores: list[SampleScore], path: str):
+    """One row per score; ``signreg eval`` scores the test split."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "true", "predicted", "top_prob", "uncertainty", "split"])
         for s in scores:
             writer.writerow([s.index, s.true_label, s.predicted, repr(s.top_probability),
-                             "" if s.uncertainty is None else repr(s.uncertainty), split_tag])
-
-
-def read_scores_csv(path: str) -> list[SampleScore]:
-    scores = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            scores.append(SampleScore(
-                index=int(row["sample_id"]), true_label=int(row["true"]),
-                predicted=int(row["predicted"]), top_probability=float(row["top_prob"]),
-                uncertainty=float(row["uncertainty"]) if row["uncertainty"] else None))
-    return scores
-
-
-def recompute_report(csv_path: str, num_classes: int) -> EvalReport:
-    """Rebuild the full report from the per-sample CSV alone."""
-    return aggregate(read_scores_csv(csv_path), list(range(num_classes)))
+                             "" if s.uncertainty is None else repr(s.uncertainty), "test"])

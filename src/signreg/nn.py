@@ -282,11 +282,22 @@ def build_model(meta: dict, seed: int = 0) -> Model:
 PREDICT_BATCH = 256
 
 
-def _outputs(model: Model, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The output and, for uncertainty-head models, the sigma tap of a
-    dropout-off forward pass. Its tape is freed when this returns."""
-    tape = model.forward(Tensor._wrap(batch))
-    sigma = tape.taps["sigma"].value.data if model.has_uncertainty_head else None
+def forward_batches(model: Model, images, read):
+    """``(start, read(tape))`` for each ``PREDICT_BATCH`` rows of ``images``
+    from ``start`` on, each ``tape`` a dropout-off forward pass.
+
+    ``images`` holds N input arrays: a list, stacked one batch at a time,
+    or one stacked array, read one batch-sized view at a time. Each tape
+    is freed when ``read`` returns, before the next one is recorded.
+    """
+    for start in range(0, len(images), PREDICT_BATCH):
+        yield start, read(model.forward(
+            Tensor._wrap(np.asarray(images[start:start + PREDICT_BATCH]))))
+
+
+def _outputs(tape: Tape) -> tuple[np.ndarray, np.ndarray | None]:
+    """The output and, for uncertainty-head models, the sigma tap."""
+    sigma = tape.taps["sigma"].value.data if "sigma" in tape.taps else None
     return tape.output.value.data, sigma
 
 
@@ -295,17 +306,15 @@ def predict(model: Model, images, mc_samples: int,
     """Log predictive probabilities (N, C) with dropout off, and for
     uncertainty-head models the mean sigma per sample (else None).
 
-    ``images`` holds N input arrays: a list, stacked one batch at a time,
-    or one stacked array, read one batch-sized view at a time. A head model's predictive is its
-    softmax averaged over ``mc_samples`` logit-noise draws from
-    ``rng.child("eps", batch_start)``, the distribution its aleatoric loss
-    trains; other models ignore ``rng``.
+    ``images`` is read as ``forward_batches`` reads it. A head model's
+    predictive is its softmax averaged over ``mc_samples`` logit-noise
+    draws from ``rng.child("eps", batch_start)``, the distribution its
+    aleatoric loss trains; other models ignore ``rng``.
     """
     if len(images) == 0:
         raise ValueError("empty sample list")
     logps, sigmas = [], []
-    for start in range(0, len(images), PREDICT_BATCH):
-        f, sigma = _outputs(model, np.asarray(images[start:start + PREDICT_BATCH]))
+    for start, (f, sigma) in forward_batches(model, images, _outputs):
         if sigma is not None:
             eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
             logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))

@@ -59,9 +59,9 @@ def desk_sign_cfgs(k_values: tuple[int, ...] = (50, 100), gamma: float = 0.02,
     return [SignConfig(k=k, gamma=gamma, normalize=normalize_mode) for k in k_values]
 
 
-def _base_cfg(seed: int, epochs: int = 16, strategy: str = "none", **kw) -> TrainConfig:
+def _base_cfg(seed: int, epochs: int = 16, strategy: str = "none") -> TrainConfig:
     return TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.05,
-                       strategy=strategy, seed=seed, **kw)
+                       strategy=strategy, seed=seed)
 
 
 def none_vs_sign(split: DatasetSplit, meta: dict, base: TrainConfig,
@@ -167,43 +167,6 @@ def run_transfer(seed: int = 0, separation: float = 2.0, epochs: int = 10,
                                     replace(_base_cfg(seed, epochs), optimizer="adam",
                                             learning_rate=1e-3),
                                     _base_cfg(seed, epochs, "sign"))
-
-
-def run_sign_benefit_cifar(seed: int, cifar_dir: str, subset: int = 4000,
-                           test_subset: int = 2000, epochs: int = 10,
-                           val_count: int = 5000, val_subset: int = 1000,
-                           sign_cfgs: list[SignConfig] | None = None) -> dict:
-    """CIFAR-10 variant of ``run_classify``'s none and sign arms, on a training subset."""
-    from .datasets import load_cifar10_binary
-
-    full = load_cifar10_binary(cifar_dir, val_count=val_count, split_rng=Rng(seed))
-    split = normalize(replace(full, train=full.train[:subset], val=full.val[:val_subset],
-                              test=full.test[:test_subset]))
-    cfg = TrainConfig(epochs=epochs, batch_size=128, learning_rate=0.01, seed=seed)
-    cfgs = desk_sign_cfgs(gamma=0.002) if sign_cfgs is None else sign_cfgs
-    return none_vs_sign(split, cnn_meta(split), cfg, cfgs,
-                        lambda model: evaluate(model, split.test).mean_accuracy)
-
-
-def run_mixup_confidence(seed: int = 0, separation: float = 6.0, noise_sigma: float = 10.0,
-                         samples_per_class: int = 40, epochs: int = 40,
-                         mixup_alpha: float = 1.0) -> dict:
-    """Confidence floor (lowest correct-prediction probability) under mixup.
-
-    Mixup's blended targets keep the model from saturating, so its floor
-    sits below the plainly-trained model's. Blending strength here is
-    alpha = 1 (uniform lambda): the saturation contrast is the phenomenon
-    being demonstrated, and near-0/1 lambdas barely exercise it at this
-    scale.
-    """
-    split = blob_split(seed, separation=separation, samples_per_class=samples_per_class,
-                       noise_sigma=noise_sigma, test_per_class=400, val_per_class=100)
-    meta = mlp_meta(split)
-    floors = {}
-    for strategy in ("none", "mixup"):
-        model, _ = fit(meta, split, _base_cfg(seed, epochs, strategy, mixup_alpha=mixup_alpha))
-        floors[strategy] = evaluate(model, split.test).min_correct_probability
-    return floors
 
 
 def run_delta_only(seed: int = 0, separation: float = 10.0,

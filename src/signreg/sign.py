@@ -21,6 +21,7 @@ deltas; a single sample is a list of one.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -35,7 +36,7 @@ NORMALIZE_MODES = ("none", "unit-max-abs")
 
 
 class NonFiniteDeltaError(ArithmeticError):
-    """An iteration produced NaN/Inf deltas: the transform diverged."""
+    """An iteration left a NaN/Inf iterate or delta: the transform diverged."""
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ class SignConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"iteration count must be >= 1, got {self.k}")
-        if self.gamma <= 0:
-            raise ValueError(f"step scale must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"step scale gamma must be finite and > 0, got {self.gamma}")
         if self.eval_point not in EVAL_POINTS:
             raise ValueError(f"eval_point must be one of {EVAL_POINTS}, got {self.eval_point!r}")
         if self.normalize not in NORMALIZE_MODES:
@@ -69,14 +70,12 @@ class SignConfig:
                 "normalize": self.normalize}
 
 
-def _step(model: Model, batch: np.ndarray, cfg: SignConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Iteration ``k``'s step at ``batch`` and the l2 norms of its deltas,
+def _step(model: Model, batch: np.ndarray, cfg: SignConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The step at ``batch`` and the l2 norms of its deltas,
     shape (B,). The tape lives in this frame only, so it is freed before
     the next iteration records one."""
     tape = model.forward(Tensor._wrap(batch), train=False)
     delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap]).data
-    if not np.all(np.isfinite(delta)):
-        raise NonFiniteDeltaError(f"non-finite delta at iteration {k}")
     if cfg.normalize == "unit-max-abs":
         peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
         scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
@@ -103,14 +102,20 @@ def _transform_batch(model: Model, batch: np.ndarray, cfg: SignConfig,
     total = np.zeros_like(batch)
     reached = {}
     step = None
-    for k in range(cfg.k):
-        if step is None or cfg.eval_point == "current-iterate":
-            step, norm = _step(model, current, cfg, k)
-        norms[k] = norm
-        current = current + step
-        total = total + step
-        if k + 1 in stops:
-            reached[k + 1] = (current, total)
+    # a non-finite delta, or a finite one that gamma scales past the float
+    # range, leaves a non-finite iterate or accumulated delta: the check
+    # below raises for it, so numpy's overflow warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.k):
+            if step is None or cfg.eval_point == "current-iterate":
+                step, norm = _step(model, current, cfg)
+            norms[k] = norm
+            current = current + step
+            total = total + step
+            if not (np.all(np.isfinite(current)) and np.all(np.isfinite(total))):
+                raise NonFiniteDeltaError(f"non-finite iterate at iteration {k}")
+            if k + 1 in stops:
+                reached[k + 1] = (current, total)
     return [reached[s] for s in stops], norms
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -96,6 +97,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not math.isfinite(self.momentum):
+            raise ValueError(f"momentum must be finite, got {self.momentum}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mc_samples < 1:

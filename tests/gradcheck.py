@@ -1,8 +1,9 @@
 """Shared finite-difference gradient-checking helpers."""
 
 import numpy as np
+from oracles import forward
 
-from signreg.autodiff import forward, vjp
+from signreg.autodiff import vjp
 from signreg.tensor import Rng, Tensor
 
 EPS = 1e-5

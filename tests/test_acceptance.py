@@ -2,29 +2,30 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete. The directional protocols (4, 5, 7, and the comparison in
-6) run on synthetic blobs; criterion 5 switches to a CIFAR-10 subset when
-SIGNREG_CIFAR_DIR points at the binary batches.
+6) run on synthetic blobs. Criteria 4, 5 and 10 run ``repro``'s
+protocols; criterion 7's confidence-floor protocol lives here
+(``mixup_confidence``), since nothing else runs it.
 """
 
-import os
 import time
+from dataclasses import replace
 
 import numpy as np
 from gradcheck import away_from_kinks, check_input_grad
+from oracles import const, denormalize_sample, forward, serialize_cifar_record
 from scipy.special import betaincinv
 
 from signreg import repro
 from signreg.augment import CorruptionSpec, MixupConfig, mixup_arrays
-from signreg.autodiff import forward, param_gradients, vjp
+from signreg.autodiff import param_gradients, vjp
 from signreg.cli import main
 from signreg.datasets import (Sample, bilinear_resize, decode_ppm, make_synthetic_blobs,
-                              normalize, denormalize_sample, parse_cifar_record,
-                              serialize_cifar_record)
+                              normalize, parse_cifar_record)
 from signreg.evalharness import evaluate, robustness_suite
 from signreg.nn import build_basic_cnn, build_model, build_small_mlp
 from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng, Tensor
-from signreg.training import TrainConfig, train
+from signreg.training import TrainConfig, fit, train
 
 
 def _passline(num: int, label: str, detail: str = ""):
@@ -48,15 +49,15 @@ def _primitive_gradchecks():
     rng = Rng(101)
     a = rng.child("a").normal((3, 4))
     b = rng.child("b").normal((4, 2))
-    check_input_grad(lambda t, n: t.matmul(n, t.leaf_const(Tensor(b))), a)
-    check_input_grad(lambda t, n: t.matmul(t.leaf_const(Tensor(a)), n), b)
+    check_input_grad(lambda t, n: t.matmul(n, const(t, Tensor(b))), a)
+    check_input_grad(lambda t, n: t.matmul(const(t, Tensor(a)), n), b)
     x2 = rng.child("x2").normal((3, 5))
     b2 = rng.child("b2").normal((5,))
-    check_input_grad(lambda t, n: t.bias_add(n, t.leaf_const(Tensor(b2))), x2)
-    check_input_grad(lambda t, n: t.bias_add(t.leaf_const(Tensor(x2)), n), b2)
+    check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b2))), x2)
+    check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x2)), n), b2)
     x4 = rng.child("x4").normal((2, 3, 4, 4))
     b4 = rng.child("b4").normal((3,))
-    check_input_grad(lambda t, n: t.bias_add(n, t.leaf_const(Tensor(b4))), x4)
+    check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b4))), x4)
     check_input_grad(lambda t, n: t.relu(n), away_from_kinks(rng.child("r"), (3, 4)))
     check_input_grad(lambda t, n: t.softplus(n), rng.child("sp").normal((2, 5)))
     check_input_grad(lambda t, n: t.reshape(n, (3, 4)), rng.child("rs").normal((2, 6)))
@@ -64,8 +65,8 @@ def _primitive_gradchecks():
     check_input_grad(lambda t, n: t.maxpool2(n), pool_in)
     cx = rng.child("cx").normal((2, 2, 5, 5))
     cw = rng.child("cw").normal((3, 2, 3, 3))
-    check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(cw))), cx)
-    check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(cx)), n), cw)
+    check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(cw))), cx)
+    check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(cx)), n), cw)
     mask = (rng.child("dm").uniform(size=(3, 4)) < 0.7) / 0.7
     check_input_grad(lambda t, n: t.dropout(n, mask), rng.child("dx").normal((3, 4)))
     # both losses
@@ -76,8 +77,8 @@ def _primitive_gradchecks():
     sg = np.abs(rng.child("as").normal((2, 3))) + 0.5
     eps = rng.child("ae").normal((4, 2, 3))
     soft = np.eye(3)[[1, 2]]
-    check_input_grad(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(sg)), soft, eps), f)
-    check_input_grad(lambda t, n: t.aleatoric_nll(t.leaf_const(Tensor(f)), n, soft, eps), sg)
+    check_input_grad(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sg)), soft, eps), f)
+    check_input_grad(lambda t, n: t.aleatoric_nll(const(t, Tensor(f)), n, soft, eps), sg)
 
 
 def _basic_cnn_param_fd():
@@ -197,13 +198,13 @@ def test_criterion_3_aleatoric_identities():
         sigma = Tensor(np.full((5, 4), 1e-12))
         for t_draws in (1, 5, 20):
             eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
-            got = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(sigma), onehot, eps),
+            got = forward(lambda t, n: t.aleatoric_nll(n, const(t, sigma), onehot, eps),
                           Tensor(f))[0].item()
             assert abs(got - ce) < 1e-6, f"T={t_draws}: |{got} - {ce}| >= 1e-6"
 
         # C=2 symmetric case against an independent Monte-Carlo oracle
         eps = Rng(302).normal((100_000, 1, 2))
-        loss = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.ones((1, 2)))),
+        loss = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.ones((1, 2)))),
                                                     np.eye(2)[[0]], eps),
                        Tensor(np.zeros((1, 2))))[0].item()
         oracle_eps = Rng(987654).normal((1_000_000, 2))
@@ -244,15 +245,11 @@ def test_criterion_4_delta_only_signal():
 def test_criterion_5_sign_benefit_directional():
     def body():
         started = time.perf_counter()
-        cifar_dir = os.environ.get("SIGNREG_CIFAR_DIR")
         rows = []
         for seed in (0, 1, 2):
-            if cifar_dir and os.path.isdir(cifar_dir):
-                result, classes = repro.run_sign_benefit_cifar(seed, cifar_dir), 10
-            else:
-                reports = repro.run_classify(seed)
-                result = {arm: reports[arm].mean_accuracy for arm in ("none", "sign")}
-                classes = len(reports["none"].per_class)
+            reports = repro.run_classify(seed)
+            result = {arm: reports[arm].mean_accuracy for arm in ("none", "sign")}
+            classes = len(reports["none"].per_class)
             # an effect can show only if the none arm is off both chance and the ceiling
             low = 1.0 / classes + 0.1
             assert low <= result["none"] <= 0.97, \
@@ -316,6 +313,28 @@ def test_criterion_6_robustness_harness():
 # -- 7: mixup correctness ----------------------------------------------------------------
 
 
+def mixup_confidence(seed: int, separation: float = 6.0, noise_sigma: float = 10.0,
+                     samples_per_class: int = 40, epochs: int = 40,
+                     mixup_alpha: float = 1.0) -> dict:
+    """Confidence floor (lowest correct-prediction probability) under mixup.
+
+    Mixup's blended targets keep the model from saturating, so its floor
+    sits below the plainly-trained model's. Blending strength here is
+    alpha = 1 (uniform lambda): the saturation contrast is the phenomenon
+    being demonstrated, and near-0/1 lambdas barely exercise it at this
+    scale.
+    """
+    split = repro.blob_split(seed, separation=separation, samples_per_class=samples_per_class,
+                             noise_sigma=noise_sigma, test_per_class=400, val_per_class=100)
+    meta = repro.mlp_meta(split)
+    floors = {}
+    for strategy in ("none", "mixup"):
+        cfg = replace(repro._base_cfg(seed, epochs, strategy), mixup_alpha=mixup_alpha)
+        model, _ = fit(meta, split, cfg)
+        floors[strategy] = evaluate(model, split.test).min_correct_probability
+    return floors
+
+
 def test_criterion_7_mixup():
     def body():
         started = time.perf_counter()
@@ -339,7 +358,7 @@ def test_criterion_7_mixup():
 
         floors = []
         for seed in (0, 1, 2):
-            result = repro.run_mixup_confidence(seed)
+            result = mixup_confidence(seed)
             floors.append((seed, result["none"], result["mixup"]))
             assert result["mixup"] < result["none"], \
                 f"seed {seed}: mixup floor {result['mixup']:.4f} >= none {result['none']:.4f}"

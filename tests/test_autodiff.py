@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 from gradcheck import away_from_kinks, central_fd, check_input_grad, rel_err
+from oracles import const, forward
 
 from signreg import autodiff
-from signreg.autodiff import forward, param_gradients, summed_jacobian, vjp
+from signreg.autodiff import param_gradients, summed_jacobian, vjp
 from signreg.nn import build_small_mlp
 from signreg.tensor import Rng, ShapeError, Tensor
 
@@ -46,8 +47,8 @@ class TestForward:
         x = rng.child("x").normal((3, 4))
 
         def build(t, n):
-            h = t.relu(t.bias_add(t.matmul(n, t.leaf_const(Tensor(w1))), t.leaf_const(Tensor(b1))))
-            return t.bias_add(t.matmul(h, t.leaf_const(Tensor(w2))), t.leaf_const(Tensor(b2)))
+            h = t.relu(t.bias_add(t.matmul(n, const(t, Tensor(w1))), const(t, Tensor(b1))))
+            return t.bias_add(t.matmul(h, const(t, Tensor(w2))), const(t, Tensor(b2)))
 
         out, _ = forward(build, Tensor(x))
         eager = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
@@ -55,7 +56,7 @@ class TestForward:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            forward(lambda t, n: t.matmul(n, t.leaf_const(Tensor(np.zeros((5, 2))))),
+            forward(lambda t, n: t.matmul(n, const(t, Tensor(np.zeros((5, 2))))),
                     Tensor(np.zeros((1, 3))))
 
 
@@ -68,7 +69,7 @@ class TestVjp:
 
     def test_linear_map_exact(self):
         w = Rng(1).normal((4, 3))
-        _, tape = forward(lambda t, n: t.matmul(n, t.leaf_const(Tensor(w))),
+        _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(w))),
                           Tensor(Rng(2).normal((1, 4))))
         v = Rng(3).normal((1, 3))
         got = vjp(tape, tape.output, Tensor(v)).data
@@ -115,13 +116,13 @@ class TestVjp:
 
     def test_tape_without_input_rejected(self):
         tape = autodiff.Tape()
-        node = tape.relu(tape.leaf_const(Tensor([1.0])))
+        node = tape.relu(const(tape, Tensor([1.0])))
         with pytest.raises(ValueError, match="no input leaf"):
             vjp(tape, node, Tensor([1.0]))
 
     def test_node_recorded_before_the_input_is_zero(self):
         tape = autodiff.Tape()
-        early = tape.relu(tape.leaf_const(Tensor([1.0, 2.0])))
+        early = tape.relu(const(tape, Tensor([1.0, 2.0])))
         tape.leaf_input(Tensor(np.ones((2, 3))))
         assert np.array_equal(vjp(tape, early, Tensor([1.0, 1.0])).data, np.zeros((2, 3)))
 
@@ -153,7 +154,7 @@ def test_primitive_rejects_mismatched_shapes(case):
     record, message = SHAPE_ERRORS[case]
     tape = autodiff.Tape()
     with pytest.raises(ShapeError, match=re.escape(message)):
-        record(tape, lambda *shape: tape.leaf_const(Tensor(np.ones(shape))))
+        record(tape, lambda *shape: const(tape, Tensor(np.ones(shape))))
 
 
 def small_cnn_build(rng: Rng):
@@ -161,9 +162,9 @@ def small_cnn_build(rng: Rng):
     wd = rng.child("dense").normal((32, 4))
 
     def build(t, n):
-        h = t.maxpool2(t.relu(t.conv2d(n, t.leaf_const(Tensor(w)))))
+        h = t.maxpool2(t.relu(t.conv2d(n, const(t, Tensor(w)))))
         flat = t.reshape(h, (h.shape[0], 32))
-        return t.matmul(flat, t.leaf_const(Tensor(wd)))
+        return t.matmul(flat, const(t, Tensor(wd)))
 
     return build
 
@@ -176,7 +177,7 @@ class TestSummedJacobian:
     def test_linear_map_column_sums(self):
         # Phi(x) = x W: summed Jacobian is W^T . 1, i.e. the row sums of W
         w = Rng(4).normal((5, 3))
-        _, tape = forward(lambda t, n: t.matmul(n, t.leaf_const(Tensor(w))),
+        _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(w))),
                           Tensor(Rng(5).normal((1, 5))))
         got = summed_jacobian(tape, tape.output).data
         np.testing.assert_allclose(got, w.sum(axis=1)[None, :], atol=1e-12, rtol=0)
@@ -211,8 +212,8 @@ class TestParamGradients:
     def test_constant_loss_zero_grads(self):
         model = build_small_mlp(3, [4], 2, rng=Rng(0).child("init"))
         tape = model.forward(Tensor(Rng(1).normal((1, 3))))
-        const = tape.leaf_const(Tensor([2.5]))
-        grads = param_gradients(tape, const)
+        loss = const(tape, Tensor([2.5]))
+        grads = param_gradients(tape, loss)
         assert all(np.all(g.data == 0.0) for g in grads.values())
 
     def test_bilinear_form(self):
@@ -269,19 +270,19 @@ class TestPrimitiveGradients:
         rng = Rng(50)
         a = rng.child("a").normal((3, 4))
         b = rng.child("b").normal((4, 2))
-        check_input_grad(lambda t, n: t.matmul(n, t.leaf_const(Tensor(b))), a)
-        check_input_grad(lambda t, n: t.matmul(t.leaf_const(Tensor(a)), n), b)
+        check_input_grad(lambda t, n: t.matmul(n, const(t, Tensor(b))), a)
+        check_input_grad(lambda t, n: t.matmul(const(t, Tensor(a)), n), b)
 
     def test_bias_add_both_shapes(self):
         rng = Rng(52)
         x2 = rng.child("x2").normal((3, 5))
         b2 = rng.child("b2").normal((5,))
-        check_input_grad(lambda t, n: t.bias_add(n, t.leaf_const(Tensor(b2))), x2)
-        check_input_grad(lambda t, n: t.bias_add(t.leaf_const(Tensor(x2)), n), b2)
+        check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b2))), x2)
+        check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x2)), n), b2)
         x4 = rng.child("x4").normal((2, 3, 4, 4))
         b4 = rng.child("b4").normal((3,))
-        check_input_grad(lambda t, n: t.bias_add(n, t.leaf_const(Tensor(b4))), x4)
-        check_input_grad(lambda t, n: t.bias_add(t.leaf_const(Tensor(x4)), n), b4)
+        check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b4))), x4)
+        check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x4)), n), b4)
 
     def test_relu(self):
         x = away_from_kinks(Rng(53), (3, 4))
@@ -335,16 +336,16 @@ class TestPrimitiveGradients:
         rng = Rng(57)
         x = rng.child("x").normal((2, 2, 5, 5))
         w = rng.child("w").normal((3, 2, 3, 3))
-        check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), x)
-        check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w)
+        check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w))), x)
+        check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w)
         w5 = rng.child("w5").normal((2, 2, 5, 5))
-        check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w5))), x)
-        check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w5)
+        check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w5))), x)
+        check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w5)
         # with the two above, C = 2 > O, C == O and C < O at each k = 1, 3, 5
         for k, o in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (5, 1), (5, 3)]:
             wk = rng.child("w", k, o).normal((o, 2, k, k))
-            check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(wk))), x)
-            check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), wk)
+            check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(wk))), x)
+            check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), wk)
 
     def test_conv2d_at_one_sample_per_block(self, monkeypatch):
         rng = Rng(59)
@@ -353,8 +354,8 @@ class TestPrimitiveGradients:
         assert len(autodiff._blocks(3, 2 * 9 * 25)) == 3
         for o in (1, 3):  # C >= O and C < O
             w = rng.child("w", o).normal((o, 2, 3, 3))
-            check_input_grad(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), x)
-            check_input_grad(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), w)
+            check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w))), x)
+            check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w)
 
     def test_dropout_fixed_mask(self):
         rng = Rng(58)
@@ -375,14 +376,14 @@ class TestPrimitiveGradients:
         labels = np.eye(3)[[1, 2]]
         eps = rng.child("e").normal((4, 2, 3))
         check_input_grad(
-            lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(sigma)), labels, eps), f)
+            lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sigma)), labels, eps), f)
         check_input_grad(
-            lambda t, n: t.aleatoric_nll(t.leaf_const(Tensor(f)), n, labels, eps), sigma)
+            lambda t, n: t.aleatoric_nll(const(t, Tensor(f)), n, labels, eps), sigma)
 
 
 def conv2d_paths(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     """conv2d's forward, then its input-VJP, weight-VJP and both-VJP at ``g``."""
-    _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+    _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
     node = tape.output
     out = [node.value.data]
     for needed in ((True, False), (False, True), (True, True)):
@@ -418,7 +419,7 @@ class TestConvBlocks:
         rng = Rng(64)
         x = rng.child("x").normal((4, 3, 8, 8))
         w = rng.child("w").normal((5, 3, 3, 3))
-        _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+        _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
         node = tape.output
         owners = {}
         for cell in node.vjp_fn.__closure__:
@@ -434,7 +435,7 @@ class TestConvBlocks:
 class TestLazyPullback:
     def test_vjp_at_const_node_is_zero(self):
         def build(t, n):
-            c = t.leaf_const(Tensor([1.0, 2.0]))
+            c = const(t, Tensor([1.0, 2.0]))
             t.relu(c)  # branch not connected to input
             return t.relu(n)
 
@@ -448,7 +449,7 @@ class TestLazyPullback:
             t.leaf_param("unused", Tensor(np.ones((2, 2))))
             w = t.leaf_param("w", Tensor(np.ones((3, 1))))
             # the (1, 1) sum of the two rows of n w
-            return t.matmul(t.leaf_const(Tensor(np.ones((1, 2)))), t.matmul(n, w))
+            return t.matmul(const(t, Tensor(np.ones((1, 2)))), t.matmul(n, w))
 
         _, tape = forward(build, Tensor(Rng(0).normal((2, 3))))
         grads = param_gradients(tape, tape.output)

@@ -12,13 +12,28 @@ import pytest
 
 from signreg import cli, evalharness, repro, training
 from signreg import config as cfgmod
+from signreg.augment import CorruptionSpec, MixupConfig
 from signreg.cli import main
 from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
                             parse_corruption, resolved_config_text)
 from signreg.datasets import CIFAR_CLASSES, NormStats, Sample, load_container, save_container
 from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
+from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
-from test_repro import write_fake_cifar
+from signreg.training import TrainConfig
+
+
+def write_fake_cifar(root: str, per_file: int, rng: Rng):
+    for i in range(1, 6):
+        labels = rng.child("train", i).integers(0, 10, size=per_file)
+        with open(os.path.join(root, f"data_batch_{i}.bin"), "wb") as fh:
+            for j, lab in enumerate(labels):
+                pixels = rng.child("px", i, j).integers(0, 256, size=3072)
+                fh.write(bytes([int(lab)]) + bytes(int(p) for p in pixels))
+    with open(os.path.join(root, "test_batch.bin"), "wb") as fh:
+        for j in range(per_file):
+            pixels = rng.child("test-px", j).integers(0, 256, size=3072)
+            fh.write(bytes([j % 10]) + bytes(int(p) for p in pixels))
 
 
 BLOB_LINES = ["kind = blobs", "classes = 3", "samples_per_class = 10",
@@ -317,6 +332,7 @@ def _error_files(tmp_path):
              "ppmrgb": _ood_dir(tmp_path / "ppmrgb", b"P6 2 2 255\n" + bytes(12)),
              "ppmshort": _ood_dir(tmp_path / "ppmshort", b"P6 2 "),
              "ppm16": _ood_dir(tmp_path / "ppm16", b"P6 2 2 65535\n" + bytes(24)),
+             "oodempty": str(tmp_path / "oodempty"),
              "cifar": str(tmp_path / "cifar"),
              "missing": str(tmp_path / "missing"),
              "nanparam": _nan_checkpoint(str(tmp_path / "nanparam.bin")),
@@ -372,6 +388,7 @@ def _error_files(tmp_path):
     (tmp_path / "headershort.bin").write_bytes(struct.pack("<Q", 100) + b"{}")
     (tmp_path / "headertext.bin").write_bytes(struct.pack("<Q", 5) + b"{nope")
     os.makedirs(files["cifar"])
+    os.makedirs(os.path.join(files["oodempty"], "zero"))  # a class folder with no images
     write_fake_cifar(files["cifar"], per_file=2, rng=Rng(42))  # 10 training records
     return files
 
@@ -393,6 +410,9 @@ ERROR_CASES = {
     "k-empty": ([TRAINED, "sign_k ="], 1, "sign_k"),
     "gamma-negative": ([TRAINED, "sign_gamma = -0.1"], 1, "sign_gamma"),
     "gamma-nan": ([TRAINED, "sign_gamma = nan"], 1, "sign_gamma"),
+    # a finite gamma that scales the steps past the float range
+    "gamma-overflow": ([TRAINED, "sign_k = 3", "sign_gamma = 1e308"], 2,
+                       "non-finite iterate at iteration"),
     "tap-unknown": ([TRAINED, "sign_tap = bottleneck"], 1, "sign_tap"),
     "tap-sigma-no-head": ([TRAINED, "sign_tap = sigma"], 1, "uncertainty_head"),
     "source-epochs-zero": (["source_epochs = 0"], 1, "[strategy] source_epochs"),
@@ -558,6 +578,8 @@ RUN_ERROR_CASES = {
     "ood-ppm-truncated-header": ({"extra_eval": "ood_path = {ppmshort}\nood_class_map = zero=0"},
                                  "eval --checkpoint {fits}", 2,
                                  [os.path.join("{ppmshort}", "zero", "0.ppm"), "truncated"]),
+    "ood-no-images": ({"extra_eval": "ood_path = {oodempty}\nood_class_map = zero=0"},
+                      "eval --checkpoint {fits}", 2, ["ood_path {oodempty}", "no images"]),
     "ood-ppm-16-bit": ({"extra_eval": "ood_path = {ppm16}\nood_class_map = zero=0"},
                        "eval --checkpoint {fits}", 2,
                        [os.path.join("{ppm16}", "zero", "0.ppm"), "maxval 65535"]),
@@ -615,6 +637,34 @@ def test_run_errors(tmp_path, capsys, monkeypatch, case):
     words = command.format(**files).split()
     assert main([words[0], "-c", cfg, *words[1:]]) == code
     _assert_one_line_error(capsys.readouterr().err, [text.format(**files) for text in named])
+
+
+# (library config, keywords, the last one holding a value the INI parsers
+# reject), built directly
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_CONFIGS = {
+    "sign-gamma-nan": (SignConfig, {"k": 1, "gamma": NAN}),
+    "sign-gamma-inf": (SignConfig, {"k": 1, "gamma": INF}),
+    "mixup-alpha-nan": (MixupConfig, {"alpha": NAN}),
+    "mixup-alpha-inf": (MixupConfig, {"alpha": INF}),
+    "corruption-mu-nan": (CorruptionSpec, {"kind": "gaussian", "mu": NAN}),
+    "corruption-mu-inf": (CorruptionSpec, {"kind": "gaussian", "mu": -INF}),
+    "corruption-sigma-nan": (CorruptionSpec, {"kind": "gaussian", "sigma": NAN}),
+    "corruption-sigma-inf": (CorruptionSpec, {"kind": "gaussian", "sigma": INF}),
+    "learning-rate-nan": (TrainConfig, {"epochs": 1, "learning_rate": NAN}),
+    "learning-rate-inf": (TrainConfig, {"epochs": 1, "learning_rate": INF}),
+    "learning-rate-zero": (TrainConfig, {"epochs": 1, "learning_rate": 0.0}),
+    "momentum-nan": (TrainConfig, {"epochs": 1, "momentum": NAN}),
+    "momentum-inf": (TrainConfig, {"epochs": 1, "momentum": INF}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CONFIGS))
+def test_library_configs_apply_the_parsers_rules(case):
+    kind, keywords = NON_FINITE_CONFIGS[case]
+    key = list(keywords)[-1]
+    with pytest.raises(ValueError, match=rf"\b{key} must be finite"):
+        kind(**keywords)
 
 
 class TestCmdTransform:

@@ -4,12 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from oracles import denormalize_sample, serialize_cifar_record
 
 from signreg.datasets import (CIFAR_CLASSES, DatasetSplit, NormStats, Sample, bilinear_resize,
                               decode_ppm, load_cifar10_binary, load_container,
                               load_ood_directory, make_synthetic_blobs, normalize,
-                              normalize_sample, denormalize_sample, parse_cifar_record,
-                              save_container, serialize_cifar_record)
+                              normalize_sample, parse_cifar_record, save_container)
 from signreg.tensor import Rng, Tensor
 
 
@@ -76,7 +76,7 @@ class TestCifarLoader:
 
     def test_counts_and_partition(self, tmp_path):
         self.write_batches(str(tmp_path))
-        split = load_cifar10_binary(str(tmp_path), val_count=5)
+        split = load_cifar10_binary(str(tmp_path), val_count=5, split_rng=Rng(1))
         assert len(split.train) + len(split.val) == 20
         assert len(split.val) == 5
         assert len(split.test) == 6
@@ -87,17 +87,17 @@ class TestCifarLoader:
         with open(os.path.join(str(tmp_path), "data_batch_2.bin"), "wb") as fh:
             fh.write(bytes(3072))
         with pytest.raises(ValueError, match="3073"):
-            load_cifar10_binary(str(tmp_path), val_count=5)
+            load_cifar10_binary(str(tmp_path), val_count=5, split_rng=Rng(1))
 
     def test_missing_batch_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_cifar10_binary(str(tmp_path))
+            load_cifar10_binary(str(tmp_path), val_count=5, split_rng=Rng(1))
 
-    def test_val_is_train_tail_without_rng(self, tmp_path):
+    def test_val_is_the_tail_of_a_seeded_shuffle(self, tmp_path):
         self.write_batches(str(tmp_path))
-        split = load_cifar10_binary(str(tmp_path), val_count=5)
-        raw = load_cifar10_binary(str(tmp_path), val_count=1)
-        tail = (raw.train + raw.val)[-5:]
+        split = load_cifar10_binary(str(tmp_path), val_count=5, split_rng=Rng(1))
+        again = load_cifar10_binary(str(tmp_path), val_count=1, split_rng=Rng(1))
+        tail = (again.train + again.val)[-5:]
         for a, b in zip(split.val, tail):
             assert np.array_equal(a.image.data, b.image.data)
 

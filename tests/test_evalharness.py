@@ -5,14 +5,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import recompute_report
 
 from signreg.augment import CorruptionSpec
 from signreg.datasets import Sample, make_synthetic_blobs, normalize
-from signreg.evalharness import (evaluate, ood_evaluate, project_features,
-                                 recompute_report, robustness_suite, score_samples,
-                                 transferability_protocol, write_scores_csv)
-from signreg.nn import (Dense, Model, attach_uncertainty_head, build_model, build_small_mlp,
-                        load_checkpoint, save_checkpoint)
+from signreg.evalharness import (evaluate, ood_evaluate, project_features, robustness_suite,
+                                 score_samples, transferability_protocol, write_scores_csv)
+from signreg.nn import (PREDICT_BATCH, Dense, Model, attach_uncertainty_head, build_model,
+                        build_small_mlp, load_checkpoint, save_checkpoint)
 from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
 from signreg.training import TrainConfig, evaluate_arrays, fit
@@ -332,6 +332,16 @@ class TestProjectFeatures:
         np.testing.assert_allclose(export.coordinates[:5], export.coordinates[5:],
                                    atol=1e-12, rtol=0)
 
+    def test_every_batch_projected_in_sample_order(self):
+        # more samples than one forward batch: a rotation of the centered
+        # inputs keeps each row's norm, so a lost or reordered row shows
+        data = Rng(20).normal((PREDICT_BATCH + 44, 2)) * [3.0, 1.0]
+        samples = [Sample(image=Tensor(row), label=0, raw=False) for row in data]
+        export = project_features(self.passthrough_2d(), samples, tap="pre-logits")
+        np.testing.assert_allclose(np.linalg.norm(export.coordinates, axis=1),
+                                   np.linalg.norm(data - data.mean(axis=0), axis=1),
+                                   atol=1e-10, rtol=0)
+
     def test_explained_variance_matches_jacobi_oracle(self):
         rng = Rng(15)
         data = rng.normal((100, 10)) @ np.diag(np.linspace(3.0, 0.3, 10))
@@ -390,10 +400,9 @@ class TestProjectFeatures:
         rng = Rng(17)
         samples = [Sample(image=Tensor(rng.child(i).normal((2,))), label=i % 2, raw=False)
                    for i in range(6)]
-        export = project_features(self.passthrough_2d(), samples, tap="pre-logits",
-                                  split_tag="val")
+        export = project_features(self.passthrough_2d(), samples, tap="pre-logits")
         path = str(tmp_path / "proj.csv")
         export.to_csv(path)
         lines = (tmp_path / "proj.csv").read_text().strip().splitlines()
         assert lines[0] == "x,y,class,split"
-        assert len(lines) == 7 and lines[1].endswith("val")
+        assert len(lines) == 7 and lines[1].endswith("test")

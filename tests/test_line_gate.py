@@ -8,11 +8,7 @@ name, ``<module>`` at top level) and the line's stripped text, so the
 entry survives edits that move the line.
 """
 
-ALLOW = {
-    ("repro", "run_recipe", "print_transfer(run_transfer(seed), out)"):
-        "the transfer recipe takes about 25 s; acceptance criterion 10 runs run_transfer "
-        "at fewer epochs, and test_repro runs print_transfer",
-}
+ALLOW = {}
 
 
 def _executable_lines(tracer):

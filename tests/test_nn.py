@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import const, forward
 
-from signreg.autodiff import forward, vjp
+from signreg.autodiff import vjp
 from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, attach_uncertainty_head,
                         build_basic_cnn, build_model, build_small_mlp,
                         load_checkpoint, params_checksum, predict, save_checkpoint)
@@ -103,7 +104,7 @@ class TestConvKernel:
         for trial in range(3):
             x = rng.child(trial, "x").normal((2, 1, 4, 5))
             w = rng.child(trial, "w").normal((3, 1, 3, 3))
-            _, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+            _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
             np.testing.assert_allclose(tape.output.value.data, naive_conv2d_same(x, w),
                                        atol=1e-10, rtol=0)
 
@@ -114,8 +115,8 @@ class TestConvKernel:
         x = rng.child("x").normal((b, c, h, wd))
         w = rng.child("w").normal((o, c, k, k))
         g = rng.child("g").normal((b, o, h, wd))
-        out, x_tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
-        _, w_tape = forward(lambda t, n: t.conv2d(t.leaf_const(Tensor(x)), n), Tensor(w))
+        out, x_tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
+        _, w_tape = forward(lambda t, n: t.conv2d(const(t, Tensor(x)), n), Tensor(w))
         dx = vjp(x_tape, x_tape.output, Tensor(g)).data
         dw = vjp(w_tape, w_tape.output, Tensor(g)).data
         np.testing.assert_allclose(out.data, naive_conv2d_same(x, w), atol=CONV_TOL, rtol=0)
@@ -137,7 +138,7 @@ class TestConvKernel:
         x = rng.child("x").normal((b, c, h, wd))
         w = rng.child("w").normal((o, c, k, k))
         g = rng.child("g").normal((b, o, h, wd))
-        out, tape = forward(lambda t, n: t.conv2d(n, t.leaf_const(Tensor(w))), Tensor(x))
+        out, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
         dx = vjp(tape, tape.output, Tensor(g)).data
         scale = np.abs(out.data * g).sum() + np.abs(x * dx).sum()
         assert abs((out.data * g).sum() - (x * dx).sum()) <= ADJOINT_RTOL * scale

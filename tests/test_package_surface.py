@@ -1,11 +1,15 @@
 """The package keeps only what it runs: every public module-level function
-and class of ``src/signreg`` is named somewhere other than its definition
-and the package's re-exports, or ``KEEP`` says why it stays.
+and class of ``src/signreg``, and every public method of its classes, is
+named somewhere other than its definition and the package's re-exports,
+or ``KEEP`` says why it stays.
 
-A name counts as used when it is referenced in its own module, imported
-by or reached as ``module.name`` from another package module, or named by
-one of the ``scripts/``. Tests do not count: code that only tests reach
-is code the package does not need.
+A function or class counts as used when it is referenced in its own
+module, imported by or reached as ``module.name`` from another package
+module, or named by one of the ``scripts/``. A method (or property)
+counts as used when ``.name`` appears in the package or the scripts.
+Tests do not count: code that only tests reach is code the package does
+not need, and the oracles the tests check it against live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -18,16 +22,6 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 KEEP = {
     "cli.main": "the entry point of the signreg console script (pyproject.toml "
                 "[project.scripts])",
-    "autodiff.forward": "records a function of one input on a fresh tape; every "
-                        "finite-difference gradcheck builds its graphs through it",
-    "datasets.serialize_cifar_record": "the inverse of parse_cifar_record, the oracle of "
-                                       "its round-trip test",
-    "datasets.denormalize_sample": "the inverse of normalize_sample, the oracle of the "
-                                   "normalization round trip",
-    "evalharness.recompute_report": "rebuilds a report from per-sample.csv, as the "
-                                    "evalharness docstring promises",
-    "repro.run_sign_benefit_cifar": "criterion 5 on CIFAR-10 when SIGNREG_CIFAR_DIR is set",
-    "repro.run_mixup_confidence": "the confidence-floor protocol of acceptance criterion 7",
 }
 
 
@@ -46,6 +40,18 @@ def _definitions(tree):
     return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def _methods(tree):
+    """``Class.name`` of every public method and property defined in a class."""
+    return [f"{cls.name}.{node.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def _attributes(tree):
+    """Every ``.name`` read or called in a module."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def _own_uses(tree):
@@ -71,10 +77,12 @@ def _uses_of(tree, module):
 
 
 def unreferenced():
-    """``module.name`` of every public definition no other code names."""
+    """``module.name`` of every public definition, and ``module.Class.name`` of
+    every public method, that no other code names."""
     modules = _modules()
     scripts = [_parse(os.path.join(SCRIPTS, name))
                for name in sorted(os.listdir(SCRIPTS)) if name.endswith(".py")]
+    attributes = set().union(*map(_attributes, [*modules.values(), *scripts]))
     found = []
     for module, tree in modules.items():
         used = _own_uses(tree)
@@ -84,6 +92,8 @@ def unreferenced():
         for script in scripts:
             used |= _uses_of(script, module)
         found += [f"{module}.{name}" for name in _definitions(tree) if name not in used]
+        found += [f"{module}.{method}" for method in _methods(tree)
+                  if method.split(".")[1] not in attributes]
     return found
 
 

@@ -1,17 +1,23 @@
-"""Protocol smoke tests: the recipe dispatcher and the CIFAR benefit arm."""
+"""Protocol smoke tests: the recipe dispatcher, the tables it prints, and
+the none-vs-SIGN arms."""
 
-import os
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from signreg import repro
 from signreg.evalharness import TransferResult, evaluate
 from signreg.nn import build_model, params_checksum
-from signreg.sign import SignConfig, transform_dataset
-from signreg.tensor import Rng
+from signreg.sign import transform_dataset
 from signreg.training import fit
+
+
+def two_arm_result() -> TransferResult:
+    """A transfer result whose two arms are untrained models of different seeds."""
+    split = repro.blob_split(2, samples_per_class=6)
+    meta = repro.mlp_meta(split)
+    return TransferResult(transfer_report=evaluate(build_model(meta, seed=1), split.test),
+                          control_report=evaluate(build_model(meta, seed=2), split.test))
 
 
 class TestRecipeDispatch:
@@ -31,10 +37,7 @@ class TestRecipeDispatch:
         assert [line.split()[0] for line in lines[1:]] == ["none", "mixup", "sign"]
 
     def test_transfer_table_has_one_row_per_arm(self):
-        split = repro.blob_split(2, samples_per_class=6)
-        meta = repro.mlp_meta(split)
-        result = TransferResult(transfer_report=evaluate(build_model(meta, seed=1), split.test),
-                                control_report=evaluate(build_model(meta, seed=2), split.test))
+        result = two_arm_result()
         lines = []
         repro.print_transfer(result, out=lines.append)
         assert lines[0].split() == ["arm", "class0", "class1", "class2", "mean"]
@@ -42,6 +45,18 @@ class TestRecipeDispatch:
         for line, report in zip(lines[1:], (result.control_report, result.transfer_report)):
             accuracies = [row.accuracy for row in report.per_class] + [report.mean_accuracy]
             assert line.split()[1:] == [f"{value:.4f}" for value in accuracies]
+
+
+    def test_transfer_recipe_prints_its_protocol_result(self, monkeypatch):
+        # run_recipe looks each protocol up by its module-level name when it
+        # runs, so a replaced repro.run_transfer is the one called
+        result = two_arm_result()
+        seeds = []
+        monkeypatch.setattr(repro, "run_transfer", lambda seed: seeds.append(seed) or result)
+        lines, want = [], []
+        assert repro.run_recipe("transfer", seed=5, out=lines.append) == 0
+        repro.print_transfer(result, out=want.append)
+        assert seeds == [5] and lines == want
 
 
 class TestNoneVsSign:
@@ -56,30 +71,3 @@ class TestNoneVsSign:
         augmented = replace(split, train=transform_dataset(plain, split.train, cfgs))
         final, _ = fit(meta, augmented, replace(base, strategy="sign"))
         assert params_checksum(arms["sign"].params) == params_checksum(final.params)
-
-
-def write_fake_cifar(root: str, per_file: int, rng: Rng):
-    for i in range(1, 6):
-        labels = rng.child("train", i).integers(0, 10, size=per_file)
-        with open(os.path.join(root, f"data_batch_{i}.bin"), "wb") as fh:
-            for j, lab in enumerate(labels):
-                pixels = rng.child("px", i, j).integers(0, 256, size=3072)
-                fh.write(bytes([int(lab)]) + bytes(int(p) for p in pixels))
-    with open(os.path.join(root, "test_batch.bin"), "wb") as fh:
-        for j in range(per_file):
-            pixels = rng.child("test-px", j).integers(0, 256, size=3072)
-            fh.write(bytes([j % 10]) + bytes(int(p) for p in pixels))
-
-
-class TestCifarBenefitArm:
-    def test_runs_end_to_end_on_synthesized_batches(self, tmp_path):
-        # mechanics only: random pixels carry no class signal, so this
-        # checks shapes, counts, and the pipeline wiring, not accuracy
-        write_fake_cifar(str(tmp_path), per_file=20, rng=Rng(42))
-        result = repro.run_sign_benefit_cifar(
-            seed=0, cifar_dir=str(tmp_path), subset=60, test_subset=20,
-            epochs=1, val_count=10, val_subset=10,
-            sign_cfgs=[SignConfig(k=2, gamma=0.01, normalize="unit-max-abs")])
-        assert set(result) == {"none", "sign"}
-        assert 0.0 <= result["none"] <= 1.0 and 0.0 <= result["sign"] <= 1.0
-        assert np.isfinite(result["none"]) and np.isfinite(result["sign"])

@@ -184,6 +184,15 @@ class TestSignTransform:
         with pytest.raises(NonFiniteDeltaError):
             delta_only_dataset(model, samples_of([np.ones(3)], [0]), SignConfig(k=1, tap="logits"))
 
+    @pytest.mark.filterwarnings("error")  # the error is the one report, on stderr too
+    def test_overflowing_step_raises_naming_the_iteration(self):
+        # every delta is 1, finite; the second step of gamma = 1e308 takes
+        # the iterate past the float range
+        model = linear_model(np.full((3, 2), 0.5))
+        with pytest.raises(NonFiniteDeltaError, match=r"at iteration 1$"):
+            transform_dataset(model, samples_of([np.ones(3)], [0]),
+                              [SignConfig(k=3, tap="logits", gamma=1e308)])
+
     def test_shape_mismatch(self):
         model = build_small_mlp(5, [3], 2, rng=Rng(0))
         samples = samples_of([np.zeros(5)] * 2 + [np.zeros(4)] * 2, [0, 1, 0, 1])

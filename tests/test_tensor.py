@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import const, forward
 
-from signreg.autodiff import forward, vjp
+from signreg.autodiff import vjp
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
@@ -51,7 +52,7 @@ class TestZeros:
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _, tape = forward(lambda t, n: t.matmul(n, t.leaf_const(Tensor(b))), Tensor(a))
+    _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(b))), Tensor(a))
     return tape.output.value.data
 
 
@@ -124,7 +125,7 @@ class TestTensorInvariants:
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[5.0, 6.0], [7.0, 8.0]])
         before = a.data.copy(), b.data.copy()
-        _, tape = forward(lambda t, n: t.matmul(n, t.leaf_const(b)), a)
+        _, tape = forward(lambda t, n: t.matmul(n, const(t, b)), a)
         vjp(tape, tape.output, b)
         assert np.array_equal(a.data, before[0]) and np.array_equal(b.data, before[1])
 
@@ -146,7 +147,7 @@ class TestTensorInvariants:
     def test_elementwise_shape_mismatch(self):
         # bias_add is the one elementwise sum of two operands the models record
         with pytest.raises(ShapeError):
-            forward(lambda t, n: t.bias_add(n, t.leaf_const(Tensor(np.ones(3)))),
+            forward(lambda t, n: t.bias_add(n, const(t, Tensor(np.ones(3)))),
                     Tensor(np.ones((2, 2))))
 
 

@@ -4,8 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import const, forward
 
-from signreg.autodiff import forward
 from signreg.datasets import DatasetSplit, make_synthetic_blobs, normalize
 from signreg.nn import Model, build_model
 from signreg.sign import SignConfig, transform_dataset
@@ -65,7 +65,7 @@ class TestAleatoricLoss:
         sigma = Tensor(np.full((5, 4), 1e-12))
         for t_draws in (1, 5, 20):
             eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
-            got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(sigma), labels, eps),
+            got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, sigma), labels, eps),
                              Tensor(f))
             assert got.item() == pytest.approx(ce.item(), abs=1e-6)
 
@@ -75,7 +75,7 @@ class TestAleatoricLoss:
         sigma = np.abs(rng.child("s").normal((3, 4))) + 0.3
         labels = onehot([0, 2, 3], 4)
         eps = Rng(4).child("draw").normal((1, 3, 4))
-        got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(sigma)), labels, eps),
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sigma)), labels, eps),
                          Tensor(f))
         want, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(f + sigma * eps[0]))
         assert got.item() == pytest.approx(want.item(), abs=1e-12)
@@ -84,7 +84,7 @@ class TestAleatoricLoss:
         # f = 0, sigma = 1: the expected correct-class probability is 1/2 by
         # symmetry, so the loss tends to log 2 as draws grow
         eps = Rng(5).normal((50_000, 1, 2))
-        got, _ = forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.ones((1, 2)))),
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.ones((1, 2)))),
                                                       onehot([0], 2), eps),
                          Tensor(np.zeros((1, 2))))
         assert got.item() == pytest.approx(np.log(2.0), abs=0.02)
@@ -92,7 +92,7 @@ class TestAleatoricLoss:
     def test_validation(self):
         labels, eps = onehot([0, 1], 3), np.zeros((5, 2, 3))
         with pytest.raises(ValueError):
-            forward(lambda t, n: t.aleatoric_nll(n, t.leaf_const(Tensor(np.zeros((2, 3)))),
+            forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.zeros((2, 3)))),
                                                  labels, eps), Tensor(np.zeros((2, 3))))
         # training draws cfg.mc_samples noise samples per batch
         with pytest.raises(ValueError):
