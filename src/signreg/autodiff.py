@@ -31,6 +31,12 @@ each is deterministic. Columns are built for a block of samples at a time
 conv2d's input, not its columns, and the weight-VJP rebuilds them. Every
 GEMM is per sample, and the weight-VJP adds the per-sample products in
 sample order, so the block size changes no bit of any result.
+
+Every kernel computes in its inputs' dtype, float32 or float64: each
+array it allocates, and each constant it mixes in (labels, noise draws,
+seeds of ones), takes the dtype of the values it meets, so a float32
+forward pass has a float32 backward pass and float64 inputs give the
+float64 results they always gave.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # conv2d builds at most this many bytes of im2col columns at once. 4 MiB
 # stays in cache from _columns writing it to the GEMM reading it (BasicCNN's
-# conv2 at 32x32, batch 32, would build 75 MB in one piece), and at 12x12
-# most layers still take a batch in one or two blocks
+# conv2 at 32x32, batch 32, would build 38 MB in one piece in float32), and
+# at 12x12 most layers still take a batch in one or two blocks
 _BLOCK_BYTES = 4 << 20
 
 
@@ -181,7 +187,7 @@ class Tape:
         out = np.maximum(np.maximum(np.maximum(views[3], views[2]), views[1]), views[0])
 
         def vjp(g, needed):
-            gx = np.empty((b, c, h, w))
+            gx = np.empty((b, c, h, w), g.dtype)
             free = np.ones(out.shape, dtype=bool)  # windows whose g is not yet placed
             for (i, j), view in zip(_WINDOW[:-1], views):
                 hit = free & ((view == out) | np.isnan(view))
@@ -204,8 +210,8 @@ class Tape:
             raise ShapeError(f"conv2d: kernel {w.shape} incompatible with input {x.shape}")
         k = kh
         wmat = wd.reshape(oc, c * k * k)
-        in_blocks = _blocks(b, c * k * k * h * wdt)
-        out = np.empty((b, oc, h * wdt))
+        in_blocks = _blocks(b, c * k * k * h * wdt, xd.itemsize)
+        out = np.empty((b, oc, h * wdt), np.result_type(xd, wd))
         for s, e in in_blocks:
             np.matmul(wmat, _columns(xd[s:e], k), out=out[s:e])
 
@@ -214,21 +220,21 @@ class Tape:
             rows = g.reshape(b, oc, h * wdt)
             if needed[0] and c < oc:
                 # fold W^T g: C*k*k rows, fewer than the flipped layout's O*k*k
-                dx = np.empty((b, c, h, wdt))
+                dx = np.empty((b, c, h, wdt), np.result_type(wd, g))
                 for s, e in in_blocks:
                     dx[s:e] = _fold(wmat.T @ rows[s:e], k, h, wdt)
             elif needed[0]:
                 # the input-VJP of a stride-1 'same' convolution is the same
                 # correlation with the kernel flipped and in/out swapped
                 wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, oc * k * k)
-                dx = np.empty((b, c, h * wdt))
-                for s, e in _blocks(b, oc * k * k * h * wdt):
+                dx = np.empty((b, c, h * wdt), np.result_type(wd, g))
+                for s, e in _blocks(b, oc * k * k * h * wdt, g.itemsize):
                     np.matmul(wflip, _columns(g[s:e], k), out=dx[s:e])
                 dx = dx.reshape(b, c, h, wdt)
             if needed[1]:
                 # the input's columns again, a block at a time; the per-sample
                 # products are added in sample order, as .sum(axis=0) adds them
-                dw = np.zeros((oc, c * k * k))
+                dw = np.zeros((oc, c * k * k), np.result_type(xd, g))
                 for s, e in in_blocks:
                     for prod in rows[s:e] @ _columns(xd[s:e], k).transpose(0, 2, 1):
                         dw += prod
@@ -247,12 +253,13 @@ class Tape:
         if z.ndim != 2 or labels.shape != z.shape:
             raise ShapeError(f"cross_entropy: logits {z.shape} vs labels {labels.shape}")
         bsz = z.shape[0]
+        labels = labels.astype(z.dtype, copy=False)
         logp = log_softmax(z, axis=1)
         value = -(labels * logp).sum(axis=1).mean()
         probs = np.exp(logp)
 
         def vjp(g, needed):
-            return (g[0] * (probs - labels) / bsz,)
+            return (z.dtype.type(g[0]) * (probs - labels) / bsz,)
 
         return self._record("cross-entropy", np.array([value]), (logits,), vjp)
 
@@ -279,6 +286,7 @@ class Tape:
             raise ShapeError(f"aleatoric_nll: eps {eps.shape} vs f {fd.shape}")
         if np.any(sd <= 0.0):
             raise ValueError("aleatoric_nll: sigma must be strictly positive")
+        labels, eps = labels.astype(fd.dtype, copy=False), eps.astype(fd.dtype, copy=False)
 
         xhat = fd[None, :, :] + sd[None, :, :] * eps  # (T, B, C)
         logp = log_softmax(xhat, axis=2)  # per-draw log-softmax
@@ -303,11 +311,11 @@ class Tape:
         return self._record("aleatoric-nll", np.array([value]), (f, sigma), vjp)
 
 
-def _blocks(b: int, sample_values: int) -> list[tuple[int, int]]:
+def _blocks(b: int, sample_values: int, itemsize: int) -> list[tuple[int, int]]:
     """(start, end) ranges that cover ``range(b)`` in order, each as many
-    samples as fit ``_BLOCK_BYTES`` at ``sample_values`` float64 column
-    entries per sample (at least one)."""
-    step = max(1, _BLOCK_BYTES // (8 * sample_values))
+    samples as fit ``_BLOCK_BYTES`` at ``sample_values`` column entries of
+    ``itemsize`` bytes per sample (at least one)."""
+    step = max(1, _BLOCK_BYTES // (itemsize * sample_values))
     return [(s, min(s + step, b)) for s in range(0, b, step)]
 
 
@@ -324,7 +332,7 @@ def _columns(x: np.ndarray, k: int) -> np.ndarray:
     """
     b, c, h, w = x.shape
     p = k // 2
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), x.dtype)
     xp[:, :, p:p + h, p:p + w] = x
     return (sliding_window_view(xp, (k, k), axis=(2, 3))
             .transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w))
@@ -337,7 +345,7 @@ def _fold(cols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     b, ckk, _ = cols.shape
     c, p = ckk // (k * k), k // 2
     cols = cols.reshape(b, c, k, k, h, w)
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), cols.dtype)
     for dy in range(k):
         for dx in range(k):
             xp[:, :, dy:dy + h, dx:dx + w] += cols[:, :, dy, dx]
@@ -415,12 +423,11 @@ def vjp(tape: Tape, node: Node, cotangent: Tensor) -> Tensor:
         raise ValueError("tape has no input leaf")
     if cotangent.shape != node.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != node shape {node.shape}")
-    if tape.input.idx > node.idx:
-        return Tensor._wrap(np.zeros(tape.input.shape))
-    grads = _pullback(tape, node, cotangent.data, {tape.input.idx})
-    g = grads[tape.input.idx]
-    if g is None:
-        return Tensor._wrap(np.zeros(tape.input.shape))
+    g = None
+    if tape.input.idx <= node.idx:
+        g = _pullback(tape, node, cotangent.data, {tape.input.idx})[tape.input.idx]
+    if g is None:  # no path from the input to ``node``
+        g = np.zeros(tape.input.shape, tape.input.value.data.dtype)
     return Tensor._wrap(g)
 
 
@@ -432,7 +439,7 @@ def summed_jacobian(tape: Tape, node: Node) -> Tensor:
     one per output row).
     """
     tape._require(node)
-    return vjp(tape, node, Tensor._wrap(np.ones(node.shape)))
+    return vjp(tape, node, Tensor._wrap(np.ones(node.shape, node.value.data.dtype)))
 
 
 def param_gradients(tape: Tape, loss_node: Node) -> dict[str, Tensor]:
@@ -441,12 +448,13 @@ def param_gradients(tape: Tape, loss_node: Node) -> dict[str, Tensor]:
     if loss_node.value.size != 1:
         raise ShapeError(f"loss node must be scalar-shaped, got {loss_node.shape}")
     targets = {p.idx for p in tape.params.values() if p.idx <= loss_node.idx}
-    grads = _pullback(tape, loss_node, np.ones(loss_node.shape), targets)
+    grads = _pullback(tape, loss_node, np.ones(loss_node.shape, loss_node.value.data.dtype),
+                      targets)
     out: dict[str, Tensor] = {}
     for name, pnode in tape.params.items():
         g = grads[pnode.idx] if pnode.idx <= loss_node.idx else None
         if g is None:
-            out[name] = Tensor._wrap(np.zeros(pnode.shape))
+            out[name] = Tensor._wrap(np.zeros(pnode.shape, pnode.value.data.dtype))
         else:
             out[name] = Tensor._wrap(g)
     return out

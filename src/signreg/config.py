@@ -164,7 +164,8 @@ class ExperimentConfig:
     uncertainty_head: bool = _key("model", "uncertainty_head", _bool, "false")
 
     strategy: str = _key("strategy", "name", _choice(*STRATEGIES))
-    mixup_alpha: float = _key("strategy", "mixup_alpha", _positive, "0.2")
+    mixup_alpha: float | None = _key("strategy", "mixup_alpha", _positive, "0.2",
+                                     only_with=("strategy", "mixup"))
     sign_k: list[int] = _key("strategy", "sign_k", _counts, "50,100", _joined(","))
     sign_gamma: float = _key("strategy", "sign_gamma", _positive, "1.0")
     sign_tap: str = _key("strategy", "sign_tap", _choice(*_TAPS), "pre-logits")
@@ -347,7 +348,8 @@ def train_config(cfg: ExperimentConfig, epochs: int | None = None,
         # unset with adam, which has no momentum; the field keeps its default
         momentum=TrainConfig.momentum if cfg.momentum is None else cfg.momentum,
         strategy=cfg.strategy if strategy is None else strategy,
-        mixup_alpha=cfg.mixup_alpha,
+        # unset unless name = mixup, the only strategy that mixes
+        mixup_alpha=TrainConfig.mixup_alpha if cfg.mixup_alpha is None else cfg.mixup_alpha,
         mc_samples=cfg.mc_samples,
         seed=cfg.seed if seed is None else seed,
     )

@@ -275,7 +275,7 @@ def project_features(model: Model, samples: list[Sample],
 
     feats = [rows for _, rows in forward_batches(model, [s.image.data for s in samples],
                                                  tapped)]
-    matrix = np.concatenate(feats, axis=0)
+    matrix = np.concatenate(feats, axis=0, dtype=np.float64)  # also a float32 model's
     if matrix.shape[1] < 2:
         raise ValueError(f"projection needs at least 2 features, tap {tap!r} has "
                          f"{matrix.shape[1]}")

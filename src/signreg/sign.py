@@ -11,7 +11,9 @@ The accumulated delta emphasizes input variables that drive the tapped
 layer and pushes uninfluential ones negative, where a downstream ReLU
 discards them. Transformed values live in all of R and are deliberately
 not clipped. Dropout is disabled throughout, so the transform is a pure
-function of (model parameters, input, config).
+function of (model parameters, input, config). The iterates keep the
+samples' float64 whatever the model's dtype: each step's delta, computed
+in the model's dtype, is added into them.
 
 The transform runs on batches of samples, which evolve independently
 (``_transform_batch``). ``transform_dataset`` adds the transformed copies

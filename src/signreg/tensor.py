@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a splittable, counter-based random source.
+"""Dense float tensors and a splittable, counter-based random source.
 
 Every other module works in terms of these two types. A Tensor is an
 immutable container, not an array type: the numpy buffer behind ``data``
@@ -7,13 +7,20 @@ all arithmetic happens on numpy arrays, in the tape's primitives
 (``autodiff``) and the library's kernels, which never mutate their inputs.
 Tensors have no ``==``; compare their ``data``.
 
-Numerics are 64-bit throughout: the test suite leans on tight
-finite-difference tolerances and desk-scale memory is cheap.
+A tensor holds float64 or float32. ``Tensor(...)`` makes float64, and
+so do samples and the iterates of the transform: the test suite's
+oracles lean on tight finite-difference tolerances. A model computes in
+its parameters' dtype (``nn.Model``), float32 for BasicCNN, whose conv
+GEMMs run about twice as fast in it, and float64 for SmallMLP, whose cost
+is per-node Python work. Every kernel allocates in its inputs' dtype, so
+a float64 input stays float64 all the way through, and a rerun is
+byte-identical in either dtype.
 
 Checkpoints and sample containers share one framing, written and read
 here: an 8-byte little-endian header length, a JSON header, then raw
-float64 arrays that header records locate by shape, byte offset and byte
-count.
+arrays that header records locate by dtype (``<f4`` or ``<f8``), shape,
+byte offset and byte count. A record with no dtype, as written before
+records carried one, holds float64.
 """
 
 from __future__ import annotations
@@ -40,8 +47,15 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+# numpy's native float32 dtype: one object, shared by the float32 arrays numpy makes
+_FLOAT32 = np.dtype(np.float32)
+
+
 class Tensor:
-    """Immutable n-dimensional float64 array, row-major, rank >= 1."""
+    """Immutable n-dimensional float array, row-major, rank >= 1.
+
+    ``Tensor(values)`` is float64; ``_wrap`` keeps a float32 buffer as is.
+    """
 
     __slots__ = ("_data",)
 
@@ -55,8 +69,10 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Wrap a buffer we own, without copying. Internal use only."""
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        """Wrap a buffer we own, without copying. Internal use only.
+        float32 stays float32; any other dtype becomes float64."""
+        f32 = getattr(arr, "dtype", None) is _FLOAT32
+        arr = np.ascontiguousarray(arr, dtype=_FLOAT32 if f32 else np.float64)
         arr.setflags(write=False)
         t = object.__new__(cls)
         t._data = arr
@@ -153,10 +169,11 @@ class Rng:
 def write_framed(path: str, header: dict, arrays: list[tuple[dict, np.ndarray]]):
     """Write ``header`` and then each array's bytes in order. Each
     (record, array) pair names a record inside ``header``; it gets the
-    array's shape, offset and nbytes before the header is written."""
+    array's dtype, shape, offset and nbytes before the header is written."""
     offset = 0
     for record, arr in arrays:
-        record.update(shape=list(arr.shape), offset=offset, nbytes=arr.nbytes)
+        record.update(dtype=arr.dtype.str, shape=list(arr.shape), offset=offset,
+                      nbytes=arr.nbytes)
         offset += arr.nbytes
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -200,10 +217,15 @@ def read_framed(path: str, version: str, kinds: dict[str, type]) -> tuple[dict, 
 
 
 def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarray:
-    """A copy of the float64 array that ``record`` locates in ``payload``;
-    a ValueError names the file and ``where`` unless the array has rank >= 1
-    and only finite values."""
+    """A copy of the array that ``record`` locates in ``payload``, float32
+    for dtype ``<f4`` and float64 for ``<f8`` or no dtype; a ValueError
+    names the file and ``where`` unless the array has rank >= 1 and only
+    finite values."""
     require_fields(record, ("shape", "offset", "nbytes"), path, where)
+    dtype = record.get("dtype", "<f8")
+    if dtype not in ("<f4", "<f8"):
+        raise ValueError(f"{path}: {where} field dtype {dtype!r} is not <f4 or <f8")
+    itemsize = np.dtype(dtype).itemsize
     try:
         shape = tuple(int(s) for s in record["shape"])
         start, nbytes = int(record["offset"]), int(record["nbytes"])
@@ -211,12 +233,14 @@ def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarra
         raise ValueError(f"{path}: {where} has a malformed shape, offset or nbytes") from exc
     if not shape:
         raise ValueError(f"{path}: {where} field shape [] has rank 0")
-    if min(shape) < 0 or nbytes != 8 * math.prod(shape):
-        raise ValueError(f"{path}: {where} nbytes {nbytes} does not fit shape {list(shape)}")
+    if min(shape) < 0 or nbytes != itemsize * math.prod(shape):
+        raise ValueError(f"{path}: {where} nbytes {nbytes} does not fit shape {list(shape)} "
+                         f"of {dtype}")
     if not 0 <= start <= len(payload) - nbytes:
         raise ValueError(f"{path}: {where} payload truncated: needs bytes {start} to "
                          f"{start + nbytes}, the payload has {len(payload)}")
-    arr = np.frombuffer(payload, np.float64, count=nbytes // 8, offset=start).reshape(shape).copy()
+    arr = np.frombuffer(payload, dtype, count=nbytes // itemsize,
+                        offset=start).reshape(shape).copy()
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: {where} holds a non-finite value")
     return arr

@@ -8,9 +8,13 @@ runs, kept here so the tests can check the package against them.
 * ``denormalize_sample`` inverts ``datasets.normalize_sample``.
 * ``read_scores_csv`` and ``recompute_report`` rebuild an eval report
   from its per-sample CSV alone.
+* ``rewrite_header`` edits a framed file's JSON header in place, to make
+  the old and the malformed files the package never writes.
 """
 
 import csv
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -66,3 +70,16 @@ def read_scores_csv(path: str) -> list[SampleScore]:
 def recompute_report(csv_path: str, num_classes: int) -> EvalReport:
     """Rebuild the full report from the per-sample CSV alone."""
     return aggregate(read_scores_csv(csv_path), list(range(num_classes)))
+
+
+def rewrite_header(path: str, breaks) -> str:
+    """The framed file at ``path``, its JSON header edited in place by ``breaks``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (length,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + length])
+    breaks(header)
+    doc = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(doc)) + doc + blob[8 + length:])
+    return path

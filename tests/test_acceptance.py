@@ -84,6 +84,8 @@ def _primitive_gradchecks():
 def _basic_cnn_param_fd():
     rng = Rng(102)
     model = build_basic_cnn((1, 8, 8), 3, rng=rng.child("init"))
+    # finite differences at 1e-5 need float64; BasicCNN initializes float32
+    model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
     x = away_from_kinks(rng.child("x"), (2, 1, 8, 8))
     labels = np.eye(3)[[0, 2]]
 
@@ -400,14 +402,18 @@ def test_criterion_8_data_integrity():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
+    # SmallMLP computes in float64, BasicCNN in float32; each reruns bit for bit
+    model_lines = {"small_mlp": ["arch = small_mlp", "hidden_dims = 8"],
+                   "basic_cnn": ["arch = basic_cnn"]}
+
     def body():
-        def run(tag: str) -> dict[str, bytes]:
+        def run(arch: str, tag: str) -> dict[str, bytes]:
             out = tmp_path / tag
             cfg_path = tmp_path / f"{tag}.ini"
             cfg_path.write_text("\n".join([
                 "[dataset]", "kind = blobs", "classes = 3", "samples_per_class = 10",
                 "image_shape = 1x8x8", "separation = 4.0", "split_seed = 5",
-                "[model]", "arch = small_mlp", "hidden_dims = 8", "init_seed = 2",
+                "[model]", *model_lines[arch], "init_seed = 2",
                 "[strategy]", "name = sign", "sign_k = 3,5", "sign_gamma = 0.01",
                 "sign_normalize = unit-max-abs", "source_epochs = 2", "source_seed = 2",
                 "[train]", "epochs = 2", "batch_size = 16", "seed = 9",
@@ -415,19 +421,25 @@ def test_criterion_9_cli_determinism(tmp_path):
                 "[eval]", "[output]", f"dir = {out}", "",
             ]))
             assert main(["train", "-c", str(cfg_path)]) == 0
+            assert main(["eval", "-c", str(cfg_path),
+                         "--checkpoint", str(out / "checkpoint.bin")]) == 0
             artifacts = {}
             for name in ("checkpoint.bin", "source-checkpoint.bin", "report.csv",
-                         "report.json", "transformed-train.container"):
+                         "report.json", "transformed-train.container", "eval-report.json",
+                         "per-sample.csv"):
                 artifacts[name] = (out / name).read_bytes()
             return artifacts
 
-        first = run("run-a")
-        second = run("run-b")
-        for name in first:
-            assert first[name] == second[name], f"{name} differs between identical runs"
-        return "checkpoints, reports, and transformed containers byte-identical"
+        for arch in model_lines:
+            first = run(arch, f"{arch}-a")
+            second = run(arch, f"{arch}-b")
+            for name in first:
+                assert first[name] == second[name], \
+                    f"{arch}: {name} differs between identical runs"
+        return ("checkpoints, reports, transformed containers and eval outputs byte-identical, "
+                "SmallMLP and BasicCNN")
 
-    _run(9, "bit-identical reruns of cmd_train", body)
+    _run(9, "bit-identical reruns of cmd_train and cmd_eval", body)
 
 
 # -- 10: transferability protocol ------------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from gradcheck import away_from_kinks, central_fd, check_input_grad, rel_err
 from oracles import const, forward
 
-from signreg import autodiff
+from signreg import autodiff, training
 from signreg.autodiff import param_gradients, summed_jacobian, vjp
-from signreg.nn import build_small_mlp
+from signreg.nn import attach_uncertainty_head, build_basic_cnn, build_small_mlp
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
@@ -351,7 +351,7 @@ class TestPrimitiveGradients:
         rng = Rng(59)
         x = rng.child("x").normal((3, 2, 5, 5))
         monkeypatch.setattr(autodiff, "_BLOCK_BYTES", 8 * 2 * 9 * 25)
-        assert len(autodiff._blocks(3, 2 * 9 * 25)) == 3
+        assert len(autodiff._blocks(3, 2 * 9 * 25, 8)) == 3
         for o in (1, 3):  # C >= O and C < O
             w = rng.child("w", o).normal((o, 2, 3, 3))
             check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w))), x)
@@ -382,8 +382,9 @@ class TestPrimitiveGradients:
 
 
 def conv2d_paths(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
-    """conv2d's forward, then its input-VJP, weight-VJP and both-VJP at ``g``."""
-    _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
+    """conv2d's forward, then its input-VJP, weight-VJP and both-VJP at ``g``,
+    in the arrays' dtype."""
+    _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor._wrap(w))), Tensor._wrap(x))
     node = tape.output
     out = [node.value.data]
     for needed in ((True, False), (False, True), (True, True)):
@@ -398,22 +399,27 @@ class TestConvBlocks:
     def test_any_block_size_is_bitwise_one_block(self, monkeypatch, c, o):
         rng = Rng(63)
         b, h, w, k = 7, 5, 6, 3
-        x = rng.child("x").normal((b, c, h, w))
-        wt = rng.child("w").normal((o, c, k, k))
-        g = rng.child("g").normal((b, o, h, w))
-        for rows in (c, o):
-            assert autodiff._blocks(b, rows * k * k * h * w) == [(0, b)]
-        whole = conv2d_paths(x, wt, g)
-        assert len(whole) == 5
+        arrays = [rng.child("x").normal((b, c, h, w)), rng.child("w").normal((o, c, k, k)),
+                  rng.child("g").normal((b, o, h, w))]
+        wholes = {}
+        for dtype in (np.float64, np.float32):
+            size = np.dtype(dtype).itemsize
+            for rows in (c, o):
+                assert autodiff._blocks(b, rows * k * k * h * w, size) == [(0, b)]
+            wholes[dtype] = conv2d_paths(*(a.astype(dtype) for a in arrays))
+            assert len(wholes[dtype]) == 5
         # n samples' worth of the input's columns, then of the cotangent's
-        for rows in (c, o):
-            for n in (1, 2, 3):
-                monkeypatch.setattr(autodiff, "_BLOCK_BYTES", n * 8 * rows * k * k * h * w)
-                blocks = autodiff._blocks(b, rows * k * k * h * w)
-                assert [i for s, e in blocks for i in range(s, e)] == list(range(b))
-                assert max(e - s for s, e in blocks) == n
-                got = conv2d_paths(x, wt, g)
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+        for dtype, whole in wholes.items():
+            size = np.dtype(dtype).itemsize
+            for rows in (c, o):
+                for n in (1, 2, 3):
+                    monkeypatch.setattr(autodiff, "_BLOCK_BYTES", n * size * rows * k * k * h * w)
+                    blocks = autodiff._blocks(b, rows * k * k * h * w, size)
+                    assert [i for s, e in blocks for i in range(s, e)] == list(range(b))
+                    assert max(e - s for s, e in blocks) == n
+                    got = conv2d_paths(*(a.astype(dtype) for a in arrays))
+                    assert [a.dtype for a in got] == [np.dtype(dtype)] * 5
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
 
     def test_closure_holds_no_columns(self):
         rng = Rng(64)
@@ -455,3 +461,126 @@ class TestLazyPullback:
         grads = param_gradients(tape, tape.output)
         assert np.all(grads["unused"].data == 0.0)
         assert not np.all(grads["w"].data == 0.0)
+
+
+class TestDtype:
+    """A float32 computation stays float32 through every forward value and
+    every VJP output, and a float64 one stays float64: labels, noise draws
+    and seeds of ones that come as float64 promote nothing."""
+
+    DTYPES = (np.float32, np.float64)
+
+    # primitive -> (tape, leaf, dtype) -> its node; ``leaf(tag, shape)``
+    # records a leaf of ``dtype``; labels and noise draws are float64, as
+    # the training loop passes them, and the dropout mask takes the
+    # activation's dtype, as nn.Dropout draws it
+    PRIMITIVES = {
+        "matmul": lambda t, leaf, dt: t.matmul(leaf("a", (3, 4)), leaf("b", (4, 2))),
+        "bias-add-2d": lambda t, leaf, dt: t.bias_add(leaf("x", (3, 5)), leaf("b", (5,))),
+        "bias-add-4d": lambda t, leaf, dt: t.bias_add(leaf("x", (2, 3, 4, 4)), leaf("b", (3,))),
+        "relu": lambda t, leaf, dt: t.relu(leaf("x", (3, 4))),
+        "softplus": lambda t, leaf, dt: t.softplus(leaf("x", (2, 5))),
+        "reshape": lambda t, leaf, dt: t.reshape(leaf("x", (2, 6)), (3, 4)),
+        "dropout": lambda t, leaf, dt: t.dropout(
+            leaf("x", (3, 4)), (np.arange(12).reshape(3, 4) % 3 > 0).astype(dt) / 0.7),
+        "maxpool2": lambda t, leaf, dt: t.maxpool2(leaf("x", (2, 3, 4, 6))),
+        # C < O folds W^T g; C >= O correlates with the flipped kernel
+        "conv2d-fold": lambda t, leaf, dt: t.conv2d(leaf("x", (2, 2, 5, 5)),
+                                                    leaf("w", (3, 2, 3, 3))),
+        "conv2d-flip": lambda t, leaf, dt: t.conv2d(leaf("x", (2, 3, 5, 5)),
+                                                    leaf("w", (2, 3, 3, 3))),
+        "cross-entropy": lambda t, leaf, dt: t.cross_entropy(leaf("z", (3, 4)),
+                                                             np.eye(4)[[0, 2, 3]]),
+        "aleatoric-nll": lambda t, leaf, dt: t.aleatoric_nll(
+            leaf("f", (2, 3)), t.softplus(leaf("s", (2, 3))), np.eye(3)[[1, 2]],
+            Rng(81).normal((4, 2, 3))),
+    }
+
+    def record(self, case, dtype):
+        tape = autodiff.Tape()
+
+        def leaf(tag, shape):
+            return tape.leaf_param(tag, Tensor._wrap(Rng(80).child(tag).normal(shape)
+                                                     .astype(dtype)))
+
+        return self.PRIMITIVES[case](tape, leaf, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", sorted(PRIMITIVES))
+    def test_primitive_keeps_its_inputs_dtype(self, case, dtype):
+        node = self.record(case, dtype)
+        assert node.value.data.dtype == dtype
+        grads = node.vjp_fn(np.ones(node.shape, dtype), (True,) * len(node.parents))
+        assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(node.parents)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("case", ["cross-entropy", "aleatoric-nll"])
+    def test_loss_cotangent_only_scales(self, case, dtype):
+        # a loss's scalar cotangent scales its VJP; a float64 one promotes nothing
+        node = self.record(case, dtype)
+        grads = node.vjp_fn(np.ones(1), (True,) * len(node.parents))
+        assert [g.dtype for g in grads] == [np.dtype(dtype)] * len(node.parents)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_patch_helpers(self, dtype):
+        # a float64 buffer here would pass the GEMMs' float32 out= casts unseen
+        cols = autodiff._columns(np.ones((2, 3, 4, 5), dtype), 3)
+        assert cols.dtype == dtype
+        assert autodiff._fold(cols, 3, 4, 5).dtype == dtype
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_seeds_and_zero_cotangents(self, dtype):
+        tape = autodiff.Tape()
+        x = tape.leaf_input(Tensor._wrap(np.ones((1, 5), dtype)))
+        tape.leaf_param("unused", Tensor._wrap(np.ones((2, 2), dtype)))
+        loss = tape.matmul(x, tape.leaf_param("w", Tensor._wrap(np.full((5, 1), 0.7, dtype))))
+        grads = param_gradients(tape, loss)  # the seed of ones, and a zero for "unused"
+        assert [grads[n].data.dtype for n in ("w", "unused")] == [np.dtype(dtype)] * 2
+        early = autodiff.Tape()
+        early.relu(const(early, Tensor._wrap(np.ones(2, dtype))))
+        early.leaf_input(Tensor._wrap(np.ones((2, 3), dtype)))
+        assert vjp(early, early.nodes[1], Tensor._wrap(np.ones(2, dtype))).data.dtype == dtype
+
+    @staticmethod
+    def cnn(dtype, head=False):
+        """BasicCNN (float32) or, cast through ``Tensor``, its float64 twin,
+        as an old float64 checkpoint loads."""
+        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(82))
+        if head:
+            model = attach_uncertainty_head(model, rng=Rng(83))
+        if dtype == np.float64:
+            model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
+        assert model.dtype == dtype
+        return model
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_summed_jacobian_and_param_gradients(self, dtype):
+        model = self.cnn(dtype)
+        tape = model.forward(Tensor(Rng(84).normal((2, 1, 8, 8))))  # float64 samples
+        assert summed_jacobian(tape, tape.taps["pre-logits"]).data.dtype == dtype
+        loss = tape.cross_entropy(tape.output, np.eye(3)[[0, 2]])
+        grads = param_gradients(tape, loss)
+        assert {n.value.data.dtype for n in tape.nodes} == {np.dtype(dtype)}
+        assert {g.data.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
+    @pytest.mark.parametrize("head", [False, True])  # cross-entropy, aleatoric-nll
+    def test_basic_cnn_training_step(self, monkeypatch, dtype, optimizer, head):
+        model = self.cnn(dtype, head)
+        seen, ops = [], set()
+
+        def recording(tape, loss):
+            grads = param_gradients(tape, loss)
+            ops.update(n.op for n in tape.nodes)
+            seen.extend(n.value.data.dtype for n in tape.nodes)
+            seen.extend(g.data.dtype for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(autodiff, "param_gradients", recording)
+        # dropout on, float64 images and labels, as the training loop passes them
+        training._step(model, training.make_optimizer(optimizer, 0.9), 0.01,
+                       Rng(85).normal((4, 1, 8, 8)), np.eye(3)[[0, 1, 2, 0]], 3, Rng(86), (0, 0))
+        assert "dropout" in ops
+        assert set(seen) == {np.dtype(dtype)}
+        assert {t.data.dtype for t in model.params.values()} == {np.dtype(dtype)}

@@ -9,6 +9,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import rewrite_header
 
 from signreg import cli, evalharness, repro, training
 from signreg import config as cfgmod
@@ -248,29 +249,16 @@ def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape, hidden=4):
     return path
 
 
-def _rewrite_header(path, breaks):
-    """The framed file at ``path``, its JSON header edited in place by ``breaks``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    (length,) = struct.unpack("<Q", blob[:8])
-    header = json.loads(blob[8:8 + length])
-    breaks(header)
-    doc = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(doc)) + doc + blob[8 + length:])
-    return path
-
-
 def _broken_container(path, breaks):
     """A one-sample container whose manifest ``breaks`` edits in place."""
     save_container([Sample(image=Tensor(np.zeros((1, 8, 8))), label=0, raw=False)], path,
                    ("a", "b", "c"), raw_domain=False)
-    return _rewrite_header(path, breaks)
+    return rewrite_header(path, breaks)
 
 
 def _broken_checkpoint(tmp_path, name, breaks):
     """A {fits} checkpoint whose header ``breaks`` edits in place."""
-    return _rewrite_header(_checkpoint(tmp_path, name, 64, 3, (1, 8, 8)), breaks)
+    return rewrite_header(_checkpoint(tmp_path, name, 64, 3, (1, 8, 8)), breaks)
 
 
 def _nan_checkpoint(path):
@@ -340,6 +328,9 @@ def _error_files(tmp_path):
              "headertext": str(tmp_path / "headertext.bin"),
              "tensorslist": _broken_checkpoint(tmp_path, "tensorslist.bin",
                                                lambda h: h.update(tensors=[])),
+             "tensordtype": _broken_checkpoint(
+                 tmp_path, "tensordtype.bin",
+                 lambda h: h["tensors"]["fc1.w"].update(dtype="<i8")),
              "tensorshape": _broken_checkpoint(
                  tmp_path, "tensorshape.bin",
                  lambda h: h["tensors"]["fc1.w"].update(shape=[4, 64])),
@@ -495,6 +486,8 @@ RUN_ERROR_CASES = {
     "mc-samples-zero": ({"extra_train": "mc_samples = 0"}, "train", 1, ["[train] mc_samples"]),
     "mixup-alpha-zero": ({"strategy": "mixup", "extra_strategy": "mixup_alpha = 0"}, "train", 1,
                          ["[strategy] mixup_alpha"]),
+    "mixup-alpha-not-mixup": ({"extra_strategy": "mixup_alpha = 0.4"}, "train", 1,
+                              ["[strategy] mixup_alpha", "[strategy] name = none"]),
     "repeats-zero": ({"extra_eval": "corruptions = gaussian\nrepeats = 0"},
                      "eval --checkpoint {fits}", 1, ["[eval] repeats"]),
     "projection-tap": ({"extra_eval": "projection = true\nprojection_tap = bottleneck"},
@@ -599,6 +592,8 @@ RUN_ERROR_CASES = {
                                    ["{headertext}", "header is not JSON"]),
     "checkpoint-tensors-not-a-dict": ({}, "eval --checkpoint {tensorslist}", 2,
                                       ["{tensorslist}", "tensors is not a JSON dict"]),
+    "checkpoint-tensor-dtype": ({}, "eval --checkpoint {tensordtype}", 2,
+                                ["{tensordtype}", "tensor fc1.w", "dtype '<i8'"]),
     "checkpoint-tensor-shape": ({}, "eval --checkpoint {tensorshape}", 2,
                                 ["{tensorshape}", "tensors", "fc1.w"]),
     "checkpoint-meta-drop-prob": ({}, "eval --checkpoint {dropmeta}", 2,

@@ -1,16 +1,19 @@
 """Architecture contracts: layer stacks, taps, initialization, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import const, forward
+from oracles import const, forward, rewrite_header
 
 from signreg.autodiff import vjp
-from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, attach_uncertainty_head,
-                        build_basic_cnn, build_model, build_small_mlp,
-                        load_checkpoint, params_checksum, predict, save_checkpoint)
-from signreg.tensor import Rng, ShapeError, Tensor
+from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, Flatten, Model,
+                        attach_uncertainty_head, build_basic_cnn, build_model,
+                        build_small_mlp, load_checkpoint, params_checksum, predict,
+                        save_checkpoint)
+from signreg.tensor import Rng, ShapeError, Tensor, read_framed
 
 
 def naive_conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,6 +261,44 @@ class TestCheckpoint:
         assert np.array_equal(model.forward(x).output.value.data,
                               loaded.forward(x).output.value.data)
 
+    def test_float32_roundtrip_bitwise(self, tmp_path):
+        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(5))
+        path = str(tmp_path / "cnn.bin")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert model.dtype == loaded.dtype == np.float32
+        for name, t in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+        header, _ = read_framed(path, CHECKPOINT_VERSION, {"tensors": dict})
+        assert {rec["dtype"] for rec in header["tensors"].values()} == {"<f4"}
+
+    def test_record_without_dtype_loads_as_float64(self, tmp_path):
+        # a float64 BasicCNN in a checkpoint written before records carried a dtype
+        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(5))
+        model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
+        path = str(tmp_path / "old.bin")
+        save_checkpoint(model, path)
+        rewrite_header(path, lambda h: [rec.pop("dtype") for rec in h["tensors"].values()])
+        loaded = load_checkpoint(path)
+        assert loaded.dtype == np.float64
+        assert params_checksum(loaded.params) == params_checksum(model.params)
+        x = Tensor(Rng(6).normal((2, 1, 8, 8)))
+        out = loaded.forward(x).output.value.data
+        assert out.dtype == np.float64
+        assert out.tobytes() == model.forward(x).output.value.data.tobytes()
+
+    @pytest.mark.parametrize("dtype, message", [
+        ("<i8", "tensor fc2.b field dtype '<i8' is not <f4 or <f8"),
+        # fc2.b's 12 bytes are 3 float32 entries, not 3 float64 ones
+        ("<f8", "tensor fc2.b nbytes 12 does not fit shape [3] of <f8")])
+    def test_record_dtype_checked(self, tmp_path, dtype, message):
+        path = str(tmp_path / "cnn.bin")
+        save_checkpoint(build_basic_cnn((1, 8, 8), 3, rng=Rng(5)), path)
+        rewrite_header(path, lambda h: h["tensors"]["fc2.b"].update(dtype=dtype))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
     def test_version_field(self, tmp_path):
         import json
         import struct
@@ -287,6 +328,20 @@ class TestModelContracts:
         model = build_small_mlp(4, [3], 2, rng=Rng(0))
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.zeros((1, 5))))
+
+    def test_set_params_rejects_mixed_dtypes(self):
+        model = build_small_mlp(4, [3], 2, rng=Rng(0))
+        params = dict(model.params, **{"out.w": Tensor._wrap(
+            model.params["out.w"].data.astype(np.float32))})
+        with pytest.raises(ValueError, match=re.escape(
+                "param out.w: dtype float32 differs from param fc1.w's float64")):
+            model.set_params(params)
+
+    def test_model_without_parameters_computes_in_float64(self):
+        model = Model([Flatten()], {}, {"logits": 0}, (3,), 3, {"arch": "small_mlp"})
+        model.set_params({})
+        out = model.forward(Tensor._wrap(np.ones((2, 3), np.float32))).output
+        assert out.value.data.dtype == np.float64
 
     def test_set_params_name_mismatch(self):
         model = build_small_mlp(4, [3], 2, rng=Rng(0))

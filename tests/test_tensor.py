@@ -144,6 +144,14 @@ class TestTensorInvariants:
     def test_scalar_promoted_to_rank_one(self):
         assert Tensor(3.0).shape == (1,)
 
+    def test_dtype_rule(self):
+        # Tensor(...) is float64; _wrap keeps float32 and makes the rest float64
+        f32 = np.ones((2, 3), np.float32)
+        assert Tensor(f32).data.dtype == np.float64
+        assert Tensor._wrap(f32).data.dtype == np.float32
+        for other in (np.ones(3, np.float16), np.arange(3), np.ones(3) > 0):
+            assert Tensor._wrap(other).data.dtype == np.float64
+
     def test_elementwise_shape_mismatch(self):
         # bias_add is the one elementwise sum of two operands the models record
         with pytest.raises(ShapeError):
