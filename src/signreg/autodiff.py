@@ -20,17 +20,24 @@ Derivative conventions, chosen for determinism:
     NaN outputs NaN and sends its gradient to its first NaN;
   * dropout is recorded with its mask, so train-time gradients are exact.
 
-conv2d is one im2col correlation (``_columns``). Its input-VJP takes the
-layout with fewer rows, which depends only on the layer's channel counts:
-with fewer input than output channels (C < O) it folds ``W^T g``, C*k*k
-rows, back through ``_fold``, the adjoint of ``_columns``; otherwise it
-correlates the cotangent's O*k*k-row columns with the flipped kernel.
-The two layouts sum in different orders, so they agree to rounding, and
-each is deterministic. Columns are built for a block of samples at a time
-(``_blocks``), used by that block's GEMMs and then dropped: the tape keeps
-conv2d's input, not its columns, and the weight-VJP rebuilds them. Every
-GEMM is per sample, and the weight-VJP adds the per-sample products in
-sample order, so the block size changes no bit of any result.
+conv2d is one im2col correlation (``_columns``). Each sample's columns
+are an (H*W, k*k*C) matrix read from a zero-padded channels-last copy of
+the input, so a row gathers contiguous runs of k*C values, and GEMMs
+against the kernel as a (k*k*C, O) matrix sum over (dy, dx, channel) in
+that order. Every tape value and VJP result keeps its (B, C, H, W) or
+(O, C, k, k) shape and is C-contiguous, whatever layout the cotangent
+arrives in. The input-VJP takes the layout with fewer columns, which
+depends only on the layer's channel counts: with fewer input than output
+channels (C < O) it folds ``g^T W``, k*k*C columns, back through
+``_fold``, the adjoint of ``_columns``; otherwise it correlates the
+cotangent's k*k*O columns with the flipped kernel. The two layouts sum in
+different orders, so they agree to rounding, and each is deterministic.
+Columns are built for a block of samples at a time (``_blocks``), used by
+that block's GEMMs and then dropped: the tape keeps conv2d's input, not
+its columns, and the weight-VJP rebuilds them. The block size sets only
+how much memory the columns take at once. It changes no bit of any
+result: every GEMM is per sample, and the weight-VJP adds the per-sample
+products in sample order.
 
 Every kernel computes in its inputs' dtype, float32 or float64: each
 array it allocates, and each constant it mixes in (labels, noise draws,
@@ -209,36 +216,38 @@ class Tape:
         if ic != c or kh != kw or kh % 2 == 0:
             raise ShapeError(f"conv2d: kernel {w.shape} incompatible with input {x.shape}")
         k = kh
-        wmat = wd.reshape(oc, c * k * k)
         in_blocks = _blocks(b, c * k * k * h * wdt, xd.itemsize)
         out = np.empty((b, oc, h * wdt), np.result_type(xd, wd))
+        wmat = wd.transpose(2, 3, 1, 0).reshape(k * k * c, oc)
         for s, e in in_blocks:
-            np.matmul(wmat, _columns(xd[s:e], k), out=out[s:e])
+            out[s:e] = (_columns(xd[s:e], k) @ wmat).transpose(0, 2, 1)
 
         def vjp(g, needed):
             dx = dw = None
-            rows = g.reshape(b, oc, h * wdt)
+            # any cotangent layout in, the same GEMM operands
+            rows = np.ascontiguousarray(g).reshape(b, oc, h * wdt)
             if needed[0] and c < oc:
-                # fold W^T g: C*k*k rows, fewer than the flipped layout's O*k*k
+                # fold g^T W: k*k*C columns, fewer than the flipped layout's k*k*O
+                wrows = wd.transpose(0, 2, 3, 1).reshape(oc, k * k * c)
                 dx = np.empty((b, c, h, wdt), np.result_type(wd, g))
                 for s, e in in_blocks:
-                    dx[s:e] = _fold(wmat.T @ rows[s:e], k, h, wdt)
+                    dx[s:e] = _fold(rows[s:e].transpose(0, 2, 1) @ wrows, k, h, wdt)
             elif needed[0]:
                 # the input-VJP of a stride-1 'same' convolution is the same
                 # correlation with the kernel flipped and in/out swapped
-                wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, oc * k * k)
+                wflip = wd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * oc, c)
                 dx = np.empty((b, c, h * wdt), np.result_type(wd, g))
                 for s, e in _blocks(b, oc * k * k * h * wdt, g.itemsize):
-                    np.matmul(wflip, _columns(g[s:e], k), out=dx[s:e])
+                    dx[s:e] = (_columns(g[s:e], k) @ wflip).transpose(0, 2, 1)
                 dx = dx.reshape(b, c, h, wdt)
             if needed[1]:
                 # the input's columns again, a block at a time; the per-sample
                 # products are added in sample order, as .sum(axis=0) adds them
-                dw = np.zeros((oc, c * k * k), np.result_type(xd, g))
+                dw = np.zeros((oc, k * k * c), np.result_type(xd, g))
                 for s, e in in_blocks:
-                    for prod in rows[s:e] @ _columns(xd[s:e], k).transpose(0, 2, 1):
+                    for prod in rows[s:e] @ _columns(xd[s:e], k):
                         dw += prod
-                dw = dw.reshape(oc, c, k, k)
+                dw = np.ascontiguousarray(dw.reshape(oc, k, k, c).transpose(0, 3, 1, 2))
             return (dx, dw)
 
         return self._record("conv2d", out.reshape(b, oc, h, wdt), (x, w), vjp)
@@ -320,36 +329,42 @@ def _blocks(b: int, sample_values: int, itemsize: int) -> list[tuple[int, int]]:
 
 
 def _columns(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-padded 'same' patches of (B, C, H, W) ``x`` as (B, C*k*k, H*W).
+    """Zero-padded 'same' patches of (B, C, H, W) ``x`` as (B, H*W, k*k*C).
 
-    Rows run over (channel, dy, dx), the order of ``w.reshape(O, -1)`` for
-    an (O, C, k, k) kernel, so ``w.reshape(O, -1) @ _columns(x, k)`` is the
-    stride-1 correlation. conv2d builds columns one block of samples at a
-    time (``_blocks``) and keeps none: its forward and weight-VJP take the
+    One channels-last copy of ``x``, padded to (B, H+2p, W+2p, C), read
+    through ``sliding_window_view``: row ``i*W + j`` of a sample holds the
+    k x k patch centred on (i, j), its entries in (dy, dx, channel) order,
+    so each row gathers k runs of k*C contiguous values. That is the order
+    of ``w.transpose(2, 3, 1, 0).reshape(-1, O)`` for an (O, C, k, k)
+    kernel, and ``_columns(x, k) @ that`` is the stride-1 correlation,
+    (B, H*W, O). conv2d builds columns one block of samples at a time
+    (``_blocks``) and keeps none: its forward and weight-VJP take the
     columns of its input, the weight-VJP rebuilding them from the input the
     tape holds. Its input-VJP takes the columns of the cotangent when
-    C >= O, and otherwise folds ``W^T g`` through the adjoint, ``_fold``.
+    C >= O, and otherwise folds ``g^T W`` through the adjoint, ``_fold``.
     """
     b, c, h, w = x.shape
     p = k // 2
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), x.dtype)
-    xp[:, :, p:p + h, p:p + w] = x
-    return (sliding_window_view(xp, (k, k), axis=(2, 3))
-            .transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w))
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), x.dtype)
+    xp[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+    return (sliding_window_view(xp, (k, k), axis=(1, 2))
+            .transpose(0, 1, 2, 4, 5, 3).reshape(b, h * w, k * k * c))
 
 
 def _fold(cols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
-    """The adjoint of ``_columns``: (B, C*k*k, H*W) patches summed back
+    """The adjoint of ``_columns``: (B, H*W, k*k*C) patches summed back
     into (B, C, H, W), one slice-add per kernel offset into the zero-padded
-    buffer ``_columns`` reads, then cropped."""
-    b, ckk, _ = cols.shape
-    c, p = ckk // (k * k), k // 2
-    cols = cols.reshape(b, c, k, k, h, w)
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), cols.dtype)
+    channels-last buffer ``_columns`` reads, then cropped. The result is a
+    (B, C, H, W) view of that buffer; conv2d copies it into its C-contiguous
+    input gradient."""
+    b, _, kkc = cols.shape
+    c, p = kkc // (k * k), k // 2
+    cols = cols.reshape(b, h, w, k, k, c)
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), cols.dtype)
     for dy in range(k):
         for dx in range(k):
-            xp[:, :, dy:dy + h, dx:dx + w] += cols[:, :, dy, dx]
-    return xp[:, :, p:p + h, p:p + w]
+            xp[:, dy:dy + h, dx:dx + w] += cols[:, :, :, dy, dx]
+    return xp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2)
 
 
 # -- stable log-space reductions ---------------------------------------------

@@ -395,7 +395,8 @@ def conv2d_paths(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> list[np.ndarray
 class TestConvBlocks:
     """conv2d builds its columns a block of samples at a time and keeps none."""
 
-    @pytest.mark.parametrize("c, o", [(2, 3), (3, 2), (2, 2)])  # C < O folds; C >= O flips
+    # C < O folds (C = 1 is conv1 on one-channel images); C >= O flips
+    @pytest.mark.parametrize("c, o", [(2, 3), (1, 3), (3, 2), (2, 2)])
     def test_any_block_size_is_bitwise_one_block(self, monkeypatch, c, o):
         rng = Rng(63)
         b, h, w, k = 7, 5, 6, 3
@@ -420,6 +421,27 @@ class TestConvBlocks:
                     got = conv2d_paths(*(a.astype(dtype) for a in arrays))
                     assert [a.dtype for a in got] == [np.dtype(dtype)] * 5
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("c, o", [(2, 3), (1, 3), (3, 2)])  # C < O folds; C >= O flips
+    def test_any_cotangent_layout_gives_the_same_c_contiguous_vjps(self, c, o, dtype):
+        # the pullback hands conv2d whatever layout the layer above returned,
+        # and relu and maxpool below never get a strided cotangent from it
+        rng = Rng(65)
+        b, h, w, k = 3, 5, 6, 3
+        x, wk, g = (rng.child(tag).normal(shape).astype(dtype) for tag, shape in
+                    (("x", (b, c, h, w)), ("w", (o, c, k, k)), ("g", (b, o, h, w))))
+        want = conv2d_paths(x, wk, g)
+        shapes = [g.shape, x.shape, wk.shape, x.shape, wk.shape]
+        assert [(a.shape, a.flags.c_contiguous) for a in want] == [(s, True) for s in shapes]
+        channels_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        framed = np.zeros((b, o, h + 2, w + 3), dtype)
+        framed[:, :, 1:1 + h, 2:2 + w] = g
+        crop = framed[:, :, 1:1 + h, 2:2 + w]
+        for view in (channels_last, crop):
+            assert not view.flags.c_contiguous and np.array_equal(view, g)
+            got = conv2d_paths(x, wk, view)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_closure_holds_no_columns(self):
         rng = Rng(64)
@@ -484,7 +506,7 @@ class TestDtype:
         "dropout": lambda t, leaf, dt: t.dropout(
             leaf("x", (3, 4)), (np.arange(12).reshape(3, 4) % 3 > 0).astype(dt) / 0.7),
         "maxpool2": lambda t, leaf, dt: t.maxpool2(leaf("x", (2, 3, 4, 6))),
-        # C < O folds W^T g; C >= O correlates with the flipped kernel
+        # C < O folds g^T W; C >= O correlates with the flipped kernel
         "conv2d-fold": lambda t, leaf, dt: t.conv2d(leaf("x", (2, 2, 5, 5)),
                                                     leaf("w", (3, 2, 3, 3))),
         "conv2d-flip": lambda t, leaf, dt: t.conv2d(leaf("x", (2, 3, 5, 5)),
