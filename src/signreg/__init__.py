@@ -2,8 +2,7 @@
 
 from .tensor import Rng, ShapeError, Tensor
 from .autodiff import Tape, param_gradients, summed_jacobian, vjp
-from .nn import (Model, attach_uncertainty_head, build_basic_cnn, build_model,
-                 build_small_mlp, load_checkpoint, params_checksum, save_checkpoint)
+from .nn import Model, build_model, load_checkpoint, params_checksum, save_checkpoint
 from .sign import NonFiniteDeltaError, SignConfig, delta_only_dataset, transform_dataset
 from .augment import CorruptionSpec, MixupConfig, corrupt
 from .datasets import (DatasetSplit, NormStats, Sample, load_cifar10_binary,

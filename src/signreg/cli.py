@@ -217,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (FileNotFoundError, ValueError, ArithmeticError, RuntimeError, OSError,
+            MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -198,7 +198,8 @@ class ExperimentConfig:
         "eval", "ood_class_map", _class_map, "",
         lambda mapping: ",".join(f"{folder}={idx}" for folder, idx in mapping.items()))
     projection: bool = _key("eval", "projection", _bool, "false")
-    projection_tap: str = _key("eval", "projection_tap", _choice(*_TAPS), "pre-logits")
+    projection_tap: str | None = _key("eval", "projection_tap", _choice(*_TAPS), "pre-logits",
+                                      only_with=("projection", True))
 
     output_dir: str = _key("output", "dir")
 
@@ -330,8 +331,7 @@ def model_meta(cfg: ExperimentConfig, split: DatasetSplit) -> dict:
         meta = {"arch": "basic_cnn", "input_shape": list(shape), "num_classes": ncls,
                 "drop_prob": cfg.drop_prob}
     else:
-        meta = {"arch": "small_mlp", "input_dim": math.prod(shape),
-                "hidden_dims": list(cfg.hidden_dims), "num_classes": ncls,
+        meta = {"arch": "small_mlp", "hidden_dims": list(cfg.hidden_dims), "num_classes": ncls,
                 "input_shape": list(shape)}
     if cfg.uncertainty_head:
         meta["uncertainty_head"] = True

@@ -1,20 +1,26 @@
-"""Layer primitives, concrete model architectures, prediction, and checkpoint files.
+"""Layer primitives, the two architectures, prediction, and checkpoint files.
 
 A :class:`Model` is an ordered list of layers over a named parameter
 store, with named taps into the forward graph. Every model exposes at
 least the "pre-logits" tap (the activation feeding the final classifier,
 with no intervening nonlinearity) and the "logits" tap.
 
-Initialization is Kaiming-uniform fan-in for weights and zero biases,
-fully seeded. Parameters are immutable tensors; training replaces them.
-A model computes in its parameters' dtype, which all of them share:
-BasicCNN initializes float32 parameters and SmallMLP float64 ones, and a
-checkpoint keeps the dtype it was saved in.
+A meta record (the checkpoint header's schema) names an architecture:
+BasicCNN (``arch = basic_cnn``) or SmallMLP (``small_mlp``), optionally
+with the uncertainty head in place of its dense classifier. One step
+assembles the layers a record describes, and each layer declares the
+shapes of its parameters. ``build_model`` draws them, Kaiming-uniform
+fan-in weights and zero biases, fully seeded; ``load_checkpoint`` takes
+them from the file and draws nothing. Parameters are immutable tensors;
+training replaces them. A model computes in its parameters' dtype, which
+all of them share: BasicCNN initializes float32 parameters and SmallMLP
+float64 ones, and a checkpoint keeps the dtype it was saved in.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -24,72 +30,60 @@ from .tensor import Rng, ShapeError, Tensor, read_array, read_framed, write_fram
 CHECKPOINT_VERSION = "signreg-ckpt-1"
 
 
-def _cast(params: dict[str, Tensor], dtype) -> dict[str, Tensor]:
-    return {name: Tensor._wrap(t.data.astype(dtype)) for name, t in params.items()}
-
-
-def _kaiming_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int, scale: float = 1.0) -> Tensor:
+def _draw(rng: Rng, shape: tuple[int, ...], fan_in: int, scale: float) -> np.ndarray:
+    """Kaiming-uniform fan-in weights, or zeros for ``fan_in = 0`` (a bias)."""
+    if not fan_in:
+        return np.zeros(shape)
     bound = scale * np.sqrt(6.0 / fan_in)
-    return Tensor._wrap(rng.uniform(-bound, bound, size=shape))
+    return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv2d:
+class _Layer:
+    """Base of every layer. ``specs`` maps the key of each of its parameters,
+    named ``"<name>.<key>"`` in the store, to (shape, fan_in, scale): see
+    ``_draw``."""
+
+    specs: dict = {}
+
+    def _leaves(self, tape: Tape, params: dict[str, Tensor]) -> list[Node]:
+        return [tape.leaf_param(f"{self.name}.{key}", params[f"{self.name}.{key}"])
+                for key in self.specs]
+
+
+class Conv2d(_Layer):
     """3x3 (or any odd) convolution, stride 1, 'same' zero padding."""
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: int = 3):
         self.name = name
-        self.in_ch = in_ch
-        self.out_ch = out_ch
-        self.kernel = kernel
-
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        fan_in = self.in_ch * self.kernel * self.kernel
-        w = _kaiming_uniform(rng.child(self.name, "w"),
-                             (self.out_ch, self.in_ch, self.kernel, self.kernel), fan_in)
-        b = Tensor._wrap(np.zeros(self.out_ch))
-        return {f"{self.name}.w": w, f"{self.name}.b": b}
+        self.specs = {"w": ((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, 1.0),
+                      "b": ((out_ch,), 0, 0.0)}
 
     def apply(self, tape: Tape, x: Node, params: dict[str, Tensor], *, train: bool, rng) -> Node:
-        w = tape.leaf_param(f"{self.name}.w", params[f"{self.name}.w"])
-        b = tape.leaf_param(f"{self.name}.b", params[f"{self.name}.b"])
+        w, b = self._leaves(tape, params)
         return tape.bias_add(tape.conv2d(x, w), b)
 
 
-class Dense:
+class Dense(_Layer):
     def __init__(self, name: str, in_dim: int, out_dim: int):
         self.name = name
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        w = _kaiming_uniform(rng.child(self.name, "w"), (self.in_dim, self.out_dim), self.in_dim)
-        b = Tensor._wrap(np.zeros(self.out_dim))
-        return {f"{self.name}.w": w, f"{self.name}.b": b}
+        self.specs = {"w": ((in_dim, out_dim), in_dim, 1.0), "b": ((out_dim,), 0, 0.0)}
 
     def apply(self, tape: Tape, x: Node, params: dict[str, Tensor], *, train: bool, rng) -> Node:
-        w = tape.leaf_param(f"{self.name}.w", params[f"{self.name}.w"])
-        b = tape.leaf_param(f"{self.name}.b", params[f"{self.name}.b"])
+        w, b = self._leaves(tape, params)
         return tape.bias_add(tape.matmul(x, w), b)
 
 
-class _NoParams:
-    """Base of the layers that hold no parameters."""
-
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        return {}
-
-
-class ReLU(_NoParams):
+class ReLU(_Layer):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         return tape.relu(x)
 
 
-class MaxPool2(_NoParams):
+class MaxPool2(_Layer):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         return tape.maxpool2(x)
 
 
-class Flatten(_NoParams):
+class Flatten(_Layer):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
         b = x.shape[0]
         flat = int(np.prod(x.shape[1:]))
@@ -98,7 +92,7 @@ class Flatten(_NoParams):
         return tape.reshape(x, (b, flat))
 
 
-class Dropout(_NoParams):
+class Dropout(_Layer):
     """Inverted dropout. Identity unless training with an rng supplied."""
 
     def __init__(self, p: float):
@@ -114,7 +108,7 @@ class Dropout(_NoParams):
         return tape.dropout(x, mask)
 
 
-class UncertaintyHead:
+class UncertaintyHead(_Layer):
     """Parallel dense branches from the pre-logits features.
 
     The f branch produces per-class scores; the sigma branch produces a
@@ -124,27 +118,30 @@ class UncertaintyHead:
 
     def __init__(self, name: str, in_dim: int, num_classes: int):
         self.name = name
-        self.in_dim = in_dim
-        self.num_classes = num_classes
-
-    def init_params(self, rng: Rng) -> dict[str, Tensor]:
-        f_w = _kaiming_uniform(rng.child(self.name, "f.w"), (self.in_dim, self.num_classes), self.in_dim)
         # small sigma-branch weights keep early noise scales moderate
-        s_w = _kaiming_uniform(rng.child(self.name, "s.w"), (self.in_dim, self.num_classes),
-                               self.in_dim, scale=0.1)
-        zero = Tensor._wrap(np.zeros(self.num_classes))
-        return {f"{self.name}.f.w": f_w, f"{self.name}.f.b": zero,
-                f"{self.name}.s.w": s_w, f"{self.name}.s.b": zero.copy()}
+        self.specs = {"f.w": ((in_dim, num_classes), in_dim, 1.0), "f.b": ((num_classes,), 0, 0.0),
+                      "s.w": ((in_dim, num_classes), in_dim, 0.1), "s.b": ((num_classes,), 0, 0.0)}
 
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
-        fw = tape.leaf_param(f"{self.name}.f.w", params[f"{self.name}.f.w"])
-        fb = tape.leaf_param(f"{self.name}.f.b", params[f"{self.name}.f.b"])
-        sw = tape.leaf_param(f"{self.name}.s.w", params[f"{self.name}.s.w"])
-        sb = tape.leaf_param(f"{self.name}.s.b", params[f"{self.name}.s.b"])
+        fw, fb, sw, sb = self._leaves(tape, params)
         f = tape.bias_add(tape.matmul(x, fw), fb)
         sigma = tape.softplus(tape.bias_add(tape.matmul(x, sw), sb))
         tape.taps["sigma"] = sigma
         return f
+
+
+def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]]):
+    """Reject ``params`` unless they have the names and shapes of ``shapes``
+    and one dtype."""
+    if set(params) != set(shapes):
+        raise ValueError("parameter name mismatch")
+    first = next(iter(params), None)
+    for name, t in params.items():
+        if t.shape != shapes[name]:
+            raise ShapeError(f"param {name}: shape {t.shape} != {shapes[name]}")
+        if t.data.dtype != params[first].data.dtype:
+            raise ValueError(f"param {name}: dtype {t.data.dtype} differs from param "
+                             f"{first}'s {params[first].data.dtype}")
 
 
 class Model:
@@ -194,111 +191,75 @@ class Model:
         return tape
 
     def set_params(self, params: dict[str, Tensor]):
-        if set(params) != set(self.params):
-            raise ValueError("parameter name mismatch")
-        first = next(iter(params), None)
-        for name, t in params.items():
-            if t.shape != self.params[name].shape:
-                raise ShapeError(f"param {name}: shape {t.shape} != {self.params[name].shape}")
-            if t.data.dtype != params[first].data.dtype:
-                raise ValueError(f"param {name}: dtype {t.data.dtype} differs from param "
-                                 f"{first}'s {params[first].data.dtype}")
+        _check_params(params, {name: t.shape for name, t in self.params.items()})
         self.params = dict(params)
 
 
-def build_basic_cnn(input_shape: tuple[int, int, int], num_classes: int,
-                    drop_prob: float = 0.3, rng: Rng | None = None) -> Model:
-    """Two 32-filter conv blocks, two 64-filter conv blocks, dense-512 head.
+def _assemble(meta: dict) -> tuple[Model, type]:
+    """The model ``meta`` describes, with no parameters yet, and the dtype
+    its architecture initializes in. Allocates nothing the record sizes.
 
-    [conv32 relu conv32 relu pool drop] [conv64 relu conv64 relu pool drop]
-    [dense512 relu drop] dense-C, all convs 3x3, pools 2x2. Spatial dims
-    must survive two 2x2 pools cleanly: H, W >= 8 and divisible by 4.
-    Parameters are float32: the conv GEMMs run about twice as fast in it.
+    BasicCNN: [conv32 relu conv32 relu pool drop] [conv64 relu conv64 relu
+    pool drop] [dense512 relu drop] dense-C, all convs 3x3, pools 2x2; H, W
+    must be >= 8 and divisible by 4 to survive both pools. Its parameters
+    are float32: the conv GEMMs run about twice as fast in it. SmallMLP: a
+    dense/relu stack over the flattened input, in float64.
     """
-    c, h, w = input_shape
-    if h < 8 or w < 8 or h % 4 or w % 4:
-        raise ShapeError(f"input {input_shape} too small for two 2x2 pools (need H, W >= 8, divisible by 4)")
-    rng = rng if rng is not None else Rng(0)
-    layers = [
-        Conv2d("conv1", c, 32), ReLU(), Conv2d("conv2", 32, 32), ReLU(), MaxPool2(), Dropout(drop_prob),
-        Conv2d("conv3", 32, 64), ReLU(), Conv2d("conv4", 64, 64), ReLU(), MaxPool2(), Dropout(drop_prob),
-        Flatten(), Dense("fc1", 64 * (h // 4) * (w // 4), 512), ReLU(), Dropout(drop_prob),
-        Dense("fc2", 512, num_classes),
-    ]
-    params: dict[str, Tensor] = {}
-    for layer in layers:
-        params.update(layer.init_params(rng))
-    params = _cast(params, np.float32)
-    taps = {"pre-logits": len(layers) - 2, "logits": len(layers) - 1}
-    meta = {"arch": "basic_cnn", "input_shape": list(input_shape), "num_classes": num_classes,
-            "drop_prob": drop_prob}
-    return Model(layers, params, taps, input_shape, num_classes, meta)
-
-
-def build_small_mlp(input_dim: int, hidden_dims: list[int], num_classes: int,
-                    rng: Rng | None = None, input_shape: tuple[int, ...] | None = None) -> Model:
-    """Dense/relu stack. ``input_shape`` lets the MLP consume image tensors."""
-    if not hidden_dims:
-        raise ValueError("hidden_dims must be non-empty")
-    if input_dim < 1 or num_classes < 1 or any(d < 1 for d in hidden_dims):
+    arch = meta.get("arch")
+    if arch not in ("basic_cnn", "small_mlp"):
+        raise ValueError(f"unknown architecture: {arch!r}")
+    shape = tuple(int(s) for s in meta["input_shape"])
+    num_classes = int(meta["num_classes"])
+    if arch == "basic_cnn":
+        drop_prob = float(meta.get("drop_prob", 0.3))
+        c, h, w = shape
+        if h < 8 or w < 8 or h % 4 or w % 4:
+            raise ShapeError(f"input {shape} too small for two 2x2 pools "
+                             "(need H, W >= 8, divisible by 4)")
+        body = [Conv2d("conv1", c, 32), ReLU(), Conv2d("conv2", 32, 32), ReLU(), MaxPool2(),
+                Dropout(drop_prob), Conv2d("conv3", 32, 64), ReLU(), Conv2d("conv4", 64, 64),
+                ReLU(), MaxPool2(), Dropout(drop_prob),
+                Flatten(), Dense("fc1", 64 * (h // 4) * (w // 4), 512), ReLU(), Dropout(drop_prob)]
+        width, classifier, dtype = 512, "fc2", np.float32
+        record = {"arch": arch, "input_shape": list(shape), "num_classes": num_classes,
+                  "drop_prob": drop_prob}
+    else:
+        hidden = [int(d) for d in meta["hidden_dims"]]
+        if not hidden:
+            raise ValueError("hidden_dims must be non-empty")
+        width = math.prod(shape)
+        if int(meta.get("input_dim", width)) != width:
+            raise ShapeError(f"input_shape {list(shape)} does not flatten to {meta['input_dim']}")
+        record = {"arch": arch, "input_dim": width, "hidden_dims": hidden,
+                  "num_classes": num_classes, "input_shape": list(shape)}
+        body = [Flatten()]
+        for i, dim in enumerate(hidden):
+            body += [Dense(f"fc{i + 1}", width, dim), ReLU()]
+            width = dim
+        classifier, dtype = "out", np.float64
+    if meta.get("uncertainty_head"):
+        layers = body + [UncertaintyHead("head", width, num_classes)]
+        record["uncertainty_head"] = True
+    else:
+        layers = body + [Dense(classifier, width, num_classes)]
+    if min(shape, default=0) < 1 or any(min(spec[0]) < 1 for layer in layers
+                                        for spec in layer.specs.values()):
         raise ValueError("all dims must be >= 1")
-    if input_shape is None:
-        input_shape = (input_dim,)
-    elif int(np.prod(input_shape)) != input_dim:
-        raise ShapeError(f"input_shape {input_shape} does not flatten to {input_dim}")
-    rng = rng if rng is not None else Rng(0)
-    layers: list = [Flatten()]
-    prev = input_dim
-    for i, hdim in enumerate(hidden_dims):
-        layers.append(Dense(f"fc{i + 1}", prev, hdim))
-        layers.append(ReLU())
-        prev = hdim
-    layers.append(Dense("out", prev, num_classes))
-    params: dict[str, Tensor] = {}
-    for layer in layers:
-        params.update(layer.init_params(rng))
     taps = {"pre-logits": len(layers) - 2, "logits": len(layers) - 1}
-    meta = {"arch": "small_mlp", "input_dim": input_dim, "hidden_dims": list(hidden_dims),
-            "num_classes": num_classes, "input_shape": list(input_shape)}
-    return Model(layers, params, taps, tuple(input_shape), num_classes, meta)
-
-
-def attach_uncertainty_head(model: Model, rng: Rng | None = None) -> Model:
-    """Replace the final dense classifier by parallel f and sigma branches."""
-    if "pre-logits" not in model.taps:
-        raise ValueError('model has no "pre-logits" tap')
-    final = model.layers[-1]
-    if not isinstance(final, Dense):
-        raise ValueError("final layer is not a dense classifier")
-    rng = rng if rng is not None else Rng(0)
-    head = UncertaintyHead("head", final.in_dim, model.num_classes)
-    layers = model.layers[:-1] + [head]
-    params = {k: v for k, v in model.params.items()
-              if not k.startswith(f"{final.name}.")}
-    params.update(_cast(head.init_params(rng.child("uncertainty-head")), model.dtype))
-    taps = dict(model.taps)
-    taps["logits"] = len(layers) - 1
-    meta = dict(model.meta)
-    meta["uncertainty_head"] = True
-    return Model(layers, params, taps, model.input_shape, model.num_classes, meta)
+    return Model(layers, {}, taps, shape, num_classes, record), dtype
 
 
 def build_model(meta: dict, seed: int = 0) -> Model:
-    """Build a model from its meta record (the checkpoint header schema),
-    initialized from the stream ``Rng(seed).child("init")``."""
-    rng = Rng(seed).child("init")
-    arch = meta.get("arch")
-    if arch == "basic_cnn":
-        model = build_basic_cnn(tuple(meta["input_shape"]), int(meta["num_classes"]),
-                                float(meta.get("drop_prob", 0.3)), rng=rng)
-    elif arch == "small_mlp":
-        model = build_small_mlp(int(meta["input_dim"]), [int(d) for d in meta["hidden_dims"]],
-                                int(meta["num_classes"]),
-                                rng=rng, input_shape=tuple(meta["input_shape"]))
-    else:
-        raise ValueError(f"unknown architecture: {arch!r}")
-    if meta.get("uncertainty_head"):
-        model = attach_uncertainty_head(model, rng=rng)
+    """The model ``meta`` describes (the checkpoint header schema), freshly
+    initialized: each layer from the stream ``Rng(seed).child("init")``, the
+    uncertainty head from its child ``"uncertainty-head"``."""
+    model, dtype = _assemble(meta)
+    init = Rng(seed).child("init")
+    for layer in model.layers:
+        rng = init.child("uncertainty-head") if isinstance(layer, UncertaintyHead) else init
+        for key, (shape, fan_in, scale) in layer.specs.items():
+            value = _draw(rng.child(layer.name, key), shape, fan_in, scale)
+            model.params[f"{layer.name}.{key}"] = Tensor._wrap(value.astype(dtype, copy=False))
     return model
 
 
@@ -362,17 +323,23 @@ def save_checkpoint(model: Model, path: str):
 
 
 def load_checkpoint(path: str) -> Model:
+    """The model a checkpoint file holds, in the dtype it was saved in. Its
+    meta is assembled as ``build_model`` assembles it, and its tensors must
+    have the names and shapes that the layers declare; nothing is drawn."""
     header, payload = read_framed(path, CHECKPOINT_VERSION, {"meta": dict, "tensors": dict})
     try:
-        model = build_model(header["meta"])
-    except (KeyError, TypeError, ValueError) as exc:
+        model, _ = _assemble(header["meta"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: header field meta does not describe a model: {exc!r}") from exc
     params = {name: Tensor._wrap(read_array(payload, rec, path, f"tensor {name}"))
               for name, rec in header["tensors"].items()}
+    shapes = {f"{layer.name}.{key}": spec[0] for layer in model.layers
+              for key, spec in layer.specs.items()}
     try:
-        model.set_params(params)
+        _check_params(params, shapes)
     except ValueError as exc:
         raise ValueError(f"{path}: header field tensors: {exc}") from exc
+    model.params = params
     return model
 
 

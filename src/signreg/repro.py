@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .augment import CorruptionSpec
 from .datasets import DatasetSplit, make_synthetic_blobs, normalize, normalize_sample
 from .evalharness import (EvalReport, TransferResult, evaluate, ood_evaluate,
@@ -39,8 +37,7 @@ def blob_split(seed: int = 0, classes: int = 3, samples_per_class: int = 100,
 
 def mlp_meta(split: DatasetSplit, hidden: tuple[int, ...] = (32,)) -> dict:
     shape = split.train[0].image.shape
-    dim = int(np.prod(shape))
-    return {"arch": "small_mlp", "input_dim": dim, "hidden_dims": list(hidden),
+    return {"arch": "small_mlp", "hidden_dims": list(hidden),
             "num_classes": split.num_classes, "input_shape": list(shape)}
 
 

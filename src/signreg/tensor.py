@@ -95,9 +95,6 @@ class Tensor:
     def size(self) -> int:
         return self._data.size
 
-    def copy(self) -> "Tensor":
-        return Tensor._wrap(self._data.copy())
-
     def item(self) -> float:
         if self.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -219,8 +216,8 @@ def read_framed(path: str, version: str, kinds: dict[str, type]) -> tuple[dict, 
 def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarray:
     """A copy of the array that ``record`` locates in ``payload``, float32
     for dtype ``<f4`` and float64 for ``<f8`` or no dtype; a ValueError
-    names the file and ``where`` unless the array has rank >= 1 and only
-    finite values."""
+    names the file and ``where`` unless the array has rank >= 1, extents
+    >= 1 and only finite values."""
     require_fields(record, ("shape", "offset", "nbytes"), path, where)
     dtype = record.get("dtype", "<f8")
     if dtype not in ("<f4", "<f8"):
@@ -229,11 +226,13 @@ def read_array(payload: bytes, record: dict, path: str, where: str) -> np.ndarra
     try:
         shape = tuple(int(s) for s in record["shape"])
         start, nbytes = int(record["offset"]), int(record["nbytes"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # 1e400 reads as inf
         raise ValueError(f"{path}: {where} has a malformed shape, offset or nbytes") from exc
     if not shape:
         raise ValueError(f"{path}: {where} field shape [] has rank 0")
-    if min(shape) < 0 or nbytes != itemsize * math.prod(shape):
+    if min(shape) < 1:
+        raise ValueError(f"{path}: {where} field shape {list(shape)}: extents must be >= 1")
+    if nbytes != itemsize * math.prod(shape):
         raise ValueError(f"{path}: {where} nbytes {nbytes} does not fit shape {list(shape)} "
                          f"of {dtype}")
     if not 0 <= start <= len(payload) - nbytes:

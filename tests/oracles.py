@@ -10,6 +10,9 @@ runs, kept here so the tests can check the package against them.
   from its per-sample CSV alone.
 * ``rewrite_header`` edits a framed file's JSON header in place, to make
   the old and the malformed files the package never writes.
+
+``mlp_meta`` and ``cnn_meta`` write the meta record of a SmallMLP or a
+BasicCNN of a given size, for ``nn.build_model``.
 """
 
 import csv
@@ -70,6 +73,19 @@ def read_scores_csv(path: str) -> list[SampleScore]:
 def recompute_report(csv_path: str, num_classes: int) -> EvalReport:
     """Rebuild the full report from the per-sample CSV alone."""
     return aggregate(read_scores_csv(csv_path), list(range(num_classes)))
+
+
+def mlp_meta(input_shape, hidden: list[int], num_classes: int, **extra) -> dict:
+    """A SmallMLP's meta record; an int ``input_shape`` means flat inputs."""
+    shape = [input_shape] if isinstance(input_shape, int) else list(input_shape)
+    return {"arch": "small_mlp", "hidden_dims": list(hidden), "num_classes": num_classes,
+            "input_shape": shape, **extra}
+
+
+def cnn_meta(input_shape, num_classes: int, **extra) -> dict:
+    """A BasicCNN's meta record."""
+    return {"arch": "basic_cnn", "input_shape": list(input_shape), "num_classes": num_classes,
+            **extra}
 
 
 def rewrite_header(path: str, breaks) -> str:

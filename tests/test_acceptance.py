@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 from gradcheck import away_from_kinks, check_input_grad
-from oracles import const, denormalize_sample, forward, serialize_cifar_record
+from oracles import (cnn_meta, const, denormalize_sample, forward, mlp_meta,
+                     serialize_cifar_record)
 from scipy.special import betaincinv
 
 from signreg import repro
@@ -22,7 +23,7 @@ from signreg.cli import main
 from signreg.datasets import (Sample, bilinear_resize, decode_ppm, make_synthetic_blobs,
                               normalize, parse_cifar_record)
 from signreg.evalharness import evaluate, robustness_suite
-from signreg.nn import build_basic_cnn, build_model, build_small_mlp
+from signreg.nn import build_model
 from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng, Tensor
 from signreg.training import TrainConfig, fit, train
@@ -83,7 +84,7 @@ def _primitive_gradchecks():
 
 def _basic_cnn_param_fd():
     rng = Rng(102)
-    model = build_basic_cnn((1, 8, 8), 3, rng=rng.child("init"))
+    model = build_model(cnn_meta((1, 8, 8), 3), rng.seed)
     # finite differences at 1e-5 need float64; BasicCNN initializes float32
     model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
     x = away_from_kinks(rng.child("x"), (2, 1, 8, 8))
@@ -145,7 +146,7 @@ def test_criterion_2_sign_oracle_equivalence():
     def body():
         started = time.perf_counter()
         rng = Rng(201)
-        model = build_small_mlp(64, [24], 4, rng=rng.child("init"))
+        model = build_model(mlp_meta(64, [24], 4), rng.seed)
         p = rng.child("p").normal((64,))
         sample = [Sample(image=Tensor(p), label=0, raw=False)]
         for k in (1, 3, 5):

@@ -6,11 +6,11 @@ import re
 import numpy as np
 import pytest
 from gradcheck import away_from_kinks, central_fd, check_input_grad, rel_err
-from oracles import const, forward
+from oracles import cnn_meta, const, forward, mlp_meta
 
 from signreg import autodiff, training
 from signreg.autodiff import param_gradients, summed_jacobian, vjp
-from signreg.nn import attach_uncertainty_head, build_basic_cnn, build_small_mlp
+from signreg.nn import build_model
 from signreg.tensor import Rng, ShapeError, Tensor
 
 
@@ -77,7 +77,7 @@ class TestVjp:
 
     def test_three_layer_net_one_hot_fd(self):
         rng = Rng(17)
-        model = build_small_mlp(5, [8, 6], 4, rng=rng.child("init"))
+        model = build_model(mlp_meta(5, [8, 6], 4), rng.seed)
         x = away_from_kinks(rng.child("x"), (1, 5))
         tape = model.forward(Tensor(x))
         for j in range(4):
@@ -93,7 +93,7 @@ class TestVjp:
 
     def test_linearity(self):
         rng = Rng(23)
-        model = build_small_mlp(6, [9], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(6, [9], 3), rng.seed)
         tape = model.forward(Tensor(rng.child("x").normal((2, 6))))
         u = rng.child("u").normal((2, 3))
         v = rng.child("v").normal((2, 3))
@@ -184,7 +184,7 @@ class TestSummedJacobian:
 
     def test_equals_vjp_with_ones_bitwise(self):
         rng = Rng(6)
-        model = build_small_mlp(7, [5], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(7, [5], 3), rng.seed)
         tape = model.forward(Tensor(rng.child("x").normal((2, 7))))
         node = tape.taps["pre-logits"]
         a = summed_jacobian(tape, node).data
@@ -210,7 +210,7 @@ class TestSummedJacobian:
 
 class TestParamGradients:
     def test_constant_loss_zero_grads(self):
-        model = build_small_mlp(3, [4], 2, rng=Rng(0).child("init"))
+        model = build_model(mlp_meta(3, [4], 2), 0)
         tape = model.forward(Tensor(Rng(1).normal((1, 3))))
         loss = const(tape, Tensor([2.5]))
         grads = param_gradients(tape, loss)
@@ -229,14 +229,14 @@ class TestParamGradients:
         np.testing.assert_array_equal(grads["w"].data, x.T)
 
     def test_non_scalar_loss_rejected(self):
-        model = build_small_mlp(3, [4], 2, rng=Rng(0).child("init"))
+        model = build_model(mlp_meta(3, [4], 2), 0)
         tape = model.forward(Tensor(Rng(1).normal((1, 3))))
         with pytest.raises(ShapeError):
             param_gradients(tape, tape.output)
 
     def test_mlp_cross_entropy_fd(self):
         rng = Rng(44)
-        model = build_small_mlp(4, [6], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(4, [6], 3), rng.seed)
         x = away_from_kinks(rng.child("x"), (2, 4))
         labels = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -567,9 +567,7 @@ class TestDtype:
     def cnn(dtype, head=False):
         """BasicCNN (float32) or, cast through ``Tensor``, its float64 twin,
         as an old float64 checkpoint loads."""
-        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(82))
-        if head:
-            model = attach_uncertainty_head(model, rng=Rng(83))
+        model = build_model(cnn_meta((1, 8, 8), 3, uncertainty_head=head), 82)
         if dtype == np.float64:
             model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
         assert model.dtype == dtype

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import rewrite_header
+from oracles import mlp_meta, rewrite_header
 
 from signreg import cli, evalharness, repro, training
 from signreg import config as cfgmod
@@ -18,7 +18,7 @@ from signreg.cli import main
 from signreg.config import (ConfigError, ExperimentConfig, load_experiment_config,
                             parse_corruption, resolved_config_text)
 from signreg.datasets import CIFAR_CLASSES, NormStats, Sample, load_container, save_container
-from signreg.nn import build_small_mlp, load_checkpoint, params_checksum, save_checkpoint
+from signreg.nn import build_model, load_checkpoint, params_checksum, save_checkpoint
 from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
 from signreg.training import TrainConfig
@@ -242,10 +242,9 @@ def test_sign_run_on_transformed_container_saves_only_new_copies(tmp_path):
     assert all(s.provenance["source_model"] == checksum for s in samples)
 
 
-def _checkpoint(tmp_path, name, input_dim, num_classes, input_shape, hidden=4):
+def _checkpoint(tmp_path, name, num_classes, input_shape, hidden=4):
     path = str(tmp_path / name)
-    save_checkpoint(build_small_mlp(input_dim, [hidden], num_classes, rng=Rng(1),
-                                    input_shape=input_shape), path)
+    save_checkpoint(build_model(mlp_meta(input_shape, [hidden], num_classes), 1), path)
     return path
 
 
@@ -258,12 +257,12 @@ def _broken_container(path, breaks):
 
 def _broken_checkpoint(tmp_path, name, breaks):
     """A {fits} checkpoint whose header ``breaks`` edits in place."""
-    return rewrite_header(_checkpoint(tmp_path, name, 64, 3, (1, 8, 8)), breaks)
+    return rewrite_header(_checkpoint(tmp_path, name, 3, (1, 8, 8)), breaks)
 
 
 def _nan_checkpoint(path):
     """A {fits} checkpoint with one NaN in tensor fc1.w."""
-    model = build_small_mlp(64, [4], 3, rng=Rng(1), input_shape=(1, 8, 8))
+    model = build_model(mlp_meta((1, 8, 8), [4], 3), 1)
     w = model.params["fc1.w"].data.copy()
     w[5, 2] = np.nan
     model.set_params({**model.params, "fc1.w": Tensor(w)})
@@ -297,11 +296,11 @@ def _error_files(tmp_path):
     """The files the error tables name by key."""
     nan_image = np.zeros((1, 8, 8))
     nan_image[0, 3, 4] = np.nan
-    files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
-             "shape": _checkpoint(tmp_path, "shape.bin", 36, 3, (1, 6, 6)),
-             "classes": _checkpoint(tmp_path, "classes.bin", 64, 2, (1, 8, 8)),
-             "wide": _checkpoint(tmp_path, "wide.bin", 64, 4, (1, 8, 8)),
-             "narrow": _checkpoint(tmp_path, "narrow.bin", 64, 3, (1, 8, 8), hidden=1),
+    files = {"fits": _checkpoint(tmp_path, "fits.bin", 3, (1, 8, 8)),
+             "shape": _checkpoint(tmp_path, "shape.bin", 3, (1, 6, 6)),
+             "classes": _checkpoint(tmp_path, "classes.bin", 2, (1, 8, 8)),
+             "wide": _checkpoint(tmp_path, "wide.bin", 4, (1, 8, 8)),
+             "narrow": _checkpoint(tmp_path, "narrow.bin", 3, (1, 8, 8), hidden=1),
              "nan": _container(str(tmp_path / "nan.container"), [np.zeros((1, 8, 8)), nan_image]),
              "ragged": _container(str(tmp_path / "ragged.container"),
                                   [np.zeros((1, 8, 8)), np.zeros((1, 4, 4))]),
@@ -342,12 +341,24 @@ def _error_files(tmp_path):
                                               lambda h: h["meta"].update(hidden_dims=[0])),
              "flatmeta": _broken_checkpoint(tmp_path, "flatmeta.bin",
                                             lambda h: h["meta"].update(input_dim=63)),
+             # a layer no memory could hold, and a JSON number (1e400) too large for an int
+             "hugemeta": _broken_checkpoint(
+                 tmp_path, "hugemeta.bin",
+                 lambda h: h["meta"].update(hidden_dims=[1000000000000])),
+             "infmeta": _broken_checkpoint(tmp_path, "infmeta.bin",
+                                           lambda h: h["meta"].update(num_classes=1e400)),
              "rankzero": _broken_container(str(tmp_path / "rankzero.container"),
                                            lambda m: m["samples"][0].update(shape=[], nbytes=8)),
              "shapetext": _broken_container(str(tmp_path / "shapetext.container"),
                                             lambda m: m["samples"][0].update(shape=["x", 8, 8])),
              "nbytes": _broken_container(str(tmp_path / "nbytes.container"),
                                          lambda m: m["samples"][0].update(nbytes=7)),
+             "shapeinf": _broken_container(str(tmp_path / "shapeinf.container"),
+                                           lambda m: m["samples"][0].update(shape=[1e400, 8, 8])),
+             "offsetinf": _broken_container(str(tmp_path / "offsetinf.container"),
+                                            lambda m: m["samples"][0].update(offset=1e400)),
+             "shapezero": _broken_container(str(tmp_path / "shapezero.container"),
+                                            lambda m: m["samples"][0].update(shape=[0], nbytes=0)),
              "junk": str(tmp_path / "junk.bin"),
              "truncated": str(tmp_path / "truncated.bin"),
              "noshape": _broken_container(str(tmp_path / "noshape.container"),
@@ -492,6 +503,9 @@ RUN_ERROR_CASES = {
                      "eval --checkpoint {fits}", 1, ["[eval] repeats"]),
     "projection-tap": ({"extra_eval": "projection = true\nprojection_tap = bottleneck"},
                        "eval --checkpoint {fits}", 1, ["[eval] projection_tap"]),
+    "projection-tap-no-projection": ({"extra_eval": "projection_tap = logits"},
+                                     "eval --checkpoint {fits}", 1,
+                                     ["[eval] projection_tap", "[eval] projection = False"]),
     "projection-one-feature": ({"extra_eval": "projection = true"}, "eval --checkpoint {narrow}",
                                2, ["tap 'pre-logits' has 1"]),
     "checkpoint-truncated": ({}, "eval --checkpoint {truncated}", 2,
@@ -602,12 +616,23 @@ RUN_ERROR_CASES = {
                                     ["{hiddenmeta}", "meta", "dims"]),
     "checkpoint-meta-input-dim": ({}, "eval --checkpoint {flatmeta}", 2,
                                   ["{flatmeta}", "meta", "flatten"]),
+    "checkpoint-meta-hidden-huge": ({}, "transform --checkpoint {hugemeta} --in {modelspace} "
+                                        "--out {out}", 2,
+                                    ["{hugemeta}", "tensors", "(4,) != (1000000000000,)"]),
+    "checkpoint-meta-classes-overflow": ({}, "transform --checkpoint {infmeta} --in {modelspace} "
+                                             "--out {out}", 2, ["{infmeta}", "meta", "infinity"]),
     "container-rank-zero": ({}, "transform --checkpoint {fits} --in {rankzero} --out {out}", 2,
                             ["{rankzero}", "sample 0", "shape [] has rank 0"]),
     "container-shape-not-numbers": ({}, "transform --checkpoint {fits} --in {shapetext} "
                                         "--out {out}", 2, ["{shapetext}", "sample 0", "malformed"]),
     "container-nbytes": ({}, "transform --checkpoint {fits} --in {nbytes} --out {out}", 2,
                          ["{nbytes}", "sample 0", "nbytes 7"]),
+    "container-shape-overflow": ({}, "transform --checkpoint {fits} --in {shapeinf} --out {out}",
+                                 2, ["{shapeinf}", "sample 0", "malformed"]),
+    "container-offset-overflow": ({}, "transform --checkpoint {fits} --in {offsetinf} "
+                                      "--out {out}", 2, ["{offsetinf}", "sample 0", "malformed"]),
+    "container-shape-zero": ({}, "transform --checkpoint {fits} --in {shapezero} --out {out}", 2,
+                             ["{shapezero}", "sample 0", "extents must be >= 1"]),
 }
 
 
@@ -632,6 +657,18 @@ def test_run_errors(tmp_path, capsys, monkeypatch, case):
     words = command.format(**files).split()
     assert main([words[0], "-c", cfg, *words[1:]]) == code
     _assert_one_line_error(capsys.readouterr().err, [text.format(**files) for text in named])
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # what numpy raises for [model] hidden_dims = 1000000000000, without the allocation
+    def out_of_memory(meta, seed=0):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                          "(64, 1000000000000) and data type float64")
+
+    monkeypatch.setattr(cli, "build_model", out_of_memory)
+    cfg = write_config(tmp_path / "c.ini", epochs=1, out_dir=tmp_path / "run")
+    assert main(["train", "-c", cfg]) == 2
+    _assert_one_line_error(capsys.readouterr().err, ["runtime error: Unable to allocate"])
 
 
 # (library config, keywords, the last one holding a value the INI parsers
@@ -664,7 +701,7 @@ def test_library_configs_apply_the_parsers_rules(case):
 
 class TestCmdTransform:
     def setup_inputs(self, tmp_path):
-        model = build_small_mlp(64, [8], 3, rng=Rng(5), input_shape=(1, 8, 8))
+        model = build_model(mlp_meta((1, 8, 8), [8], 3), 5)
         ckpt = str(tmp_path / "model.bin")
         save_checkpoint(model, ckpt)
         samples = [Sample(image=Tensor(Rng(6).child(0).normal((1, 8, 8))),
@@ -801,7 +838,7 @@ class TestCmdEval:
                            dataset_lines=["kind = blobs", "classes = 2", "samples_per_class = 4",
                                           "image_shape = 3x8x8"],
                            extra_eval=f"ood_path = {ood_root}\nood_class_map = zero=0")
-        ckpt = _checkpoint(tmp_path, "rgb.bin", 192, 2, (3, 8, 8))
+        ckpt = _checkpoint(tmp_path, "rgb.bin", 2, (3, 8, 8))
         assert main(["eval", "-c", cfg, "--checkpoint", ckpt]) == 0
         report = json.loads((out / "ood-report.json").read_text())
         assert [(row["label"], row["total"]) for row in report["per_class"]] == [(0, 1)]
@@ -893,7 +930,7 @@ class TestResolvedConfig:
         monkeypatch.delenv("SIGNREG_THREADS", raising=False)
         if case == "eval-block":
             monkeypatch.setenv("SIGNREG_THREADS", "3")
-        files = {"fits": _checkpoint(tmp_path, "fits.bin", 64, 3, (1, 8, 8)),
+        files = {"fits": _checkpoint(tmp_path, "fits.bin", 3, (1, 8, 8)),
                  "ood": str(tmp_path)}
         settings = {k: v.format(**files) for k, v in SNAPSHOT_CASES[case].items()}
         cfg = load_experiment_config(write_config(tmp_path / "c.ini", epochs=1,

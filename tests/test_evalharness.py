@@ -5,14 +5,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import recompute_report
+from oracles import mlp_meta, recompute_report
 
 from signreg.augment import CorruptionSpec
 from signreg.datasets import Sample, make_synthetic_blobs, normalize
 from signreg.evalharness import (evaluate, ood_evaluate, project_features, robustness_suite,
                                  score_samples, transferability_protocol, write_scores_csv)
-from signreg.nn import (PREDICT_BATCH, Dense, Model, attach_uncertainty_head, build_model,
-                        build_small_mlp, load_checkpoint, save_checkpoint)
+from signreg.nn import PREDICT_BATCH, Dense, Model, build_model, load_checkpoint, save_checkpoint
 from signreg.sign import SignConfig
 from signreg.tensor import Rng, Tensor
 from signreg.training import TrainConfig, evaluate_arrays, fit
@@ -126,7 +125,7 @@ class TestEvaluate:
 def constant_head_model(f_bias, sigma) -> Model:
     """An uncertainty-head model whose f and sigma ignore the 2-d input."""
     ncls = len(f_bias)
-    model = attach_uncertainty_head(build_small_mlp(2, [3], ncls, rng=Rng(0)))
+    model = build_model(mlp_meta(2, [3], ncls, uncertainty_head=True), 0)
     params = dict(model.params)
     params["head.f.w"] = params["head.s.w"] = Tensor(np.zeros((3, ncls)))
     params["head.f.b"] = Tensor(f_bias)
@@ -384,7 +383,7 @@ class TestProjectFeatures:
             project_features(self.passthrough_2d(), samples[:2], tap="pre-logits")
 
     def test_one_feature_tap_rejected(self):
-        model = build_small_mlp(64, [1], 3, rng=Rng(18), input_shape=(1, 8, 8))
+        model = build_model(mlp_meta((1, 8, 8), [1], 3), 18)
         samples = [Sample(image=Tensor(Rng(19).child(i).normal((1, 8, 8))), label=0, raw=False)
                    for i in range(4)]
         with pytest.raises(ValueError, match="tap 'pre-logits' has 1"):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import cnn_meta, mlp_meta
 
 from signreg import autodiff, sign
 from signreg.autodiff import summed_jacobian, vjp
 from signreg.datasets import Sample
-from signreg.nn import Dense, Flatten, Model, build_basic_cnn, build_small_mlp
+from signreg.nn import Dense, Flatten, Model, build_model
 from signreg.sign import NonFiniteDeltaError, SignConfig, delta_only_dataset, transform_dataset
 from signreg.tensor import Rng, ShapeError, Tensor
 
@@ -51,7 +52,7 @@ class TestSignTransform:
 
     def test_single_step_is_definition(self):
         rng = Rng(12)
-        model = build_small_mlp(8, [5], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(8, [5], 3), rng.seed)
         p = rng.child("p").normal((8,))
         gamma = 0.3
         [_, copy] = transform_dataset(model, samples_of([p], [0]), [SignConfig(k=1, gamma=gamma)])
@@ -61,7 +62,7 @@ class TestSignTransform:
 
     def test_two_steps_match_hand_rolled_loop(self):
         rng = Rng(13)
-        model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
+        model = build_model(mlp_meta(6, [4], 2), rng.seed)
         p = rng.child("p").normal((6,))
         [_, copy] = transform_dataset(model, samples_of([p], [0]),
                                       [SignConfig(k=2, eval_point="current-iterate")])
@@ -73,7 +74,7 @@ class TestSignTransform:
 
     def test_original_point_policy_repeats_first_delta(self):
         rng = Rng(14)
-        model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
+        model = build_model(mlp_meta(6, [4], 2), rng.seed)
         p = rng.child("p").normal((6,))
         tape = model.forward(Tensor(p[None]))
         delta = summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
@@ -85,7 +86,7 @@ class TestSignTransform:
         # oracle: materialize the full Jacobian by one-hot pullbacks, row-sum,
         # step; repeat. must agree with the ones-vjp path
         rng = Rng(15)
-        model = build_small_mlp(12, [6], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(12, [6], 3), rng.seed)
         p = rng.child("p").normal((12,))
         for k in (1, 3, 5):
             [_, copy] = transform_dataset(model, samples_of([p], [0]), [SignConfig(k=k, gamma=0.7)])
@@ -115,7 +116,7 @@ class TestSignTransform:
         chain without W_L for the pre-logits tap, computed here in numpy in
         the layers' x @ W orientation."""
         rng = Rng(seed)
-        model = build_small_mlp(input_dim, hidden, classes, rng=rng.child("init"))
+        model = build_model(mlp_meta(input_dim, hidden, classes), rng.seed)
         # random biases move the kinks away from the origin
         model.set_params({name: Tensor(rng.child(name).normal(t.shape))
                           for name, t in model.params.items()})
@@ -142,7 +143,7 @@ class TestSignTransform:
 
     def test_decomposition_invariant(self):
         rng = Rng(16)
-        model = build_small_mlp(10, [7], 4, rng=rng.child("init"))
+        model = build_model(mlp_meta(10, [7], 4), rng.seed)
         p = rng.child("p").normal((10,))
         cfg = SignConfig(k=6, gamma=0.2)
         [_, copy] = transform_dataset(model, samples_of([p], [0]), [cfg])
@@ -165,7 +166,7 @@ class TestSignTransform:
 
     def test_unit_max_abs_normalization(self):
         rng = Rng(19)
-        model = build_small_mlp(9, [5], 3, rng=rng.child("init"))
+        model = build_model(mlp_meta(9, [5], 3), rng.seed)
         p = rng.child("p").normal((9,))
         [delta] = delta_only_dataset(model, samples_of([p], [0]),
                                      SignConfig(k=1, gamma=1.0, normalize="unit-max-abs"))
@@ -194,14 +195,14 @@ class TestSignTransform:
                               [SignConfig(k=3, tap="logits", gamma=1e308)])
 
     def test_shape_mismatch(self):
-        model = build_small_mlp(5, [3], 2, rng=Rng(0))
+        model = build_model(mlp_meta(5, [3], 2), 0)
         samples = samples_of([np.zeros(5)] * 2 + [np.zeros(4)] * 2, [0, 1, 0, 1])
         with pytest.raises(ShapeError, match=r"samples \[2, 4\): input shape \(4,\) "
                                              r"!= model input \(5,\)"):
             transform_dataset(model, samples, [SignConfig(k=1)], batch_size=2)
 
     def test_mixed_shapes_in_one_batch_name_the_sample_range(self):
-        model = build_small_mlp(5, [3], 2, rng=Rng(0))
+        model = build_model(mlp_meta(5, [3], 2), 0)
         samples = samples_of([np.zeros(5), np.zeros(4)], [0, 1])
         with pytest.raises(ValueError, match=r"samples \[0, 2\): "):
             transform_dataset(model, samples, [SignConfig(k=1)])
@@ -209,7 +210,7 @@ class TestSignTransform:
             delta_only_dataset(model, samples, SignConfig(k=1))
 
     def test_missing_tap(self):
-        model = build_small_mlp(5, [3], 2, rng=Rng(0))
+        model = build_model(mlp_meta(5, [3], 2), 0)
         with pytest.raises(ValueError, match=r"samples \[0, 2\): model has no tap 'nope'"):
             transform_dataset(model, samples_of([np.zeros(5)] * 3, [0, 1, 0]),
                               [SignConfig(k=1, tap="nope")], batch_size=2)
@@ -232,14 +233,14 @@ class TestTransformDataset:
                           [i % 3 for i in range(n)])
 
     def test_empty_config_list_unchanged(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples()
         out = transform_dataset(model, samples, [])
         assert [s.image.data.tobytes() for s in out] == [s.image.data.tobytes() for s in samples]
         assert [s.label for s in out] == [s.label for s in samples]
 
     def test_two_configs_triple_count_labels_preserved(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples(n=4)
         cfgs = [SignConfig(k=50, gamma=0.01, normalize="unit-max-abs"),
                 SignConfig(k=100, gamma=0.01, normalize="unit-max-abs")]
@@ -249,7 +250,7 @@ class TestTransformDataset:
             assert s.label == samples[i % len(samples)].label
 
     def test_bit_identical_reruns(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples(n=7)
         cfgs = [SignConfig(k=3, gamma=0.1)]
         a = transform_dataset(model, samples, cfgs)
@@ -257,7 +258,7 @@ class TestTransformDataset:
         assert all(np.array_equal(x.image.data, y.image.data) for x, y in zip(a, b))
 
     def test_matches_single_sample_transform(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples(n=3)
         cfg = SignConfig(k=2, gamma=0.5)
         out = transform_dataset(model, samples, [cfg], batch_size=2)
@@ -267,7 +268,7 @@ class TestTransformDataset:
                                        singles[len(samples) + i].image.data, atol=1e-9, rtol=0)
 
     def test_provenance_recorded(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         out = transform_dataset(model, self.make_samples(n=2),
                                 [SignConfig(k=5, gamma=0.25, tap="pre-logits",
                                             eval_point="original-point")])
@@ -284,7 +285,7 @@ class TestTransformDataset:
                               [SignConfig(k=1, tap="logits")])
 
     def test_threaded_matches_sequential(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples(n=9)
         cfgs = [SignConfig(k=2, gamma=0.3)]
         seq = transform_dataset(model, samples, cfgs, batch_size=2, threads=1)
@@ -315,13 +316,13 @@ class TestSharedTrajectories:
             return summed_jacobian(tape, node)
 
         monkeypatch.setattr(autodiff, "summed_jacobian", counting)
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         out = transform_dataset(model, self.make_samples(n=5), cfgs, batch_size=3)
         assert len(out) == 5 * (1 + len(cfgs))
         assert len(calls) == 2 * per_batch  # two batches: 3 + 2 samples
 
     def test_shared_matches_separate_runs_bitwise(self):
-        model = build_small_mlp(6, [4], 3, rng=Rng(0))
+        model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples()
         cfgs = [SignConfig(k=4, gamma=0.3), SignConfig(k=2, gamma=0.3, tap="logits"),
                 SignConfig(k=1, gamma=0.3), SignConfig(k=4, gamma=0.3),
@@ -337,7 +338,7 @@ class TestSharedTrajectories:
 
     def test_original_point_matches_per_step_jacobians_bitwise(self):
         rng = Rng(25)
-        model = build_small_mlp(6, [4], 2, rng=rng.child("init"))
+        model = build_model(mlp_meta(6, [4], 2), rng.seed)
         p = rng.child("p").normal((6,))
         cfg = SignConfig(k=4, gamma=0.3, eval_point="original-point", normalize="unit-max-abs")
         [(transformed, accumulated)], got_norms = sign._transform_batch(model, p[None], cfg,
@@ -354,7 +355,7 @@ class TestSharedTrajectories:
         assert tuple(got_norms[:, 0]) == tuple(norms)
 
     def test_basic_cnn_threads_byte_identical(self):
-        model = build_basic_cnn((1, 8, 8), 3, rng=Rng(0))
+        model = build_model(cnn_meta((1, 8, 8), 3), 0)
         rng = Rng(26)
         samples = samples_of([rng.child(i).normal((1, 8, 8)) for i in range(5)], [0, 1, 2, 0, 1])
         cfgs = [SignConfig(k=1, gamma=0.2), SignConfig(k=2, gamma=0.2)]
