@@ -4,8 +4,9 @@ A forward pass is recorded on a :class:`Tape` as a list of nodes in
 evaluation order. Cotangents can then be seeded at any recorded node and
 pulled back either to the input (``vjp`` / ``summed_jacobian``) or to the
 parameter leaves (``param_gradients``). Each tape belongs to one forward
-call; nothing is global, so independent tapes over shared (immutable)
-parameters can run concurrently.
+call; nothing is global, so independent tapes over shared (read-only)
+parameters can run concurrently. Inputs, parameters, cotangents and
+gradients are arrays; a node holds its value as a read-only ``Tensor``.
 
 The primitives are the ones the models and the training loop record:
 matmul, bias_add, relu, softplus, reshape, dropout, maxpool2 and conv2d
@@ -101,19 +102,17 @@ class Tape:
     # -- construction -----------------------------------------------------
 
     def _record(self, op: str, value, parents: tuple = (), vjp_fn=None) -> Node:
-        if not isinstance(value, Tensor):
-            value = Tensor._wrap(value)
-        node = Node(op, value, parents, vjp_fn, len(self.nodes))
+        node = Node(op, Tensor._wrap(value), parents, vjp_fn, len(self.nodes))
         self.nodes.append(node)
         return node
 
-    def leaf_input(self, t: Tensor) -> Node:
-        node = self._record("input", t)
+    def leaf_input(self, x: np.ndarray) -> Node:
+        node = self._record("input", x)
         self.input = node
         return node
 
-    def leaf_param(self, name: str, t: Tensor) -> Node:
-        node = self._record("param", t)
+    def leaf_param(self, name: str, p: np.ndarray) -> Node:
+        node = self._record("param", p)
         self.params[name] = node
         return node
 
@@ -127,9 +126,9 @@ class Tape:
     # -- primitives ---------------------------------------------------------
 
     def matmul(self, a: Node, b: Node) -> Node:
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
         ad, bd = a.value.data, b.value.data
+        if ad.ndim != 2 or bd.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
 
         def vjp(g, needed):
             return (g @ bd.T if needed[0] else None,
@@ -427,7 +426,7 @@ def _pullback(tape: Tape, node: Node, cotangent: np.ndarray, targets: set[int]) 
     return grads
 
 
-def vjp(tape: Tape, node: Node, cotangent: Tensor) -> Tensor:
+def vjp(tape: Tape, node: Node, cotangent: np.ndarray) -> np.ndarray:
     """Pull a cotangent at ``node`` back to the tape's input.
 
     Returns d(cotangent . node)/d input, with the input's shape. Linear in
@@ -438,15 +437,12 @@ def vjp(tape: Tape, node: Node, cotangent: Tensor) -> Tensor:
         raise ValueError("tape has no input leaf")
     if cotangent.shape != node.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != node shape {node.shape}")
-    g = None
-    if tape.input.idx <= node.idx:
-        g = _pullback(tape, node, cotangent.data, {tape.input.idx})[tape.input.idx]
-    if g is None:  # no path from the input to ``node``
-        g = np.zeros(tape.input.shape, tape.input.value.data.dtype)
-    return Tensor._wrap(g)
+    i = tape.input.idx
+    g = _pullback(tape, node, cotangent, {i})[i] if i <= node.idx else None
+    return np.zeros_like(tape.input.value.data) if g is None else g  # None: no path from the input
 
 
-def summed_jacobian(tape: Tape, node: Node) -> Tensor:
+def summed_jacobian(tape: Tape, node: Node) -> np.ndarray:
     """Row-sum of the Jacobian of ``node`` w.r.t. the input.
 
     Element i is sum_a d node_a / d input_i: a vjp with an all-ones
@@ -454,22 +450,17 @@ def summed_jacobian(tape: Tape, node: Node) -> Tensor:
     one per output row).
     """
     tape._require(node)
-    return vjp(tape, node, Tensor._wrap(np.ones(node.shape, node.value.data.dtype)))
+    return vjp(tape, node, np.ones_like(node.value.data))
 
 
-def param_gradients(tape: Tape, loss_node: Node) -> dict[str, Tensor]:
-    """Gradient of a scalar loss node for every parameter leaf on the tape."""
+def param_gradients(tape: Tape, loss_node: Node) -> dict[str, np.ndarray]:
+    """Gradient of a scalar loss node for every parameter leaf on the tape
+    (zeros for a leaf the loss does not reach)."""
     tape._require(loss_node)
-    if loss_node.value.size != 1:
+    loss = loss_node.value.data
+    if loss.size != 1:
         raise ShapeError(f"loss node must be scalar-shaped, got {loss_node.shape}")
     targets = {p.idx for p in tape.params.values() if p.idx <= loss_node.idx}
-    grads = _pullback(tape, loss_node, np.ones(loss_node.shape, loss_node.value.data.dtype),
-                      targets)
-    out: dict[str, Tensor] = {}
-    for name, pnode in tape.params.items():
-        g = grads[pnode.idx] if pnode.idx <= loss_node.idx else None
-        if g is None:
-            out[name] = Tensor._wrap(np.zeros(pnode.shape, pnode.value.data.dtype))
-        else:
-            out[name] = Tensor._wrap(g)
-    return out
+    grads = _pullback(tape, loss_node, np.ones_like(loss), targets)
+    return {name: grads[p.idx] if p.idx in targets and grads[p.idx] is not None
+            else np.zeros_like(p.value.data) for name, p in tape.params.items()}

@@ -64,7 +64,7 @@ def cmd_train(config_path: str) -> int:
     split = split if split.normalized else normalize(split)
     meta = cfgmod.model_meta(cfg, split)
     out = cfg.output_dir
-
+    source_report = None
     if cfg.strategy in ("sign", "sign-plus-classical"):
         source = pretrain = None
         if cfg.source_checkpoint is not None:
@@ -78,12 +78,12 @@ def cmd_train(config_path: str) -> int:
         copies = result.augmented_split.train[len(split.train):]
         save_container(copies, os.path.join(out, "transformed-train.container"),
                        split.class_names, raw_domain=False, stats=split.stats)
-        split = result.augmented_split
-        if result.source_report is not None:
-            _log(cfg, f"source wall time: {result.source_report.wall_time_s:.1f}s")
+        split, source_report = result.augmented_split, result.source_report
 
     model = build_model(meta, seed=cfg.init_seed)
     report = train(model, split, cfgmod.train_config(cfg))
+    if source_report is not None:  # logged late, so a run that fails prints only its error
+        _log(cfg, f"source wall time: {source_report.wall_time_s:.1f}s")
     _log(cfg, f"train wall time: {report.wall_time_s:.1f}s")
     save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
     report.to_csv(os.path.join(out, "report.csv"))

@@ -11,10 +11,11 @@ with the uncertainty head in place of its dense classifier. One step
 assembles the layers a record describes, and each layer declares the
 shapes of its parameters. ``build_model`` draws them, Kaiming-uniform
 fan-in weights and zero biases, fully seeded; ``load_checkpoint`` takes
-them from the file and draws nothing. Parameters are immutable tensors;
-training replaces them. A model computes in its parameters' dtype, which
-all of them share: BasicCNN initializes float32 parameters and SmallMLP
-float64 ones, and a checkpoint keeps the dtype it was saved in.
+them from the file and draws nothing. Parameters are read-only arrays
+(``tensor.readonly``); training replaces them. A model computes in its
+parameters' dtype, which all of them share: BasicCNN initializes float32
+parameters and SmallMLP float64 ones, and a checkpoint keeps the dtype it
+was saved in.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import numpy as np
 
 from .autodiff import Node, Tape, log_mean_exp, log_softmax
-from .tensor import Rng, ShapeError, Tensor, read_array, read_framed, write_framed
+from .tensor import Rng, ShapeError, read_array, read_framed, readonly, write_framed
 
 CHECKPOINT_VERSION = "signreg-ckpt-1"
 
@@ -45,7 +46,7 @@ class _Layer:
 
     specs: dict = {}
 
-    def _leaves(self, tape: Tape, params: dict[str, Tensor]) -> list[Node]:
+    def _leaves(self, tape: Tape, params: dict[str, np.ndarray]) -> list[Node]:
         return [tape.leaf_param(f"{self.name}.{key}", params[f"{self.name}.{key}"])
                 for key in self.specs]
 
@@ -58,7 +59,7 @@ class Conv2d(_Layer):
         self.specs = {"w": ((out_ch, in_ch, kernel, kernel), in_ch * kernel * kernel, 1.0),
                       "b": ((out_ch,), 0, 0.0)}
 
-    def apply(self, tape: Tape, x: Node, params: dict[str, Tensor], *, train: bool, rng) -> Node:
+    def apply(self, tape: Tape, x: Node, params: dict, *, train: bool, rng) -> Node:
         w, b = self._leaves(tape, params)
         return tape.bias_add(tape.conv2d(x, w), b)
 
@@ -68,7 +69,7 @@ class Dense(_Layer):
         self.name = name
         self.specs = {"w": ((in_dim, out_dim), in_dim, 1.0), "b": ((out_dim,), 0, 0.0)}
 
-    def apply(self, tape: Tape, x: Node, params: dict[str, Tensor], *, train: bool, rng) -> Node:
+    def apply(self, tape: Tape, x: Node, params: dict, *, train: bool, rng) -> Node:
         w, b = self._leaves(tape, params)
         return tape.bias_add(tape.matmul(x, w), b)
 
@@ -85,11 +86,9 @@ class MaxPool2(_Layer):
 
 class Flatten(_Layer):
     def apply(self, tape: Tape, x: Node, params, *, train: bool, rng) -> Node:
-        b = x.shape[0]
-        flat = int(np.prod(x.shape[1:]))
-        if x.value.ndim == 2:
+        if len(x.shape) == 2:
             return x
-        return tape.reshape(x, (b, flat))
+        return tape.reshape(x, (x.shape[0], math.prod(x.shape[1:])))
 
 
 class Dropout(_Layer):
@@ -130,24 +129,24 @@ class UncertaintyHead(_Layer):
         return f
 
 
-def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]]):
+def _check_params(params: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]):
     """Reject ``params`` unless they have the names and shapes of ``shapes``
     and one dtype."""
     if set(params) != set(shapes):
         raise ValueError("parameter name mismatch")
     first = next(iter(params), None)
-    for name, t in params.items():
-        if t.shape != shapes[name]:
-            raise ShapeError(f"param {name}: shape {t.shape} != {shapes[name]}")
-        if t.data.dtype != params[first].data.dtype:
-            raise ValueError(f"param {name}: dtype {t.data.dtype} differs from param "
-                             f"{first}'s {params[first].data.dtype}")
+    for name, p in params.items():
+        if p.shape != shapes[name]:
+            raise ShapeError(f"param {name}: shape {p.shape} != {shapes[name]}")
+        if p.dtype != params[first].dtype:
+            raise ValueError(f"param {name}: dtype {p.dtype} differs from param "
+                             f"{first}'s {params[first].dtype}")
 
 
 class Model:
     """Ordered layer composition with a named parameter store and taps."""
 
-    def __init__(self, layers: list, params: dict[str, Tensor], taps: dict[str, int],
+    def __init__(self, layers: list, params: dict[str, np.ndarray], taps: dict[str, int],
                  input_shape: tuple[int, ...], num_classes: int, meta: dict):
         self.layers = layers
         self.params = params
@@ -160,26 +159,28 @@ class Model:
     def dtype(self) -> np.dtype:
         """The dtype the model computes in: its parameters' (one for all),
         float64 for a model without any."""
-        for t in self.params.values():
-            return t.data.dtype
-        return np.dtype(np.float64)
+        return next((p.dtype for p in self.params.values()), np.dtype(np.float64))
 
     @property
     def has_uncertainty_head(self) -> bool:
         return any(isinstance(l, UncertaintyHead) for l in self.layers)
 
-    def forward(self, x: Tensor, *, train: bool = False, rng: Rng | None = None) -> Tape:
+    def forward(self, x: np.ndarray, *, train: bool = False, rng: Rng | None = None) -> Tape:
         """Run a batched forward pass, recording every primitive on a tape.
 
         With ``train=False`` (or no rng) dropout is the identity, making the
         pass a deterministic function of (params, input). The input is cast
-        to the model's dtype.
+        to the model's dtype; a value the cast overflows raises ArithmeticError.
         """
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"input shape {x.shape[1:]} != model input {self.input_shape}")
         dtype = self.dtype
-        if x.data.dtype != dtype:
-            x = Tensor._wrap(x.data.astype(dtype))
+        if x.dtype != dtype:
+            with np.errstate(over="ignore"):
+                x = x.astype(dtype)
+            if not np.isfinite(x).all():
+                raise ArithmeticError(f"input batch: its cast to {dtype} leaves a non-finite value "
+                                      f"({dtype} holds magnitudes up to {np.finfo(dtype).max:.4g})")
         tape = Tape()
         node = tape.leaf_input(x)
         for i, layer in enumerate(self.layers):
@@ -190,9 +191,10 @@ class Model:
         tape.output = node
         return tape
 
-    def set_params(self, params: dict[str, Tensor]):
-        _check_params(params, {name: t.shape for name, t in self.params.items()})
-        self.params = dict(params)
+    def set_params(self, params: dict[str, np.ndarray]):
+        params = {name: readonly(p) for name, p in params.items()}
+        _check_params(params, {name: p.shape for name, p in self.params.items()})
+        self.params = params
 
 
 def _assemble(meta: dict) -> tuple[Model, type]:
@@ -259,7 +261,7 @@ def build_model(meta: dict, seed: int = 0) -> Model:
         rng = init.child("uncertainty-head") if isinstance(layer, UncertaintyHead) else init
         for key, (shape, fan_in, scale) in layer.specs.items():
             value = _draw(rng.child(layer.name, key), shape, fan_in, scale)
-            model.params[f"{layer.name}.{key}"] = Tensor._wrap(value.astype(dtype, copy=False))
+            model.params[f"{layer.name}.{key}"] = readonly(value.astype(dtype, copy=False))
     return model
 
 
@@ -277,8 +279,7 @@ def forward_batches(model: Model, images, read):
     is freed when ``read`` returns, before the next one is recorded.
     """
     for start in range(0, len(images), PREDICT_BATCH):
-        yield start, read(model.forward(
-            Tensor._wrap(np.asarray(images[start:start + PREDICT_BATCH]))))
+        yield start, read(model.forward(np.asarray(images[start:start + PREDICT_BATCH])))
 
 
 def _outputs(tape: Tape) -> tuple[np.ndarray, np.ndarray | None]:
@@ -295,19 +296,25 @@ def predict(model: Model, images, mc_samples: int,
     ``images`` is read as ``forward_batches`` reads it. A head model's
     predictive is its softmax averaged over ``mc_samples`` logit-noise
     draws from ``rng.child("eps", batch_start)``, the distribution its
-    aleatoric loss trains; other models ignore ``rng``.
+    aleatoric loss trains; other models ignore ``rng``. A non-finite row
+    (a network that overflows) raises an ArithmeticError.
     """
     if len(images) == 0:
         raise ValueError("empty sample list")
     logps, sigmas = [], []
-    for start, (f, sigma) in forward_batches(model, images, _outputs):
-        if sigma is not None:
-            eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
-            logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))
-            sigmas.append(sigma.mean(axis=1))
-        else:
-            logps.append(log_softmax(f, axis=1))
-    return np.concatenate(logps), (np.concatenate(sigmas) if sigmas else None)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        for start, (f, sigma) in forward_batches(model, images, _outputs):
+            if sigma is not None:
+                eps = rng.child("eps", start).normal((mc_samples,) + f.shape)
+                logps.append(log_mean_exp(log_softmax(f + sigma * eps, axis=2), axis=0))
+                sigmas.append(sigma.mean(axis=1))
+            else:
+                logps.append(log_softmax(f, axis=1))
+    logp = np.concatenate(logps)
+    bad = np.flatnonzero(~np.isfinite(logp).all(axis=1))
+    if bad.size:
+        raise ArithmeticError(f"scoring: sample {bad[0]} has a non-finite predictive")
+    return logp, (np.concatenate(sigmas) if sigmas else None)
 
 
 # -- checkpoint files -------------------------------------------------------
@@ -319,7 +326,7 @@ def predict(model: Model, images, mc_samples: int,
 def save_checkpoint(model: Model, path: str):
     tensors = {name: {} for name in sorted(model.params)}
     write_framed(path, {"version": CHECKPOINT_VERSION, "meta": model.meta, "tensors": tensors},
-                 [(rec, model.params[name].data) for name, rec in tensors.items()])
+                 [(rec, model.params[name]) for name, rec in tensors.items()])
 
 
 def load_checkpoint(path: str) -> Model:
@@ -331,7 +338,7 @@ def load_checkpoint(path: str) -> Model:
         model, _ = _assemble(header["meta"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: header field meta does not describe a model: {exc!r}") from exc
-    params = {name: Tensor._wrap(read_array(payload, rec, path, f"tensor {name}"))
+    params = {name: readonly(read_array(payload, rec, path, f"tensor {name}"))
               for name, rec in header["tensors"].items()}
     shapes = {f"{layer.name}.{key}": spec[0] for layer in model.layers
               for key, spec in layer.specs.items()}
@@ -343,10 +350,10 @@ def load_checkpoint(path: str) -> Model:
     return model
 
 
-def params_checksum(params: dict[str, Tensor]) -> str:
+def params_checksum(params: dict[str, np.ndarray]) -> str:
     """SHA-256 over name-sorted parameter buffers; identifies a trained model."""
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode("utf-8"))
-        h.update(params[name].data.tobytes())
+        h.update(params[name].tobytes())
     return h.hexdigest()

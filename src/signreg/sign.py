@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff
 from .nn import Model, params_checksum
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 EVAL_POINTS = ("current-iterate", "original-point")
 NORMALIZE_MODES = ("none", "unit-max-abs")
@@ -76,8 +76,8 @@ def _step(model: Model, batch: np.ndarray, cfg: SignConfig) -> tuple[np.ndarray,
     """The step at ``batch`` and the l2 norms of its deltas,
     shape (B,). The tape lives in this frame only, so it is freed before
     the next iteration records one."""
-    tape = model.forward(Tensor._wrap(batch), train=False)
-    delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap]).data
+    tape = model.forward(batch, train=False)
+    delta = autodiff.summed_jacobian(tape, tape.taps[cfg.tap])
     if cfg.normalize == "unit-max-abs":
         peak = np.abs(delta).reshape(delta.shape[0], -1).max(axis=1)
         scale = np.where(peak > 0, peak, 1.0).reshape((-1,) + (1,) * (delta.ndim - 1))
@@ -133,7 +133,7 @@ def _map_batches(model: Model, samples: list, cfg: SignConfig, stops: tuple[int,
         try:
             batch = np.stack([s.image.data for s in chunk])
             reached, _ = _transform_batch(model, batch, cfg, stops)
-        except (NonFiniteDeltaError, ShapeError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise type(exc)(f"samples [{start}, {start + len(chunk)}): {exc}") from exc
         return reached
 

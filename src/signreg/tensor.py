@@ -1,13 +1,13 @@
-"""Dense float tensors and a splittable, counter-based random source.
+"""Read-only float arrays and a splittable, counter-based random source.
 
-Every other module works in terms of these two types. A Tensor is an
-immutable container, not an array type: the numpy buffer behind ``data``
-is marked read-only, so tensors are safe to share across threads, and
-all arithmetic happens on numpy arrays, in the tape's primitives
-(``autodiff``) and the library's kernels, which never mutate their inputs.
-Tensors have no ``==``; compare their ``data``.
+Batches, parameters, gradients and Jacobians cross module boundaries as
+numpy arrays marked read-only (``readonly``), safe to share across threads:
+the tape's primitives (``autodiff``) and the library's kernels never mutate
+their inputs. A ``Tensor`` holds such an array in an object with no
+arithmetic. It holds a sample's image (``datasets.Sample``) and a tape
+node's value (``autodiff.Node``). Tensors have no ``==``; compare ``data``.
 
-A tensor holds float64 or float32. ``Tensor(...)`` makes float64, and
+An array holds float64 or float32. ``Tensor(...)`` makes float64, and
 so do samples and the iterates of the transform: the test suite's
 oracles lean on tight finite-difference tolerances. A model computes in
 its parameters' dtype (``nn.Model``), float32 for BasicCNN, whose conv
@@ -51,6 +51,15 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
 _FLOAT32 = np.dtype(np.float32)
 
 
+def readonly(arr) -> np.ndarray:
+    """``arr`` as a C-contiguous, read-only array, copied only if it is not
+    one already. float32 stays float32; any other dtype becomes float64."""
+    f32 = getattr(arr, "dtype", None) is _FLOAT32
+    arr = np.ascontiguousarray(arr, dtype=_FLOAT32 if f32 else np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 class Tensor:
     """Immutable n-dimensional float array, row-major, rank >= 1.
 
@@ -60,22 +69,15 @@ class Tensor:
     __slots__ = ("_data",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
+        arr = np.array(values, dtype=np.float64, order="C", ndmin=1)
         _check_shape(arr.shape)
-        arr.setflags(write=False)
-        self._data = arr
+        self._data = readonly(arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Wrap a buffer we own, without copying. Internal use only.
-        float32 stays float32; any other dtype becomes float64."""
-        f32 = getattr(arr, "dtype", None) is _FLOAT32
-        arr = np.ascontiguousarray(arr, dtype=_FLOAT32 if f32 else np.float64)
-        arr.setflags(write=False)
+        """Wrap a buffer we own, without copying (``readonly``). Internal use only."""
         t = object.__new__(cls)
-        t._data = arr
+        t._data = readonly(arr)
         return t
 
     @property
@@ -86,19 +88,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self._data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self._data.ndim
-
-    @property
-    def size(self) -> int:
-        return self._data.size
-
-    def item(self) -> float:
-        if self.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self._data.reshape(-1)[0])
 
 
 def _tag_to_int(tag) -> int:

@@ -28,7 +28,7 @@ from .augment import MixupConfig, classical_augment_array, mixup_arrays
 from .datasets import DatasetSplit, Sample, normalize
 from .nn import Model, build_model, predict
 from .sign import SignConfig, transform_dataset
-from .tensor import Rng, Tensor
+from .tensor import Rng, readonly
 
 STRATEGIES = ("none", "classical", "mixup", "sign", "sign-plus-classical")
 
@@ -41,14 +41,14 @@ class SgdMomentum:
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, Tensor], lr: float) -> dict[str, Tensor]:
+    def step(self, params: dict, grads: dict, lr: float) -> dict:
         out = {}
         for name, p in params.items():
-            g = grads[name].data
+            g = grads[name]
             v = self.velocity.get(name)
             v = g if v is None else self.momentum * v + g
             self.velocity[name] = v
-            out[name] = Tensor._wrap(p.data - lr * v)
+            out[name] = readonly(p - lr * v)
         return out
 
 
@@ -59,17 +59,17 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, Tensor], lr: float) -> dict[str, Tensor]:
+    def step(self, params: dict, grads: dict, lr: float) -> dict:
         self.t += 1
         out = {}
         for name, p in params.items():
-            g = grads[name].data
+            g = grads[name]
             m = self.beta1 * self.m.get(name, 0.0) + (1 - self.beta1) * g
             v = self.beta2 * self.v.get(name, 0.0) + (1 - self.beta2) * g * g
             self.m[name], self.v[name] = m, v
             mhat = m / (1 - self.beta1 ** self.t)
             vhat = v / (1 - self.beta2 ** self.t)
-            out[name] = Tensor._wrap(p.data - lr * mhat / (np.sqrt(vhat) + self.eps))
+            out[name] = readonly(p - lr * mhat / (np.sqrt(vhat) + self.eps))
         return out
 
 
@@ -190,7 +190,7 @@ def _step(model: Model, optimizer, lr: float, xb: np.ndarray, yb: np.ndarray,
     and how many of its argmax predictions match the labels'. The step's
     tape lives in this frame only, so it is freed before the next step
     records one."""
-    tape = model.forward(Tensor._wrap(xb), train=True, rng=rng.child("dropout", *key))
+    tape = model.forward(xb, train=True, rng=rng.child("dropout", *key))
     if model.has_uncertainty_head:
         eps = rng.child("mc", *key).normal((mc_samples,) + tape.output.shape)
         loss = tape.aleatoric_nll(tape.output, tape.taps["sigma"], yb, eps)
@@ -199,7 +199,7 @@ def _step(model: Model, optimizer, lr: float, xb: np.ndarray, yb: np.ndarray,
     grads = autodiff.param_gradients(tape, loss)
     model.set_params(optimizer.step(model.params, grads, lr))
     preds = tape.output.value.data.argmax(axis=1)
-    return loss.value.item(), int((preds == yb.argmax(axis=1)).sum())
+    return float(loss.value.data[0]), int((preds == yb.argmax(axis=1)).sum())
 
 
 def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
@@ -209,7 +209,8 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
     (``sign_pipeline`` below returns that split); the loop itself then
     treats it like plain data. On return ``model`` holds the parameters of
     the selected epoch, the one with the best validation accuracy (ties keep
-    the earliest); with zero epochs it keeps its initialization.
+    the earliest); with zero epochs it keeps its initialization. A loss
+    that is not finite raises an ArithmeticError naming the epoch.
     """
     if not split.train or not split.val:
         raise ValueError("train() needs non-empty train and val splits")
@@ -224,31 +225,42 @@ def train(model: Model, split: DatasetSplit, cfg: TrainConfig) -> TrainReport:
 
     report = TrainReport()
     selected_params, best_acc = model.params, -1.0
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr_at(epoch)
-        order = rng.child("shuffle", epoch).permutation(images.shape[0])
-        epoch_loss, epoch_correct, seen = 0.0, 0, 0
-        for bi, start in enumerate(range(0, images.shape[0], cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            xb, yb = images[idx], soft[idx]
-            if classical:
-                aug_rng = rng.child("classical", epoch)
-                xb = np.stack([classical_augment_array(xb[j], aug_rng.child(int(idx[j])))
-                               for j in range(xb.shape[0])])
-            if cfg.strategy == "mixup" and xb.shape[0] >= 2:
-                xb, yb = mixup_arrays(xb, yb, mix_cfg, rng.child("mixup", epoch, bi))
-            loss, correct = _step(model, optimizer, lr, xb, yb, cfg.mc_samples, rng, (epoch, bi))
-            epoch_loss += loss * xb.shape[0]
-            epoch_correct += correct
-            seen += xb.shape[0]
-        val_loss, val_acc = evaluate_arrays(model, val_images, val_soft,
-                                            cfg.mc_samples, rng.child("mc-val", epoch))
-        report.rows.append(EpochStats(epoch, epoch_loss / seen, epoch_correct / seen,
-                                      val_loss, val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            report.selected_epoch = epoch
-            selected_params = model.params
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report divergence
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr_at(epoch)
+            order = rng.child("shuffle", epoch).permutation(images.shape[0])
+            epoch_loss, epoch_correct, seen = 0.0, 0, 0
+            for bi, start in enumerate(range(0, images.shape[0], cfg.batch_size)):
+                idx = order[start:start + cfg.batch_size]
+                xb, yb = images[idx], soft[idx]
+                if classical:
+                    aug_rng = rng.child("classical", epoch)
+                    xb = np.stack([classical_augment_array(xb[j], aug_rng.child(int(idx[j])))
+                                   for j in range(xb.shape[0])])
+                if cfg.strategy == "mixup" and xb.shape[0] >= 2:
+                    xb, yb = mixup_arrays(xb, yb, mix_cfg, rng.child("mixup", epoch, bi))
+                loss, correct = _step(model, optimizer, lr, xb, yb, cfg.mc_samples, rng,
+                                      (epoch, bi))
+                if not math.isfinite(loss):
+                    raise ArithmeticError(f"training diverged: epoch {epoch}, batch {bi}: "
+                                          f"loss {loss}")
+                epoch_loss += loss * xb.shape[0]
+                epoch_correct += correct
+                seen += xb.shape[0]
+            try:
+                val_loss, val_acc = evaluate_arrays(model, val_images, val_soft,
+                                                    cfg.mc_samples, rng.child("mc-val", epoch))
+            except ArithmeticError as e:  # a non-finite predictive row
+                raise ArithmeticError(f"training diverged: epoch {epoch}: validation {e}") from e
+            if not math.isfinite(val_loss):
+                raise ArithmeticError(f"training diverged: epoch {epoch}: "
+                                      f"validation loss {val_loss}")
+            report.rows.append(EpochStats(epoch, epoch_loss / seen, epoch_correct / seen,
+                                          val_loss, val_acc))
+            if val_acc > best_acc:
+                best_acc = val_acc
+                report.selected_epoch = epoch
+                selected_params = model.params
     model.set_params(selected_params)
     report.wall_time_s = time.perf_counter() - started
     return report

@@ -4,7 +4,7 @@ import numpy as np
 from oracles import forward
 
 from signreg.autodiff import vjp
-from signreg.tensor import Rng, Tensor
+from signreg.tensor import Rng
 
 EPS = 1e-5
 
@@ -38,14 +38,14 @@ def away_from_kinks(rng: Rng, shape, threshold=1e-3) -> np.ndarray:
 
 def check_input_grad(build, x: np.ndarray, tol: float = 1e-5, rng_seed: int = 0):
     """vjp at the output with a random cotangent vs finite differences."""
-    _, tape = forward(build, Tensor(x))
+    _, tape = forward(build, x)
     out_node = tape.output
     cot = Rng(rng_seed).child("cot").normal(out_node.shape)
 
     def scalar(xv):
-        _, t = forward(build, Tensor(xv))
+        _, t = forward(build, xv)
         return float((t.output.value.data * cot).sum())
 
-    got = vjp(tape, out_node, Tensor(cot)).data
+    got = vjp(tape, out_node, cot)
     want = central_fd(scalar, x)
     assert rel_err(got, want) < tol, f"relative error {rel_err(got, want)}"

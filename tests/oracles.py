@@ -28,16 +28,17 @@ from signreg.evalharness import EvalReport, SampleScore, aggregate
 from signreg.tensor import Tensor
 
 
-def forward(fn, x: Tensor) -> tuple[Tensor, Tape]:
-    """Record ``fn`` applied to ``x``. ``fn(tape, input_node) -> output_node``."""
+def forward(fn, x: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Record ``fn`` applied to ``x``: the output's value, and the tape.
+    ``fn(tape, input_node) -> output_node``."""
     tape = Tape()
     node = tape.leaf_input(x)
     out = fn(tape, node)
     tape.output = out
-    return out.value, tape
+    return out.value.data, tape
 
 
-def const(tape: Tape, value: Tensor) -> Node:
+def const(tape: Tape, value: np.ndarray) -> Node:
     """A leaf that no gradient is asked of."""
     return tape._record("const", value)
 

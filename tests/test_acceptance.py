@@ -50,15 +50,15 @@ def _primitive_gradchecks():
     rng = Rng(101)
     a = rng.child("a").normal((3, 4))
     b = rng.child("b").normal((4, 2))
-    check_input_grad(lambda t, n: t.matmul(n, const(t, Tensor(b))), a)
-    check_input_grad(lambda t, n: t.matmul(const(t, Tensor(a)), n), b)
+    check_input_grad(lambda t, n: t.matmul(n, const(t, b)), a)
+    check_input_grad(lambda t, n: t.matmul(const(t, a), n), b)
     x2 = rng.child("x2").normal((3, 5))
     b2 = rng.child("b2").normal((5,))
-    check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b2))), x2)
-    check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x2)), n), b2)
+    check_input_grad(lambda t, n: t.bias_add(n, const(t, b2)), x2)
+    check_input_grad(lambda t, n: t.bias_add(const(t, x2), n), b2)
     x4 = rng.child("x4").normal((2, 3, 4, 4))
     b4 = rng.child("b4").normal((3,))
-    check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b4))), x4)
+    check_input_grad(lambda t, n: t.bias_add(n, const(t, b4)), x4)
     check_input_grad(lambda t, n: t.relu(n), away_from_kinks(rng.child("r"), (3, 4)))
     check_input_grad(lambda t, n: t.softplus(n), rng.child("sp").normal((2, 5)))
     check_input_grad(lambda t, n: t.reshape(n, (3, 4)), rng.child("rs").normal((2, 6)))
@@ -66,8 +66,8 @@ def _primitive_gradchecks():
     check_input_grad(lambda t, n: t.maxpool2(n), pool_in)
     cx = rng.child("cx").normal((2, 2, 5, 5))
     cw = rng.child("cw").normal((3, 2, 3, 3))
-    check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(cw))), cx)
-    check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(cx)), n), cw)
+    check_input_grad(lambda t, n: t.conv2d(n, const(t, cw)), cx)
+    check_input_grad(lambda t, n: t.conv2d(const(t, cx), n), cw)
     mask = (rng.child("dm").uniform(size=(3, 4)) < 0.7) / 0.7
     check_input_grad(lambda t, n: t.dropout(n, mask), rng.child("dx").normal((3, 4)))
     # both losses
@@ -78,23 +78,23 @@ def _primitive_gradchecks():
     sg = np.abs(rng.child("as").normal((2, 3))) + 0.5
     eps = rng.child("ae").normal((4, 2, 3))
     soft = np.eye(3)[[1, 2]]
-    check_input_grad(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sg)), soft, eps), f)
-    check_input_grad(lambda t, n: t.aleatoric_nll(const(t, Tensor(f)), n, soft, eps), sg)
+    check_input_grad(lambda t, n: t.aleatoric_nll(n, const(t, sg), soft, eps), f)
+    check_input_grad(lambda t, n: t.aleatoric_nll(const(t, f), n, soft, eps), sg)
 
 
 def _basic_cnn_param_fd():
     rng = Rng(102)
     model = build_model(cnn_meta((1, 8, 8), 3), rng.seed)
     # finite differences at 1e-5 need float64; BasicCNN initializes float32
-    model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
+    model.set_params({name: t.astype(np.float64) for name, t in model.params.items()})
     x = away_from_kinks(rng.child("x"), (2, 1, 8, 8))
     labels = np.eye(3)[[0, 2]]
 
     def loss_value() -> float:
-        tape = model.forward(Tensor(x))
-        return tape.cross_entropy(tape.output, labels).value.item()
+        tape = model.forward(x)
+        return tape.cross_entropy(tape.output, labels).value.data.item()
 
-    tape = model.forward(Tensor(x))
+    tape = model.forward(x)
     loss_node = tape.cross_entropy(tape.output, labels)
     grads = param_gradients(tape, loss_node)
 
@@ -102,7 +102,7 @@ def _basic_cnn_param_fd():
     worst = 0.0
     checked = 0
     for name in sorted(model.params):
-        base = model.params[name].data
+        base = model.params[name]
         count = max(2, base.size // 100)  # 1% coordinate subsample
         coords = coord_rng.child(name).permutation(base.size)[:count]
         for flat_idx in coords:
@@ -110,7 +110,7 @@ def _basic_cnn_param_fd():
                 perturbed = base.copy().reshape(-1)
                 perturbed[flat_idx] += sign_ * 1e-5
                 trial = dict(model.params)
-                trial[name] = Tensor(perturbed.reshape(base.shape))
+                trial[name] = perturbed.reshape(base.shape)
                 saved = model.params
                 model.set_params(trial)
                 if store == "hi":
@@ -119,7 +119,7 @@ def _basic_cnn_param_fd():
                     lo = loss_value()
                 model.set_params(saved)
             fd = (hi - lo) / 2e-5
-            got = grads[name].data.reshape(-1)[flat_idx]
+            got = grads[name].reshape(-1)[flat_idx]
             err = abs(got - fd) / max(abs(fd), abs(got), 1e-6)
             worst = max(worst, err)
             checked += 1
@@ -153,20 +153,20 @@ def test_criterion_2_sign_oracle_equivalence():
             got = transform_dataset(model, sample, [SignConfig(k=k, gamma=0.5)])[1].image.data
             cur = p.copy()
             for _ in range(k):
-                tape = model.forward(Tensor(cur[None]))
+                tape = model.forward(cur[None])
                 node = tape.taps["pre-logits"]
                 rows = []
                 for j in range(node.shape[1]):
                     cot = np.zeros(node.shape)
                     cot[0, j] = 1.0
-                    rows.append(vjp(tape, node, Tensor(cot)).data.reshape(-1))
+                    rows.append(vjp(tape, node, cot).reshape(-1))
                 cur = cur + 0.5 * np.stack(rows).sum(axis=0)
             assert np.abs(got - cur).max() < 1e-8, f"K={k} deviates {np.abs(got - cur).max():.2e}"
 
         from signreg.nn import Dense, Model
         w = rng.child("w").normal((16, 5))
         linear = Model([Dense("out", 16, 5)],
-                       {"out.w": Tensor(w), "out.b": Tensor(np.zeros(5))},
+                       {"out.w": w, "out.b": np.zeros(5)},
                        {"pre-logits": 0, "logits": 0}, (16,), 5,
                        {"arch": "small_mlp", "input_dim": 16, "hidden_dims": [1],
                         "num_classes": 5, "input_shape": [16]})
@@ -197,19 +197,19 @@ def test_criterion_3_aleatoric_identities():
         f = rng.child("f").normal((5, 4))
         labels = rng.child("y").integers(0, 4, size=5)
         onehot = np.eye(4)[labels]
-        ce = forward(lambda t, n: t.cross_entropy(n, onehot), Tensor(f))[0].item()
-        sigma = Tensor(np.full((5, 4), 1e-12))
+        ce = forward(lambda t, n: t.cross_entropy(n, onehot), f)[0].item()
+        sigma = np.full((5, 4), 1e-12)
         for t_draws in (1, 5, 20):
             eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
             got = forward(lambda t, n: t.aleatoric_nll(n, const(t, sigma), onehot, eps),
-                          Tensor(f))[0].item()
+                          f)[0].item()
             assert abs(got - ce) < 1e-6, f"T={t_draws}: |{got} - {ce}| >= 1e-6"
 
         # C=2 symmetric case against an independent Monte-Carlo oracle
         eps = Rng(302).normal((100_000, 1, 2))
-        loss = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.ones((1, 2)))),
+        loss = forward(lambda t, n: t.aleatoric_nll(n, const(t, np.ones((1, 2))),
                                                     np.eye(2)[[0]], eps),
-                       Tensor(np.zeros((1, 2))))[0].item()
+                       np.zeros((1, 2)))[0].item()
         oracle_eps = Rng(987654).normal((1_000_000, 2))
         xhat = oracle_eps  # f = 0, sigma = 1
         shifted = xhat - xhat.max(axis=1, keepdims=True)

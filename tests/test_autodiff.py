@@ -11,7 +11,7 @@ from oracles import cnn_meta, const, forward, mlp_meta
 from signreg import autodiff, training
 from signreg.autodiff import param_gradients, summed_jacobian, vjp
 from signreg.nn import build_model
-from signreg.tensor import Rng, ShapeError, Tensor
+from signreg.tensor import Rng, ShapeError
 
 
 def argmax_maxpool2(x: np.ndarray, g: np.ndarray):
@@ -30,15 +30,15 @@ def argmax_maxpool2(x: np.ndarray, g: np.ndarray):
 
 class TestForward:
     def test_identity_single_node(self):
-        x = Tensor([1.0, -2.0, 3.0])
+        x = np.array([1.0, -2.0, 3.0])
         out, tape = forward(lambda t, n: n, x)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
         assert len(tape.nodes) == 1
         assert tape.output is tape.input
 
     def test_relu_definition(self):
-        out, _ = forward(lambda t, n: t.relu(n), Tensor([-1.0, 2.0]))
-        assert out.data.tolist() == [0.0, 2.0]
+        out, _ = forward(lambda t, n: t.relu(n), np.array([-1.0, 2.0]))
+        assert out.tolist() == [0.0, 2.0]
 
     def test_two_layer_mlp_matches_eager(self):
         rng = Rng(3)
@@ -47,46 +47,44 @@ class TestForward:
         x = rng.child("x").normal((3, 4))
 
         def build(t, n):
-            h = t.relu(t.bias_add(t.matmul(n, const(t, Tensor(w1))), const(t, Tensor(b1))))
-            return t.bias_add(t.matmul(h, const(t, Tensor(w2))), const(t, Tensor(b2)))
+            h = t.relu(t.bias_add(t.matmul(n, const(t, w1)), const(t, b1)))
+            return t.bias_add(t.matmul(h, const(t, w2)), const(t, b2))
 
-        out, _ = forward(build, Tensor(x))
+        out, _ = forward(build, x)
         eager = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
-        np.testing.assert_allclose(out.data, eager, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(out, eager, atol=1e-12, rtol=0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            forward(lambda t, n: t.matmul(n, const(t, Tensor(np.zeros((5, 2))))),
-                    Tensor(np.zeros((1, 3))))
+            forward(lambda t, n: t.matmul(n, const(t, np.zeros((5, 2)))), np.zeros((1, 3)))
 
 
 class TestVjp:
     def test_identity_jacobian(self):
-        x = Tensor([1.0, 2.0, 3.0])
+        x = np.array([1.0, 2.0, 3.0])
         _, tape = forward(lambda t, n: n, x)
-        v = Tensor([0.5, -1.0, 2.0])
-        assert np.array_equal(vjp(tape, tape.output, v).data, v.data)
+        v = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(vjp(tape, tape.output, v), v)
 
     def test_linear_map_exact(self):
         w = Rng(1).normal((4, 3))
-        _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(w))),
-                          Tensor(Rng(2).normal((1, 4))))
+        _, tape = forward(lambda t, n: t.matmul(n, const(t, w)), Rng(2).normal((1, 4)))
         v = Rng(3).normal((1, 3))
-        got = vjp(tape, tape.output, Tensor(v)).data
+        got = vjp(tape, tape.output, v)
         np.testing.assert_array_equal(got, v @ w.T)
 
     def test_three_layer_net_one_hot_fd(self):
         rng = Rng(17)
         model = build_model(mlp_meta(5, [8, 6], 4), rng.seed)
         x = away_from_kinks(rng.child("x"), (1, 5))
-        tape = model.forward(Tensor(x))
+        tape = model.forward(x)
         for j in range(4):
             cot = np.zeros((1, 4))
             cot[0, j] = 1.0
-            got = vjp(tape, tape.output, Tensor(cot)).data
+            got = vjp(tape, tape.output, cot)
 
             def component(xv, j=j):
-                return float(model.forward(Tensor(xv)).output.value.data[0, j])
+                return float(model.forward(xv).output.value.data[0, j])
 
             want = central_fd(component, x)
             assert rel_err(got, want) < 1e-5
@@ -94,37 +92,36 @@ class TestVjp:
     def test_linearity(self):
         rng = Rng(23)
         model = build_model(mlp_meta(6, [9], 3), rng.seed)
-        tape = model.forward(Tensor(rng.child("x").normal((2, 6))))
+        tape = model.forward(rng.child("x").normal((2, 6)))
         u = rng.child("u").normal((2, 3))
         v = rng.child("v").normal((2, 3))
         alpha, beta = 1.7, -0.4
-        combo = vjp(tape, tape.output, Tensor(alpha * u + beta * v)).data
-        parts = alpha * vjp(tape, tape.output, Tensor(u)).data \
-            + beta * vjp(tape, tape.output, Tensor(v)).data
+        combo = vjp(tape, tape.output, alpha * u + beta * v)
+        parts = alpha * vjp(tape, tape.output, u) + beta * vjp(tape, tape.output, v)
         np.testing.assert_allclose(combo, parts, atol=1e-10, rtol=0)
 
     def test_cotangent_shape_mismatch(self):
-        _, tape = forward(lambda t, n: n, Tensor([1.0, 2.0]))
+        _, tape = forward(lambda t, n: n, np.array([1.0, 2.0]))
         with pytest.raises(ShapeError):
-            vjp(tape, tape.output, Tensor([1.0, 2.0, 3.0]))
+            vjp(tape, tape.output, np.array([1.0, 2.0, 3.0]))
 
     def test_node_not_on_tape(self):
-        _, tape_a = forward(lambda t, n: t.relu(n), Tensor([1.0]))
-        _, tape_b = forward(lambda t, n: t.relu(n), Tensor([1.0]))
+        _, tape_a = forward(lambda t, n: t.relu(n), np.array([1.0]))
+        _, tape_b = forward(lambda t, n: t.relu(n), np.array([1.0]))
         with pytest.raises(ValueError):
-            vjp(tape_a, tape_b.output, Tensor([1.0]))
+            vjp(tape_a, tape_b.output, np.array([1.0]))
 
     def test_tape_without_input_rejected(self):
         tape = autodiff.Tape()
-        node = tape.relu(const(tape, Tensor([1.0])))
+        node = tape.relu(const(tape, np.array([1.0])))
         with pytest.raises(ValueError, match="no input leaf"):
-            vjp(tape, node, Tensor([1.0]))
+            vjp(tape, node, np.array([1.0]))
 
     def test_node_recorded_before_the_input_is_zero(self):
         tape = autodiff.Tape()
-        early = tape.relu(const(tape, Tensor([1.0, 2.0])))
-        tape.leaf_input(Tensor(np.ones((2, 3))))
-        assert np.array_equal(vjp(tape, early, Tensor([1.0, 1.0])).data, np.zeros((2, 3)))
+        early = tape.relu(const(tape, np.array([1.0, 2.0])))
+        tape.leaf_input(np.ones((2, 3)))
+        assert np.array_equal(vjp(tape, early, np.array([1.0, 1.0])), np.zeros((2, 3)))
 
 
 # case -> (a primitive call on operands of mismatched shapes, text of its error);
@@ -154,7 +151,7 @@ def test_primitive_rejects_mismatched_shapes(case):
     record, message = SHAPE_ERRORS[case]
     tape = autodiff.Tape()
     with pytest.raises(ShapeError, match=re.escape(message)):
-        record(tape, lambda *shape: const(tape, Tensor(np.ones(shape))))
+        record(tape, lambda *shape: const(tape, np.ones(shape)))
 
 
 def small_cnn_build(rng: Rng):
@@ -162,33 +159,32 @@ def small_cnn_build(rng: Rng):
     wd = rng.child("dense").normal((32, 4))
 
     def build(t, n):
-        h = t.maxpool2(t.relu(t.conv2d(n, const(t, Tensor(w)))))
+        h = t.maxpool2(t.relu(t.conv2d(n, const(t, w))))
         flat = t.reshape(h, (h.shape[0], 32))
-        return t.matmul(flat, const(t, Tensor(wd)))
+        return t.matmul(flat, const(t, wd))
 
     return build
 
 
 class TestSummedJacobian:
     def test_identity_gives_ones(self):
-        _, tape = forward(lambda t, n: n, Tensor([3.0, -1.0, 4.0]))
-        assert summed_jacobian(tape, tape.output).data.tolist() == [1.0, 1.0, 1.0]
+        _, tape = forward(lambda t, n: n, np.array([3.0, -1.0, 4.0]))
+        assert summed_jacobian(tape, tape.output).tolist() == [1.0, 1.0, 1.0]
 
     def test_linear_map_column_sums(self):
         # Phi(x) = x W: summed Jacobian is W^T . 1, i.e. the row sums of W
         w = Rng(4).normal((5, 3))
-        _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(w))),
-                          Tensor(Rng(5).normal((1, 5))))
-        got = summed_jacobian(tape, tape.output).data
+        _, tape = forward(lambda t, n: t.matmul(n, const(t, w)), Rng(5).normal((1, 5)))
+        got = summed_jacobian(tape, tape.output)
         np.testing.assert_allclose(got, w.sum(axis=1)[None, :], atol=1e-12, rtol=0)
 
     def test_equals_vjp_with_ones_bitwise(self):
         rng = Rng(6)
         model = build_model(mlp_meta(7, [5], 3), rng.seed)
-        tape = model.forward(Tensor(rng.child("x").normal((2, 7))))
+        tape = model.forward(rng.child("x").normal((2, 7)))
         node = tape.taps["pre-logits"]
-        a = summed_jacobian(tape, node).data
-        b = vjp(tape, node, Tensor(np.ones(node.shape))).data
+        a = summed_jacobian(tape, node)
+        b = vjp(tape, node, np.ones(node.shape))
         assert np.array_equal(a, b)
 
     def test_small_cnn_vs_explicit_jacobian(self):
@@ -196,41 +192,41 @@ class TestSummedJacobian:
         rng = Rng(31)
         build = small_cnn_build(rng)
         x = away_from_kinks(rng.child("x"), (1, 1, 8, 8))
-        _, tape = forward(build, Tensor(x))
+        _, tape = forward(build, x)
         out = tape.output
         rows = []
         for j in range(out.shape[1]):
             cot = np.zeros(out.shape)
             cot[0, j] = 1.0
-            rows.append(vjp(tape, out, Tensor(cot)).data.reshape(-1))
+            rows.append(vjp(tape, out, cot).reshape(-1))
         explicit = np.stack(rows).sum(axis=0).reshape(x.shape)
-        got = summed_jacobian(tape, out).data
+        got = summed_jacobian(tape, out)
         np.testing.assert_allclose(got, explicit, atol=1e-10, rtol=0)
 
 
 class TestParamGradients:
     def test_constant_loss_zero_grads(self):
         model = build_model(mlp_meta(3, [4], 2), 0)
-        tape = model.forward(Tensor(Rng(1).normal((1, 3))))
-        loss = const(tape, Tensor([2.5]))
+        tape = model.forward(Rng(1).normal((1, 3)))
+        loss = const(tape, np.array([2.5]))
         grads = param_gradients(tape, loss)
-        assert all(np.all(g.data == 0.0) for g in grads.values())
+        assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_bilinear_form(self):
         # loss = x w, a (1, 1) node => dloss/dw = x^T
         x = Rng(2).normal((1, 5))
 
         def build(t, n):
-            w = t.leaf_param("w", Tensor(np.full((5, 1), 0.7)))
+            w = t.leaf_param("w", np.full((5, 1), 0.7))
             return t.matmul(n, w)
 
-        _, tape = forward(build, Tensor(x))
+        _, tape = forward(build, x)
         grads = param_gradients(tape, tape.output)
-        np.testing.assert_array_equal(grads["w"].data, x.T)
+        np.testing.assert_array_equal(grads["w"], x.T)
 
     def test_non_scalar_loss_rejected(self):
         model = build_model(mlp_meta(3, [4], 2), 0)
-        tape = model.forward(Tensor(Rng(1).normal((1, 3))))
+        tape = model.forward(Rng(1).normal((1, 3)))
         with pytest.raises(ShapeError):
             param_gradients(tape, tape.output)
 
@@ -243,24 +239,24 @@ class TestParamGradients:
         def loss_of(params: dict) -> float:
             saved = model.params
             model.set_params(params)
-            tape = model.forward(Tensor(x))
+            tape = model.forward(x)
             node = tape.cross_entropy(tape.output, labels)
             model.set_params(saved)
-            return node.value.item()
+            return node.value.data.item()
 
-        tape = model.forward(Tensor(x))
+        tape = model.forward(x)
         loss_node = tape.cross_entropy(tape.output, labels)
         grads = param_gradients(tape, loss_node)
         for name, grad in grads.items():
-            base = model.params[name].data
+            base = model.params[name]
 
             def f(pv, name=name):
                 trial = dict(model.params)
-                trial[name] = Tensor(pv)
+                trial[name] = pv
                 return loss_of(trial)
 
             want = central_fd(f, base.copy())
-            assert rel_err(grad.data, want) < 1e-5, name
+            assert rel_err(grad, want) < 1e-5, name
 
 
 class TestPrimitiveGradients:
@@ -270,27 +266,27 @@ class TestPrimitiveGradients:
         rng = Rng(50)
         a = rng.child("a").normal((3, 4))
         b = rng.child("b").normal((4, 2))
-        check_input_grad(lambda t, n: t.matmul(n, const(t, Tensor(b))), a)
-        check_input_grad(lambda t, n: t.matmul(const(t, Tensor(a)), n), b)
+        check_input_grad(lambda t, n: t.matmul(n, const(t, b)), a)
+        check_input_grad(lambda t, n: t.matmul(const(t, a), n), b)
 
     def test_bias_add_both_shapes(self):
         rng = Rng(52)
         x2 = rng.child("x2").normal((3, 5))
         b2 = rng.child("b2").normal((5,))
-        check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b2))), x2)
-        check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x2)), n), b2)
+        check_input_grad(lambda t, n: t.bias_add(n, const(t, b2)), x2)
+        check_input_grad(lambda t, n: t.bias_add(const(t, x2), n), b2)
         x4 = rng.child("x4").normal((2, 3, 4, 4))
         b4 = rng.child("b4").normal((3,))
-        check_input_grad(lambda t, n: t.bias_add(n, const(t, Tensor(b4))), x4)
-        check_input_grad(lambda t, n: t.bias_add(const(t, Tensor(x4)), n), b4)
+        check_input_grad(lambda t, n: t.bias_add(n, const(t, b4)), x4)
+        check_input_grad(lambda t, n: t.bias_add(const(t, x4), n), b4)
 
     def test_relu(self):
         x = away_from_kinks(Rng(53), (3, 4))
         check_input_grad(lambda t, n: t.relu(n), x)
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        _, tape = forward(lambda t, n: t.relu(n), Tensor([0.0, 1.0, -1.0]))
-        g = vjp(tape, tape.output, Tensor([1.0, 1.0, 1.0])).data
+        _, tape = forward(lambda t, n: t.relu(n), np.array([0.0, 1.0, -1.0]))
+        g = vjp(tape, tape.output, np.array([1.0, 1.0, 1.0]))
         assert g.tolist() == [0.0, 1.0, 0.0]
 
     def test_softplus(self):
@@ -310,8 +306,8 @@ class TestPrimitiveGradients:
 
     def test_maxpool_tie_goes_to_first_flat_index(self):
         x = np.zeros((1, 1, 2, 2))  # all equal: a four-way tie
-        _, tape = forward(lambda t, n: t.maxpool2(n), Tensor(x))
-        g = vjp(tape, tape.output, Tensor(np.ones((1, 1, 1, 1)))).data
+        _, tape = forward(lambda t, n: t.maxpool2(n), x)
+        g = vjp(tape, tape.output, np.ones((1, 1, 1, 1)))
         assert g[0, 0, 0, 0] == 1.0 and g.sum() == 1.0
 
     def test_maxpool_matches_argmax_oracle_bitwise(self):
@@ -326,8 +322,8 @@ class TestPrimitiveGradients:
             # a non-finite cotangent reaches its window's first maximum only,
             # and every other entry of the window gets 0, as in the oracle
             g.flat[::5], g.flat[2::5], g.flat[3::5] = np.inf, np.nan, -np.inf
-            _, tape = forward(lambda t, n: t.maxpool2(n), Tensor(x))
-            grad = vjp(tape, tape.output, Tensor(g)).data
+            _, tape = forward(lambda t, n: t.maxpool2(n), x)
+            grad = vjp(tape, tape.output, g)
             want_out, want_grad = argmax_maxpool2(x, g)
             assert tape.output.value.data.tobytes() == want_out.tobytes()
             assert grad.tobytes() == want_grad.tobytes()
@@ -336,16 +332,16 @@ class TestPrimitiveGradients:
         rng = Rng(57)
         x = rng.child("x").normal((2, 2, 5, 5))
         w = rng.child("w").normal((3, 2, 3, 3))
-        check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w))), x)
-        check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w)
+        check_input_grad(lambda t, n: t.conv2d(n, const(t, w)), x)
+        check_input_grad(lambda t, n: t.conv2d(const(t, x), n), w)
         w5 = rng.child("w5").normal((2, 2, 5, 5))
-        check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w5))), x)
-        check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w5)
+        check_input_grad(lambda t, n: t.conv2d(n, const(t, w5)), x)
+        check_input_grad(lambda t, n: t.conv2d(const(t, x), n), w5)
         # with the two above, C = 2 > O, C == O and C < O at each k = 1, 3, 5
         for k, o in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (5, 1), (5, 3)]:
             wk = rng.child("w", k, o).normal((o, 2, k, k))
-            check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(wk))), x)
-            check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), wk)
+            check_input_grad(lambda t, n: t.conv2d(n, const(t, wk)), x)
+            check_input_grad(lambda t, n: t.conv2d(const(t, x), n), wk)
 
     def test_conv2d_at_one_sample_per_block(self, monkeypatch):
         rng = Rng(59)
@@ -354,8 +350,8 @@ class TestPrimitiveGradients:
         assert len(autodiff._blocks(3, 2 * 9 * 25, 8)) == 3
         for o in (1, 3):  # C >= O and C < O
             w = rng.child("w", o).normal((o, 2, 3, 3))
-            check_input_grad(lambda t, n: t.conv2d(n, const(t, Tensor(w))), x)
-            check_input_grad(lambda t, n: t.conv2d(const(t, Tensor(x)), n), w)
+            check_input_grad(lambda t, n: t.conv2d(n, const(t, w)), x)
+            check_input_grad(lambda t, n: t.conv2d(const(t, x), n), w)
 
     def test_dropout_fixed_mask(self):
         rng = Rng(58)
@@ -376,15 +372,15 @@ class TestPrimitiveGradients:
         labels = np.eye(3)[[1, 2]]
         eps = rng.child("e").normal((4, 2, 3))
         check_input_grad(
-            lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sigma)), labels, eps), f)
+            lambda t, n: t.aleatoric_nll(n, const(t, sigma), labels, eps), f)
         check_input_grad(
-            lambda t, n: t.aleatoric_nll(const(t, Tensor(f)), n, labels, eps), sigma)
+            lambda t, n: t.aleatoric_nll(const(t, f), n, labels, eps), sigma)
 
 
 def conv2d_paths(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     """conv2d's forward, then its input-VJP, weight-VJP and both-VJP at ``g``,
     in the arrays' dtype."""
-    _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor._wrap(w))), Tensor._wrap(x))
+    _, tape = forward(lambda t, n: t.conv2d(n, const(t, w)), x)
     node = tape.output
     out = [node.value.data]
     for needed in ((True, False), (False, True), (True, True)):
@@ -447,7 +443,7 @@ class TestConvBlocks:
         rng = Rng(64)
         x = rng.child("x").normal((4, 3, 8, 8))
         w = rng.child("w").normal((5, 3, 3, 3))
-        _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
+        _, tape = forward(lambda t, n: t.conv2d(n, const(t, w)), x)
         node = tape.output
         owners = {}
         for cell in node.vjp_fn.__closure__:
@@ -463,26 +459,26 @@ class TestConvBlocks:
 class TestLazyPullback:
     def test_vjp_at_const_node_is_zero(self):
         def build(t, n):
-            c = const(t, Tensor([1.0, 2.0]))
+            c = const(t, np.array([1.0, 2.0]))
             t.relu(c)  # branch not connected to input
             return t.relu(n)
 
-        x = Tensor([3.0, 4.0])
+        x = np.array([3.0, 4.0])
         _, tape = forward(build, x)
         const_branch = tape.nodes[2]
-        assert np.all(vjp(tape, const_branch, Tensor([1.0, 1.0])).data == 0.0)
+        assert np.all(vjp(tape, const_branch, np.array([1.0, 1.0])) == 0.0)
 
     def test_param_grads_unreachable_param_zero(self):
         def build(t, n):
-            t.leaf_param("unused", Tensor(np.ones((2, 2))))
-            w = t.leaf_param("w", Tensor(np.ones((3, 1))))
+            t.leaf_param("unused", np.ones((2, 2)))
+            w = t.leaf_param("w", np.ones((3, 1)))
             # the (1, 1) sum of the two rows of n w
-            return t.matmul(const(t, Tensor(np.ones((1, 2)))), t.matmul(n, w))
+            return t.matmul(const(t, np.ones((1, 2))), t.matmul(n, w))
 
-        _, tape = forward(build, Tensor(Rng(0).normal((2, 3))))
+        _, tape = forward(build, Rng(0).normal((2, 3)))
         grads = param_gradients(tape, tape.output)
-        assert np.all(grads["unused"].data == 0.0)
-        assert not np.all(grads["w"].data == 0.0)
+        assert np.all(grads["unused"] == 0.0)
+        assert not np.all(grads["w"] == 0.0)
 
 
 class TestDtype:
@@ -522,8 +518,8 @@ class TestDtype:
         tape = autodiff.Tape()
 
         def leaf(tag, shape):
-            return tape.leaf_param(tag, Tensor._wrap(Rng(80).child(tag).normal(shape)
-                                                     .astype(dtype)))
+            return tape.leaf_param(tag, Rng(80).child(tag).normal(shape)
+                                                     .astype(dtype))
 
         return self.PRIMITIVES[case](tape, leaf, dtype)
 
@@ -553,35 +549,35 @@ class TestDtype:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_seeds_and_zero_cotangents(self, dtype):
         tape = autodiff.Tape()
-        x = tape.leaf_input(Tensor._wrap(np.ones((1, 5), dtype)))
-        tape.leaf_param("unused", Tensor._wrap(np.ones((2, 2), dtype)))
-        loss = tape.matmul(x, tape.leaf_param("w", Tensor._wrap(np.full((5, 1), 0.7, dtype))))
+        x = tape.leaf_input(np.ones((1, 5), dtype))
+        tape.leaf_param("unused", np.ones((2, 2), dtype))
+        loss = tape.matmul(x, tape.leaf_param("w", np.full((5, 1), 0.7, dtype)))
         grads = param_gradients(tape, loss)  # the seed of ones, and a zero for "unused"
-        assert [grads[n].data.dtype for n in ("w", "unused")] == [np.dtype(dtype)] * 2
+        assert [grads[n].dtype for n in ("w", "unused")] == [np.dtype(dtype)] * 2
         early = autodiff.Tape()
-        early.relu(const(early, Tensor._wrap(np.ones(2, dtype))))
-        early.leaf_input(Tensor._wrap(np.ones((2, 3), dtype)))
-        assert vjp(early, early.nodes[1], Tensor._wrap(np.ones(2, dtype))).data.dtype == dtype
+        early.relu(const(early, np.ones(2, dtype)))
+        early.leaf_input(np.ones((2, 3), dtype))
+        assert vjp(early, early.nodes[1], np.ones(2, dtype)).dtype == dtype
 
     @staticmethod
     def cnn(dtype, head=False):
-        """BasicCNN (float32) or, cast through ``Tensor``, its float64 twin,
+        """BasicCNN (float32) or, cast to float64, its float64 twin,
         as an old float64 checkpoint loads."""
         model = build_model(cnn_meta((1, 8, 8), 3, uncertainty_head=head), 82)
         if dtype == np.float64:
-            model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
+            model.set_params({name: t.astype(np.float64) for name, t in model.params.items()})
         assert model.dtype == dtype
         return model
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_summed_jacobian_and_param_gradients(self, dtype):
         model = self.cnn(dtype)
-        tape = model.forward(Tensor(Rng(84).normal((2, 1, 8, 8))))  # float64 samples
-        assert summed_jacobian(tape, tape.taps["pre-logits"]).data.dtype == dtype
+        tape = model.forward(Rng(84).normal((2, 1, 8, 8)))  # float64 samples
+        assert summed_jacobian(tape, tape.taps["pre-logits"]).dtype == dtype
         loss = tape.cross_entropy(tape.output, np.eye(3)[[0, 2]])
         grads = param_gradients(tape, loss)
         assert {n.value.data.dtype for n in tape.nodes} == {np.dtype(dtype)}
-        assert {g.data.dtype for g in grads.values()} == {np.dtype(dtype)}
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("optimizer", ["sgd-momentum", "adam"])
@@ -594,7 +590,7 @@ class TestDtype:
             grads = param_gradients(tape, loss)
             ops.update(n.op for n in tape.nodes)
             seen.extend(n.value.data.dtype for n in tape.nodes)
-            seen.extend(g.data.dtype for g in grads.values())
+            seen.extend(g.dtype for g in grads.values())
             return grads
 
         monkeypatch.setattr(autodiff, "param_gradients", recording)
@@ -603,4 +599,4 @@ class TestDtype:
                        Rng(85).normal((4, 1, 8, 8)), np.eye(3)[[0, 1, 2, 0]], 3, Rng(86), (0, 0))
         assert "dropout" in ops
         assert set(seen) == {np.dtype(dtype)}
-        assert {t.data.dtype for t in model.params.values()} == {np.dtype(dtype)}
+        assert {t.dtype for t in model.params.values()} == {np.dtype(dtype)}

@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import mlp_meta, rewrite_header
+from oracles import cnn_meta, mlp_meta, rewrite_header
 
 from signreg import cli, evalharness, repro, training
 from signreg import config as cfgmod
@@ -263,9 +263,9 @@ def _broken_checkpoint(tmp_path, name, breaks):
 def _nan_checkpoint(path):
     """A {fits} checkpoint with one NaN in tensor fc1.w."""
     model = build_model(mlp_meta((1, 8, 8), [4], 3), 1)
-    w = model.params["fc1.w"].data.copy()
+    w = model.params["fc1.w"].copy()
     w[5, 2] = np.nan
-    model.set_params({**model.params, "fc1.w": Tensor(w)})
+    model.set_params({**model.params, "fc1.w": w})
     save_checkpoint(model, path)
     return path
 
@@ -657,6 +657,43 @@ def test_run_errors(tmp_path, capsys, monkeypatch, case):
     words = command.format(**files).split()
     assert main([words[0], "-c", cfg, *words[1:]]) == code
     _assert_one_line_error(capsys.readouterr().err, [text.format(**files) for text in named])
+
+
+# (write_config keywords, command line after "signreg" without -c, texts the
+# one-line message must name): a run whose values leave the float range ends
+# at the stage that meets them, before it writes a report; {huge} holds six
+# samples of 1e39, finite in float64, and {cnn} is a float32 BasicCNN
+NON_FINITE_RUN_CASES = {
+    "training-diverges": ({"epochs": 8, "learning_rate": 1e12}, "train",
+                          ["training diverged: epoch 7, batch 0: loss nan"]),
+    # the epoch's last step leaves parameters that overflow the validation pass
+    "validation-diverges": ({"epochs": 8, "learning_rate": 1e11}, "train",
+                            ["training diverged: epoch", "validation scoring: sample 4 has a "
+                             "non-finite predictive"]),
+    # the transform's copies are finite, and overflow the final model
+    "sign-copies-overflow": ({"epochs": 1, "strategy": "sign", "extra_strategy":
+                              "source_epochs = 1\nsign_k = 1\nsign_gamma = 1e300"},
+                             "train", ["training diverged: epoch 0, batch 1: loss nan"]),
+    "cast-overflows": ({"dataset_lines": ["kind = container", "path = {huge}"]},
+                       "eval --checkpoint {cnn}",
+                       ["input batch", "cast to float32", "magnitudes up to 3.403e+38"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_RUN_CASES))
+def test_non_finite_runs_exit_two(tmp_path, capsys, case):
+    files = {"cnn": str(tmp_path / "cnn.bin"),
+             "huge": _container(str(tmp_path / "huge.container"), [np.full((1, 8, 8), 1e39)] * 6)}
+    save_checkpoint(build_model(cnn_meta((1, 8, 8), 3), 1), files["cnn"])
+    settings, command, named = NON_FINITE_RUN_CASES[case]
+    settings = {k: [line.format(**files) for line in v] if isinstance(v, list) else v
+                for k, v in settings.items()}
+    cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "run", **settings)
+    words = command.format(**files).split()
+    assert main([words[0], "-c", cfg, *words[1:]]) == 2
+    _assert_one_line_error(capsys.readouterr().err, named)
+    assert not {"report.csv", "checkpoint.bin", "eval-report.json"} & set(
+        os.listdir(tmp_path / "run"))
 
 
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from signreg.training import TrainConfig, evaluate_arrays, fit
 def logit_passthrough_model(ncls: int) -> Model:
     """Logits equal the (flat) input: lets tests dictate predictions."""
     layers = [Dense("out", ncls, ncls)]
-    params = {"out.w": Tensor(np.eye(ncls)), "out.b": Tensor(np.zeros(ncls))}
+    params = {"out.w": np.eye(ncls), "out.b": np.zeros(ncls)}
     return Model(layers, params, {"pre-logits": 0, "logits": 0}, (ncls,), ncls,
                  {"arch": "small_mlp", "input_dim": ncls, "hidden_dims": [1],
                   "num_classes": ncls, "input_shape": [ncls]})
@@ -28,7 +28,7 @@ def logit_passthrough_model(ncls: int) -> Model:
 
 def uniform_model(ncls: int) -> Model:
     layers = [Dense("out", ncls, ncls)]
-    params = {"out.w": Tensor(np.zeros((ncls, ncls))), "out.b": Tensor(np.zeros(ncls))}
+    params = {"out.w": np.zeros((ncls, ncls)), "out.b": np.zeros(ncls)}
     return Model(layers, params, {"pre-logits": 0, "logits": 0}, (ncls,), ncls,
                  {"arch": "small_mlp", "input_dim": ncls, "hidden_dims": [1],
                   "num_classes": ncls, "input_shape": [ncls]})
@@ -127,16 +127,16 @@ def constant_head_model(f_bias, sigma) -> Model:
     ncls = len(f_bias)
     model = build_model(mlp_meta(2, [3], ncls, uncertainty_head=True), 0)
     params = dict(model.params)
-    params["head.f.w"] = params["head.s.w"] = Tensor(np.zeros((3, ncls)))
-    params["head.f.b"] = Tensor(f_bias)
-    params["head.s.b"] = Tensor(np.log(np.expm1(sigma)))  # softplus inverse
+    params["head.f.w"] = params["head.s.w"] = np.zeros((3, ncls))
+    params["head.f.b"] = f_bias
+    params["head.s.b"] = np.log(np.expm1(sigma))  # softplus inverse
     model.set_params(params)
     return model
 
 
 def constant_plain_model(bias) -> Model:
     model = uniform_model(len(bias))
-    model.set_params({"out.w": model.params["out.w"], "out.b": Tensor(bias)})
+    model.set_params({"out.w": model.params["out.w"], "out.b": bias})
     return model
 
 

@@ -12,7 +12,7 @@ from oracles import cnn_meta, const, forward, mlp_meta, rewrite_header
 from signreg.autodiff import vjp
 from signreg.nn import (CHECKPOINT_VERSION, PREDICT_BATCH, Dense, Flatten, Model, build_model,
                         load_checkpoint, params_checksum, predict, save_checkpoint)
-from signreg.tensor import Rng, ShapeError, Tensor, read_framed
+from signreg.tensor import Rng, ShapeError, read_framed
 
 
 def naive_conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -38,7 +38,7 @@ def naive_conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 class TestBasicCnn:
     def test_logits_shape_cifar_setting(self):
         model = build_model(cnn_meta((3, 32, 32), 10), 0)
-        x = Tensor(Rng(1).normal((2, 3, 32, 32)))
+        x = Rng(1).normal((2, 3, 32, 32))
         assert model.forward(x).output.shape == (2, 10)
 
     def test_first_conv_param_count(self):
@@ -53,27 +53,27 @@ class TestBasicCnn:
 
     def test_taps_present(self):
         model = build_model(cnn_meta((1, 8, 8), 3), 0)
-        tape = model.forward(Tensor(Rng(1).normal((1, 1, 8, 8))))
+        tape = model.forward(Rng(1).normal((1, 1, 8, 8)))
         assert tape.taps["pre-logits"].shape == (1, 512)
         assert tape.taps["logits"].shape == (1, 3)
 
     def test_pre_logits_feeds_classifier_directly(self):
         model = build_model(cnn_meta((1, 8, 8), 3), 0)
-        tape = model.forward(Tensor(Rng(1).normal((1, 1, 8, 8))))
+        tape = model.forward(Rng(1).normal((1, 1, 8, 8)))
         matmul_node = tape.taps["logits"].parents[0]
         assert matmul_node.op == "matmul"
         assert matmul_node.parents[0] is tape.taps["pre-logits"]
 
     def test_forward_deterministic_without_dropout(self):
         model = build_model(cnn_meta((1, 8, 8), 3, drop_prob=0.3), 0)
-        x = Tensor(Rng(1).normal((2, 1, 8, 8)))
+        x = Rng(1).normal((2, 1, 8, 8))
         a = model.forward(x).output.value.data
         b = model.forward(x).output.value.data
         assert np.array_equal(a, b)
 
     def test_dropout_active_only_in_train_mode(self):
         model = build_model(cnn_meta((1, 8, 8), 3, drop_prob=0.5), 0)
-        x = Tensor(Rng(1).normal((2, 1, 8, 8)))
+        x = Rng(1).normal((2, 1, 8, 8))
         eval_out = model.forward(x).output.value.data
         train_out = model.forward(x, train=True, rng=Rng(2)).output.value.data
         assert not np.array_equal(eval_out, train_out)
@@ -106,7 +106,7 @@ class TestConvKernel:
         for trial in range(3):
             x = rng.child(trial, "x").normal((2, 1, 4, 5))
             w = rng.child(trial, "w").normal((3, 1, 3, 3))
-            _, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
+            _, tape = forward(lambda t, n: t.conv2d(n, const(t, w)), x)
             np.testing.assert_allclose(tape.output.value.data, naive_conv2d_same(x, w),
                                        atol=1e-10, rtol=0)
 
@@ -117,17 +117,17 @@ class TestConvKernel:
         x = rng.child("x").normal((b, c, h, wd))
         w = rng.child("w").normal((o, c, k, k))
         g = rng.child("g").normal((b, o, h, wd))
-        out, x_tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
-        _, w_tape = forward(lambda t, n: t.conv2d(const(t, Tensor(x)), n), Tensor(w))
-        dx = vjp(x_tape, x_tape.output, Tensor(g)).data
-        dw = vjp(w_tape, w_tape.output, Tensor(g)).data
-        np.testing.assert_allclose(out.data, naive_conv2d_same(x, w), atol=CONV_TOL, rtol=0)
+        out, x_tape = forward(lambda t, n: t.conv2d(n, const(t, w)), x)
+        _, w_tape = forward(lambda t, n: t.conv2d(const(t, x), n), w)
+        dx = vjp(x_tape, x_tape.output, g)
+        dw = vjp(w_tape, w_tape.output, g)
+        np.testing.assert_allclose(out, naive_conv2d_same(x, w), atol=CONV_TOL, rtol=0)
         np.testing.assert_allclose(dx, naive_vjp(lambda e: naive_conv2d_same(e, w), x, g),
                                    atol=CONV_TOL, rtol=0)
         np.testing.assert_allclose(dw, naive_vjp(lambda e: naive_conv2d_same(x, e), w, g),
                                    atol=CONV_TOL, rtol=0)
         # adjoint identity: <conv(x, w), g> = <x, vjp_x(g)> = <w, vjp_w(g)>
-        pairing = (out.data * g).sum()
+        pairing = (out * g).sum()
         assert abs((x * dx).sum() - pairing) <= CONV_TOL
         assert abs((w * dw).sum() - pairing) <= CONV_TOL
 
@@ -140,10 +140,10 @@ class TestConvKernel:
         x = rng.child("x").normal((b, c, h, wd))
         w = rng.child("w").normal((o, c, k, k))
         g = rng.child("g").normal((b, o, h, wd))
-        out, tape = forward(lambda t, n: t.conv2d(n, const(t, Tensor(w))), Tensor(x))
-        dx = vjp(tape, tape.output, Tensor(g)).data
-        scale = np.abs(out.data * g).sum() + np.abs(x * dx).sum()
-        assert abs((out.data * g).sum() - (x * dx).sum()) <= ADJOINT_RTOL * scale
+        out, tape = forward(lambda t, n: t.conv2d(n, const(t, w)), x)
+        dx = vjp(tape, tape.output, g)
+        scale = np.abs(out * g).sum() + np.abs(x * dx).sum()
+        assert abs((out * g).sum() - (x * dx).sum()) <= ADJOINT_RTOL * scale
 
 
 class TestSmallMlp:
@@ -154,11 +154,11 @@ class TestSmallMlp:
 
     def test_zero_input_zero_bias_logits_equal(self):
         model = build_model(mlp_meta(4, [8], 3), 0)
-        logits = model.forward(Tensor(np.zeros((1, 4)))).output.value.data
+        logits = model.forward(np.zeros((1, 4))).output.value.data
         assert np.all(logits == logits[0, 0])
 
     def test_build_determinism(self):
-        x = Tensor(Rng(5).normal((2, 6)))
+        x = Rng(5).normal((2, 6))
         a = build_model(mlp_meta(6, [10, 4], 3), 7).forward(x).output.value.data
         b = build_model(mlp_meta(6, [10, 4], 3), 7).forward(x).output.value.data
         assert np.array_equal(a, b)
@@ -169,31 +169,31 @@ class TestSmallMlp:
 
     def test_image_shaped_input(self):
         model = build_model(mlp_meta((3, 2, 2), [5], 2), 0)
-        out = model.forward(Tensor(Rng(1).normal((4, 3, 2, 2)))).output
+        out = model.forward(Rng(1).normal((4, 3, 2, 2))).output
         assert out.shape == (4, 2)
 
 
 class TestUncertaintyHead:
     def test_branch_shapes(self):
         model = build_model(cnn_meta((1, 8, 8), 10, uncertainty_head=True), 0)
-        tape = model.forward(Tensor(Rng(2).normal((2, 1, 8, 8))))
+        tape = model.forward(Rng(2).normal((2, 1, 8, 8)))
         assert tape.output.shape == (2, 10)
         assert tape.taps["sigma"].shape == (2, 10)
 
     def test_sigma_strictly_positive(self):
         model = build_model(mlp_meta(5, [7], 4, uncertainty_head=True), 0)
         for trial in range(5):
-            tape = model.forward(Tensor(Rng(trial + 2).normal((8, 5))))
+            tape = model.forward(Rng(trial + 2).normal((8, 5)))
             assert np.all(tape.taps["sigma"].value.data > 0.0)
 
     def test_large_negative_sigma_branch_degenerates(self):
         # softplus(-large) ~ 0+: the noisy classifier collapses to softmax(f)
         model = build_model(mlp_meta(5, [7], 4, uncertainty_head=True), 0)
         params = dict(model.params)
-        params["head.s.w"] = Tensor(np.zeros(params["head.s.w"].shape))
-        params["head.s.b"] = Tensor(np.full(params["head.s.b"].shape, -40.0))
+        params["head.s.w"] = np.zeros(params["head.s.w"].shape)
+        params["head.s.b"] = np.full(params["head.s.b"].shape, -40.0)
         model.set_params(params)
-        tape = model.forward(Tensor(Rng(2).normal((3, 5))))
+        tape = model.forward(Rng(2).normal((3, 5)))
         sigma = tape.taps["sigma"].value.data
         assert np.all(sigma > 0.0) and np.all(sigma < 1e-15)
         f = tape.output.value.data
@@ -211,12 +211,12 @@ class TestPredict:
         # two batches, so each batch's draws must come from its own stream
         model = build_model(mlp_meta(5, [7], 4, uncertainty_head=True), 0)
         params = dict(model.params)
-        params["head.s.b"] = Tensor(np.full(4, 1.5))  # noise wide enough to matter
+        params["head.s.b"] = np.full(4, 1.5)  # noise wide enough to matter
         model.set_params(params)
         x = Rng(2).normal((PREDICT_BATCH + 44, 5))
         rng = Rng(3)
         logp, mean_sigma = predict(model, list(x), 9, rng)
-        tape = model.forward(Tensor(x))
+        tape = model.forward(x)
         f, sigma = tape.output.value.data, tape.taps["sigma"].value.data
         expected = []
         for start in (0, PREDICT_BATCH):
@@ -227,6 +227,17 @@ class TestPredict:
         assert np.abs(np.exp(logp) - np.concatenate(expected)).max() <= 1e-12
         assert np.abs(mean_sigma - sigma.mean(axis=1)).max() <= 1e-12
 
+    def test_non_finite_row_raises(self):
+        # float32 weights of 1e30 overflow on the finite second sample; argmax
+        # of its NaN row would pick class 0
+        model = build_model(mlp_meta(2, [2], 2), 0)
+        model.set_params({name: np.full(p.shape, 1e30 if name.endswith(".w") else 0.0, np.float32)
+                          for name, p in model.params.items()})
+        x = np.array([[0.0, 0.0], [1e10, 1e10]])
+        assert np.isfinite(model.forward(x[:1]).output.value.data).all()
+        with pytest.raises(ArithmeticError, match="sample 1 has a non-finite predictive"):
+            predict(model, x, 1, Rng(0))
+
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -236,7 +247,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert set(loaded.params) == set(model.params)
         for name in model.params:
-            assert np.array_equal(loaded.params[name].data, model.params[name].data)
+            assert np.array_equal(loaded.params[name], model.params[name])
         assert loaded.meta == model.meta
         assert params_checksum(loaded.params) == params_checksum(model.params)
 
@@ -245,7 +256,7 @@ class TestCheckpoint:
         path = str(tmp_path / "cnn.bin")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        x = Tensor(Rng(6).normal((2, 1, 8, 8)))
+        x = Rng(6).normal((2, 1, 8, 8))
         assert np.array_equal(model.forward(x).output.value.data,
                               loaded.forward(x).output.value.data)
 
@@ -256,22 +267,22 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert model.dtype == loaded.dtype == np.float32
         for name, t in model.params.items():
-            assert loaded.params[name].data.dtype == np.float32
-            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+            assert loaded.params[name].dtype == np.float32
+            assert loaded.params[name].tobytes() == t.tobytes()
         header, _ = read_framed(path, CHECKPOINT_VERSION, {"tensors": dict})
         assert {rec["dtype"] for rec in header["tensors"].values()} == {"<f4"}
 
     def test_record_without_dtype_loads_as_float64(self, tmp_path):
         # a float64 BasicCNN in a checkpoint written before records carried a dtype
         model = build_model(cnn_meta((1, 8, 8), 3), 5)
-        model.set_params({name: Tensor(t.data) for name, t in model.params.items()})
+        model.set_params({name: t.astype(np.float64) for name, t in model.params.items()})
         path = str(tmp_path / "old.bin")
         save_checkpoint(model, path)
         rewrite_header(path, lambda h: [rec.pop("dtype") for rec in h["tensors"].values()])
         loaded = load_checkpoint(path)
         assert loaded.dtype == np.float64
         assert params_checksum(loaded.params) == params_checksum(model.params)
-        x = Tensor(Rng(6).normal((2, 1, 8, 8)))
+        x = Rng(6).normal((2, 1, 8, 8))
         out = loaded.forward(x).output.value.data
         assert out.dtype == np.float64
         assert out.tobytes() == model.forward(x).output.value.data.tobytes()
@@ -338,12 +349,11 @@ class TestModelContracts:
     def test_input_shape_validated(self):
         model = build_model(mlp_meta(4, [3], 2), 0)
         with pytest.raises(ShapeError):
-            model.forward(Tensor(np.zeros((1, 5))))
+            model.forward(np.zeros((1, 5)))
 
     def test_set_params_rejects_mixed_dtypes(self):
         model = build_model(mlp_meta(4, [3], 2), 0)
-        params = dict(model.params, **{"out.w": Tensor._wrap(
-            model.params["out.w"].data.astype(np.float32))})
+        params = dict(model.params, **{"out.w": model.params["out.w"].astype(np.float32)})
         with pytest.raises(ValueError, match=re.escape(
                 "param out.w: dtype float32 differs from param fc1.w's float64")):
             model.set_params(params)
@@ -351,13 +361,23 @@ class TestModelContracts:
     def test_model_without_parameters_computes_in_float64(self):
         model = Model([Flatten()], {}, {"logits": 0}, (3,), 3, {"arch": "small_mlp"})
         model.set_params({})
-        out = model.forward(Tensor._wrap(np.ones((2, 3), np.float32))).output
+        out = model.forward(np.ones((2, 3), np.float32)).output
         assert out.value.data.dtype == np.float64
+
+    def test_cast_that_overflows_is_rejected(self):
+        # finite in float64, past float32's range: the cast would make it inf
+        model = build_model(cnn_meta((1, 8, 8), 3), 0)
+        x = np.zeros((2, 1, 8, 8))
+        x[1, 0, 3, 4] = 1e39
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "input batch: its cast to float32 leaves a non-finite value (float32 holds "
+                "magnitudes up to 3.403e+38)")):
+            model.forward(x)
 
     def test_set_params_name_mismatch(self):
         model = build_model(mlp_meta(4, [3], 2), 0)
         with pytest.raises(ValueError):
-            model.set_params({"nope": Tensor([1.0])})
+            model.set_params({"nope": np.array([1.0])})
 
     def test_final_layer_is_dense_classifier(self):
         model = build_model(mlp_meta(4, [3], 2), 0)

@@ -18,7 +18,7 @@ def linear_model(w: np.ndarray) -> Model:
     """Phi(x) = x W with zero bias; 'logits' is the only meaningful tap."""
     d, m = w.shape
     layers = [Dense("out", d, m)]
-    params = {"out.w": Tensor(w), "out.b": Tensor(np.zeros(m))}
+    params = {"out.w": w, "out.b": np.zeros(m)}
     return Model(layers, params, {"pre-logits": 0, "logits": 0}, (d,), m,
                  {"arch": "small_mlp", "input_dim": d, "hidden_dims": [1],
                   "num_classes": m, "input_shape": [d]})
@@ -56,8 +56,8 @@ class TestSignTransform:
         p = rng.child("p").normal((8,))
         gamma = 0.3
         [_, copy] = transform_dataset(model, samples_of([p], [0]), [SignConfig(k=1, gamma=gamma)])
-        tape = model.forward(Tensor(p[None]))
-        delta = summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
+        tape = model.forward(p[None])
+        delta = summed_jacobian(tape, tape.taps["pre-logits"])[0]
         np.testing.assert_allclose(copy.image.data, p + gamma * delta, atol=1e-12, rtol=0)
 
     def test_two_steps_match_hand_rolled_loop(self):
@@ -68,16 +68,16 @@ class TestSignTransform:
                                       [SignConfig(k=2, eval_point="current-iterate")])
         cur = p.copy()
         for _ in range(2):
-            tape = model.forward(Tensor(cur[None]))
-            cur = cur + summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
+            tape = model.forward(cur[None])
+            cur = cur + summed_jacobian(tape, tape.taps["pre-logits"])[0]
         np.testing.assert_allclose(copy.image.data, cur, atol=1e-12, rtol=0)
 
     def test_original_point_policy_repeats_first_delta(self):
         rng = Rng(14)
         model = build_model(mlp_meta(6, [4], 2), rng.seed)
         p = rng.child("p").normal((6,))
-        tape = model.forward(Tensor(p[None]))
-        delta = summed_jacobian(tape, tape.taps["pre-logits"]).data[0]
+        tape = model.forward(p[None])
+        delta = summed_jacobian(tape, tape.taps["pre-logits"])[0]
         [_, copy] = transform_dataset(model, samples_of([p], [0]),
                                       [SignConfig(k=4, gamma=0.5, eval_point="original-point")])
         np.testing.assert_allclose(copy.image.data, p + 4 * 0.5 * delta, atol=1e-10, rtol=0)
@@ -93,13 +93,13 @@ class TestSignTransform:
             got = copy.image.data
             cur = p.copy()
             for _ in range(k):
-                tape = model.forward(Tensor(cur[None]))
+                tape = model.forward(cur[None])
                 node = tape.taps["pre-logits"]
                 rows = []
                 for j in range(node.shape[1]):
                     cot = np.zeros(node.shape)
                     cot[0, j] = 1.0
-                    rows.append(vjp(tape, node, Tensor(cot)).data.reshape(-1))
+                    rows.append(vjp(tape, node, cot).reshape(-1))
                 cur = cur + 0.7 * np.stack(rows).sum(axis=0)
             np.testing.assert_allclose(got, cur, atol=1e-8, rtol=0)
 
@@ -118,9 +118,9 @@ class TestSignTransform:
         rng = Rng(seed)
         model = build_model(mlp_meta(input_dim, hidden, classes), rng.seed)
         # random biases move the kinks away from the origin
-        model.set_params({name: Tensor(rng.child(name).normal(t.shape))
+        model.set_params({name: rng.child(name).normal(t.shape)
                           for name, t in model.params.items()})
-        params = {name: t.data for name, t in model.params.items()}
+        params = dict(model.params)
         x = rng.child("x").normal((input_dim,))
         weights, masks, act = [], [], x
         for i in range(len(hidden)):
@@ -284,6 +284,14 @@ class TestTransformDataset:
             transform_dataset(model, self.make_samples(n=2),
                               [SignConfig(k=1, tap="logits")])
 
+    def test_overflowing_cast_carries_sample_range(self):
+        # 1e39 is finite in the float64 samples, and past a BasicCNN's float32
+        model = build_model(cnn_meta((1, 8, 8), 3), 0)
+        samples = samples_of([np.zeros((1, 8, 8)), np.full((1, 8, 8), 1e39)], [0, 1])
+        with pytest.raises(ArithmeticError,
+                           match=r"^samples \[0, 2\): input batch: its cast to float32"):
+            transform_dataset(model, samples, [SignConfig(k=1)])
+
     def test_threaded_matches_sequential(self):
         model = build_model(mlp_meta(6, [4], 3), 0)
         samples = self.make_samples(n=9)
@@ -345,8 +353,8 @@ class TestSharedTrajectories:
                                                                         (cfg.k,))
         cur, total, norms = p[None], np.zeros((1, 6)), []
         for _ in range(cfg.k):
-            tape = model.forward(Tensor(p[None]))
-            delta = summed_jacobian(tape, tape.taps["pre-logits"]).data
+            tape = model.forward(p[None])
+            delta = summed_jacobian(tape, tape.taps["pre-logits"])
             delta = delta / np.abs(delta).max()
             norms.append(float(np.sqrt((delta ** 2).sum())))
             cur, total = cur + cfg.gamma * delta, total + cfg.gamma * delta

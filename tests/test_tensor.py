@@ -1,14 +1,14 @@
-"""Tensor construction, the tape's matmul kernel against a hand oracle,
-random-source determinism."""
+"""Tensor construction and read-only arrays, the tape's matmul kernel
+against a hand oracle, random-source determinism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from oracles import const, forward
+from oracles import const, forward, mlp_meta
 
-from signreg.autodiff import vjp
-from signreg.tensor import Rng, ShapeError, Tensor
+from signreg.autodiff import param_gradients, summed_jacobian, vjp
+from signreg.nn import build_model, load_checkpoint, save_checkpoint
+from signreg.tensor import Rng, ShapeError, Tensor, readonly
+from signreg.training import Adam, SgdMomentum
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,7 +39,7 @@ class TestZeros:
 
     def test_image_sized(self):
         t = Tensor(np.zeros((3, 32, 32)))
-        assert t.size == 3072
+        assert t.data.size == 3072
         assert np.all(t.data == 0.0)
 
     def test_invalid_shapes(self):
@@ -52,7 +52,7 @@ class TestZeros:
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _, tape = forward(lambda t, n: t.matmul(n, const(t, Tensor(b))), Tensor(a))
+    _, tape = forward(lambda t, n: t.matmul(n, const(t, b)), a)
     return tape.output.value.data
 
 
@@ -122,41 +122,50 @@ class TestTensorInvariants:
             t.data[0, 0] = 5.0
 
     def test_kernels_do_not_mutate(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        before = a.data.copy(), b.data.copy()
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
+        before = a.copy(), b.copy()
         _, tape = forward(lambda t, n: t.matmul(n, const(t, b)), a)
         vjp(tape, tape.output, b)
-        assert np.array_equal(a.data, before[0]) and np.array_equal(b.data, before[1])
-
-    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
-    @settings(max_examples=30, deadline=None)
-    def test_size_is_shape_product(self, shape):
-        t = Tensor(np.full(shape, 2.5))
-        assert t.size == int(np.prod(shape)) == len(t.data.reshape(-1))
-        assert t.ndim == len(shape)
-
-    def test_item_needs_one_element(self):
-        assert Tensor([[2.5]]).item() == 2.5
-        with pytest.raises(ShapeError, match="single-element"):
-            Tensor([1.0, 2.0]).item()
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
 
     def test_scalar_promoted_to_rank_one(self):
         assert Tensor(3.0).shape == (1,)
 
     def test_dtype_rule(self):
-        # Tensor(...) is float64; _wrap keeps float32 and makes the rest float64
+        # Tensor(...) is float64; readonly, and so _wrap, keeps float32 and
+        # makes the rest float64
         f32 = np.ones((2, 3), np.float32)
         assert Tensor(f32).data.dtype == np.float64
-        assert Tensor._wrap(f32).data.dtype == np.float32
+        assert Tensor._wrap(f32).data.dtype == readonly(f32).dtype == np.float32
         for other in (np.ones(3, np.float16), np.arange(3), np.ones(3) > 0):
-            assert Tensor._wrap(other).data.dtype == np.float64
+            assert Tensor._wrap(other).data.dtype == readonly(other).dtype == np.float64
 
     def test_elementwise_shape_mismatch(self):
         # bias_add is the one elementwise sum of two operands the models record
         with pytest.raises(ShapeError):
-            forward(lambda t, n: t.bias_add(n, const(t, Tensor(np.ones(3)))),
-                    Tensor(np.ones((2, 2))))
+            forward(lambda t, n: t.bias_add(n, const(t, np.ones(3))), np.ones((2, 2)))
+
+
+def test_boundaries_take_and_return_arrays(tmp_path):
+    """The tape's derivatives are arrays, and a model's parameters are
+    read-only arrays however they were set: built, loaded, set, or stepped."""
+    model = build_model(mlp_meta(4, [5], 3), 0)
+    tape = model.forward(Rng(1).normal((2, 4)))
+    grads = param_gradients(tape, tape.cross_entropy(tape.output, np.eye(3)[[0, 2]]))
+    derivatives = [vjp(tape, tape.output, np.ones((2, 3))), summed_jacobian(tape, tape.output)]
+    assert all(type(d) is np.ndarray for d in derivatives + list(grads.values()))
+    stores = [model.params]
+    save_checkpoint(model, str(tmp_path / "m.bin"))
+    stores.append(load_checkpoint(str(tmp_path / "m.bin")).params)
+    model.set_params({name: np.array(p) for name, p in model.params.items()})  # writable copies
+    stores.append(model.params)
+    stores += [opt.step(model.params, grads, 0.1) for opt in (SgdMomentum(), Adam())]
+    for params in stores:
+        for p in params.values():
+            assert type(p) is np.ndarray
+            with pytest.raises(ValueError, match="read-only"):
+                p[...] = 0.0
 
 
 class TestRng:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from oracles import const, forward
 
-from signreg.datasets import DatasetSplit, make_synthetic_blobs, normalize
-from signreg.nn import Model, build_model
+from signreg.datasets import DatasetSplit, Sample, make_synthetic_blobs, normalize
+from signreg.nn import Dense, Model, build_model
 from signreg.sign import SignConfig, transform_dataset
 from signreg.tensor import Rng, Tensor
 from signreg import training
@@ -30,26 +30,26 @@ class TestCrossEntropy:
 
     def test_uniform_logits_ln_ten(self):
         labels = onehot([0, 3, 5, 9], 10)
-        loss, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(np.zeros((4, 10))))
+        loss, _ = forward(lambda t, n: t.cross_entropy(n, labels), np.zeros((4, 10)))
         assert loss.item() == pytest.approx(np.log(10.0), abs=1e-12)
 
     def test_saturated_true_class(self):
         z = np.zeros((1, 10))
         z[0, 2] = 50.0
-        loss, _ = forward(lambda t, n: t.cross_entropy(n, onehot([2], 10)), Tensor(z))
+        loss, _ = forward(lambda t, n: t.cross_entropy(n, onehot([2], 10)), z)
         assert 0.0 <= loss.item() < 1e-20
 
     def test_matches_naive_formula_on_small_logits(self):
         rng = Rng(1)
         logits = rng.child("z").normal((6, 5))
         labels = onehot(rng.child("y").integers(0, 5, size=6), 5)
-        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(logits))
+        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), logits)
         assert got.item() == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
 
     def test_soft_labels_supported(self):
         logits = Rng(2).normal((3, 4))
         labels = np.full((3, 4), 0.25)
-        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(logits))
+        got, _ = forward(lambda t, n: t.cross_entropy(n, labels), logits)
         assert got.item() == pytest.approx(naive_cross_entropy(logits, labels), abs=1e-12)
 
 
@@ -61,12 +61,12 @@ class TestAleatoricLoss:
         rng = Rng(3)
         f = rng.child("f").normal((5, 4))
         labels = onehot(rng.child("y").integers(0, 4, size=5), 4)
-        ce, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(f))
-        sigma = Tensor(np.full((5, 4), 1e-12))
+        ce, _ = forward(lambda t, n: t.cross_entropy(n, labels), f)
+        sigma = np.full((5, 4), 1e-12)
         for t_draws in (1, 5, 20):
             eps = rng.child("mc", t_draws).normal((t_draws, 5, 4))
             got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, sigma), labels, eps),
-                             Tensor(f))
+                             f)
             assert got.item() == pytest.approx(ce.item(), abs=1e-6)
 
     def test_single_draw_equals_perturbed_cross_entropy(self):
@@ -75,25 +75,24 @@ class TestAleatoricLoss:
         sigma = np.abs(rng.child("s").normal((3, 4))) + 0.3
         labels = onehot([0, 2, 3], 4)
         eps = Rng(4).child("draw").normal((1, 3, 4))
-        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(sigma)), labels, eps),
-                         Tensor(f))
-        want, _ = forward(lambda t, n: t.cross_entropy(n, labels), Tensor(f + sigma * eps[0]))
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, sigma), labels, eps), f)
+        want, _ = forward(lambda t, n: t.cross_entropy(n, labels), f + sigma * eps[0])
         assert got.item() == pytest.approx(want.item(), abs=1e-12)
 
     def test_symmetric_two_class_approaches_log_two(self):
         # f = 0, sigma = 1: the expected correct-class probability is 1/2 by
         # symmetry, so the loss tends to log 2 as draws grow
         eps = Rng(5).normal((50_000, 1, 2))
-        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.ones((1, 2)))),
+        got, _ = forward(lambda t, n: t.aleatoric_nll(n, const(t, np.ones((1, 2))),
                                                       onehot([0], 2), eps),
-                         Tensor(np.zeros((1, 2))))
+                         np.zeros((1, 2)))
         assert got.item() == pytest.approx(np.log(2.0), abs=0.02)
 
     def test_validation(self):
         labels, eps = onehot([0, 1], 3), np.zeros((5, 2, 3))
         with pytest.raises(ValueError):
-            forward(lambda t, n: t.aleatoric_nll(n, const(t, Tensor(np.zeros((2, 3)))),
-                                                 labels, eps), Tensor(np.zeros((2, 3))))
+            forward(lambda t, n: t.aleatoric_nll(n, const(t, np.zeros((2, 3))),
+                                                 labels, eps), np.zeros((2, 3)))
         # training draws cfg.mc_samples noise samples per batch
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, mc_samples=0)
@@ -102,29 +101,29 @@ class TestAleatoricLoss:
 class TestOptimizers:
     def params(self):
         rng = Rng(6)
-        return ({"w": Tensor(rng.child("w").normal((3, 3))), "b": Tensor(rng.child("b").normal((3,)))},
-                {"w": Tensor(rng.child("gw").normal((3, 3))), "b": Tensor(rng.child("gb").normal((3,)))})
+        return ({"w": rng.child("w").normal((3, 3)), "b": rng.child("b").normal((3,))},
+                {"w": rng.child("gw").normal((3, 3)), "b": rng.child("gb").normal((3,))})
 
     def test_zero_learning_rate_keeps_bits(self):
         for opt in (SgdMomentum(0.9), Adam()):
             params, grads = self.params()
             out = opt.step(params, grads, lr=0.0)
             for name in params:
-                assert out[name].data.tobytes() == params[name].data.tobytes()
+                assert out[name].tobytes() == params[name].tobytes()
 
     def test_sgd_momentum_accumulates(self):
         params, grads = self.params()
         opt = SgdMomentum(0.5)
         p1 = opt.step(params, grads, lr=1.0)
         p2 = opt.step(p1, grads, lr=1.0)
-        g = grads["w"].data
-        np.testing.assert_allclose(p2["w"].data, params["w"].data - g - 1.5 * g,
+        g = grads["w"]
+        np.testing.assert_allclose(p2["w"], params["w"] - g - 1.5 * g,
                                    atol=1e-12, rtol=0)
 
     def test_adam_step_bounded_by_lr(self):
         params, grads = self.params()
         out = Adam().step(params, grads, lr=0.01)
-        delta = np.abs(out["w"].data - params["w"].data)
+        delta = np.abs(out["w"] - params["w"])
         assert delta.max() <= 0.01 + 1e-9
 
 
@@ -144,10 +143,10 @@ class TestTrainLoop:
     def test_zero_epochs_returns_initialization(self):
         split = small_split()
         model, _ = fresh_mlp(split)
-        init = {k: v.data.tobytes() for k, v in model.params.items()}
+        init = {k: v.tobytes() for k, v in model.params.items()}
         report = train(model, split, TrainConfig(epochs=0, seed=1))
         assert report.rows == [] and report.selected_epoch is None
-        assert {k: v.data.tobytes() for k, v in model.params.items()} == init
+        assert {k: v.tobytes() for k, v in model.params.items()} == init
 
     def test_separable_blobs_reach_high_accuracy(self):
         split = small_split(separation=6.0)
@@ -166,7 +165,7 @@ class TestTrainLoop:
         assert [(r.train_loss, r.val_loss) for r in report_a.rows] == \
                [(r.train_loss, r.val_loss) for r in report_b.rows]
         for name in model_a.params:
-            assert model_a.params[name].data.tobytes() == model_b.params[name].data.tobytes()
+            assert model_a.params[name].tobytes() == model_b.params[name].tobytes()
 
     def test_selected_epoch_first_argmax(self):
         split = small_split()
@@ -218,6 +217,26 @@ class TestTrainLoop:
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["epochs"] == 2 and "wall_time" not in "".join(doc)
 
+    def test_diverged_step_raises(self):
+        split = small_split()
+        model, _ = fresh_mlp(split)
+        with pytest.raises(ArithmeticError, match=r"training diverged: epoch \d+, batch \d+: loss"):
+            train(model, split, TrainConfig(epochs=8, batch_size=16, learning_rate=1e12, seed=3))
+
+    def test_infinite_validation_loss_raises(self):
+        # logits [1e308, ~0] against label 1: each validation row's predictive
+        # is finite, and two log-likelihoods of about -1e308 sum past the range
+        model = Model([Dense("out", 2, 2)], {"out.w": np.eye(2), "out.b": np.zeros(2)},
+                      {"pre-logits": 0, "logits": 0}, (2,), 2, {"arch": "small_mlp"})
+        train_set = [Sample(image=Tensor(Rng(1).child(i).normal((2,))), label=i % 2, raw=False)
+                     for i in range(4)]
+        val = [Sample(image=Tensor([1e308, 0.0]), label=1, raw=False)] * 2
+        split = DatasetSplit(train=train_set, val=val, test=val, class_names=("a", "b"),
+                             normalized=True)
+        with pytest.raises(ArithmeticError,
+                           match="training diverged: epoch 0: validation loss inf"):
+            train(model, split, TrainConfig(epochs=1, learning_rate=1e-9))
+
     def test_lr_schedule_milestones(self):
         cfg = TrainConfig(epochs=100, learning_rate=1.0)
         assert cfg.lr_at(0) == 1.0
@@ -250,7 +269,7 @@ class TestSignPipeline:
         plain = build_model(meta, seed=cfg.seed)
         train(plain, split, cfg)
         for name in plain.params:
-            assert plain.params[name].data.tobytes() == final.params[name].data.tobytes()
+            assert plain.params[name].tobytes() == final.params[name].tobytes()
 
     def test_default_two_configs_triple_training_set(self):
         split = small_split(spc=10)
